@@ -41,6 +41,10 @@ from .lowpass import derive_journe
 from .ruelle import (
     NOT_PURE_CERTIFIED,
     PURE_CERTIFIED,
+    TOL_EIG,
+    TOL_NORM,
+    TOL_RES,
+    VERIFY_TOL,
     classify_purity,
     isometry_residual,
 )
@@ -128,8 +132,7 @@ def _equation_section(filt: FilterMatrix) -> tuple[dict, bool]:
             "dilated_row_violations": [list(v) for v in sup.dilated_row],
         },
     }
-    clean = not sup.column and not sup.dilated_row
-    return section, clean
+    return section, sup.clean()
 
 
 def cmd_verify(args) -> int:
@@ -205,7 +208,10 @@ def cmd_classify(args) -> int:
     t0 = time.perf_counter()
     filt, provenance = load_bundle(args.bundle)
     section, support_clean = _equation_section(filt)
-    if not support_clean or float(section["max_residual"]) > args.verify_tol:
+    # Written so that a NaN residual fails closed.
+    if not support_clean or not (
+        float(section["max_residual"]) <= args.verify_tol
+    ):
         report = {
             "command": "classify",
             "bundle": args.bundle,
@@ -317,10 +323,10 @@ def cmd_spectrum(args) -> int:
 
 
 def _add_classify_tolerances(sub) -> None:
-    sub.add_argument("--tol-eig", type=float, default=1e-8)
-    sub.add_argument("--tol-res", type=float, default=1e-9)
-    sub.add_argument("--tol-norm", type=float, default=1e-6)
-    sub.add_argument("--verify-tol", type=float, default=1e-10)
+    sub.add_argument("--tol-eig", type=float, default=TOL_EIG)
+    sub.add_argument("--tol-res", type=float, default=TOL_RES)
+    sub.add_argument("--tol-norm", type=float, default=TOL_NORM)
+    sub.add_argument("--verify-tol", type=float, default=VERIFY_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check the defining identities")
     ver.add_argument("bundle")
-    ver.add_argument("--tol", type=float, default=1e-10)
+    ver.add_argument("--tol", type=float, default=VERIFY_TOL)
     ver.add_argument("--nmax", type=int, default=3, help="highest identity order")
     ver.add_argument("--trials", type=int, default=20)
     ver.add_argument("--seed", type=int, default=0)

@@ -435,27 +435,17 @@ class JourneParams:
     them.  Floats passed for ``r`` are kept at their exact binary value.
     """
 
-    r: Fraction
-    eps_smooth: Fraction
+    r: Union[RatLike, float]
+    eps_smooth: RatLike = Fraction(1, 56)
     transition: str = "exp_bump"
     grid: GridSpec = GridSpec(2, 56, 2)
 
-    def __init__(
-        self,
-        r: Union[RatLike, float],
-        eps_smooth: RatLike = Fraction(1, 56),
-        transition: str = "exp_bump",
-        grid: GridSpec = GridSpec(2, 56, 2),
-    ) -> None:
+    def __post_init__(self) -> None:
+        r = self.r
         object.__setattr__(
             self, "r", Fraction(r) if isinstance(r, float) else as_rat(r)
         )
-        object.__setattr__(self, "eps_smooth", as_rat(eps_smooth))
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "grid", grid)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
+        object.__setattr__(self, "eps_smooth", as_rat(self.eps_smooth))
         if not (0 < self.r < 1):
             raise ParameterError(f"r must lie in (0, 1), got {self.r}")
         if not (0 < self.eps_smooth < Fraction(1, 28)):

@@ -31,6 +31,10 @@ from .ruelle import (
     NOT_PURE_CERTIFIED,
     PURE_AT_RESOLUTION,
     PURE_CERTIFIED,
+    TOL_EIG,
+    TOL_NORM,
+    TOL_RES,
+    VERIFY_TOL,
     PurityVerdict,
     VecField,
     _dim_cap,
@@ -148,11 +152,10 @@ def _is_unimodular_constant(pair) -> bool:
 
 def intersection_report(
     filt: FilterMatrix,
-    tol_eig: float = 1e-8,
-    tol_res: float = 1e-9,
-    tol_norm: float = 1e-6,
-    verify_tol: float = 1e-10,
-    dim_cap: Optional[int] = None,
+    tol_eig: float = TOL_EIG,
+    tol_res: float = TOL_RES,
+    tol_norm: float = TOL_NORM,
+    verify_tol: float = VERIFY_TOL,
 ) -> IntersectionReport:
     """Search for a certificate, classify purity, and narrate the outcome.
 
@@ -170,7 +173,6 @@ def intersection_report(
         tol_norm=tol_norm,
         verify_tol=verify_tol,
         certificate=certificate,
-        dim_cap=dim_cap,
     )
     status = verdict.status
     if status == NOT_PURE_CERTIFIED:

@@ -54,13 +54,25 @@ PURE_AT_RESOLUTION = "pure_at_resolution"
 NOT_PURE_CERTIFIED = "not_pure_certified"
 INCONCLUSIVE = "inconclusive"
 
+# Default tolerances of the purity analysis; the library signatures and
+# the command line defaults all read these.
+TOL_EIG = 1e-8
+TOL_RES = 1e-9
+TOL_NORM = 1e-6
+VERIFY_TOL = 1e-10
+
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "GMRAFILTERS_DIM_CAP"
 
 
 def _dim_cap() -> int:
     raw = os.environ.get(DIM_CAP_ENV, "")
-    return int(raw) if raw else DEFAULT_DIM_CAP
+    try:
+        return int(raw) if raw else DEFAULT_DIM_CAP
+    except ValueError:
+        raise ParameterError(
+            f"{DIM_CAP_ENV} must be an integer, got {raw!r}"
+        ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +114,6 @@ class VecField:
         return cls.masked(
             chain, grid, np.ones((chain.count, grid.cells), dtype=np.complex128)
         )
-
-    def component(self, i: int) -> StepFn:
-        return StepFn(self.grid, self.values[i])
 
     def norm(self) -> float:
         """Quadrature norm: sqrt of the cell-averaged squared modulus."""
@@ -191,15 +200,16 @@ def isometry_residual(
 class TransferMatrix:
     """Dense matrix of the adjoint on the step space of one grid.
 
-    The basis is (component i, cell t), lexicographic, restricted to the
-    cells of sigma_i; coordinates outside the supports are never carried.
+    The basis is a (dimension, 2) array of (component i, cell t) rows,
+    lexicographic, restricted to the cells of sigma_i; coordinates outside
+    the supports are never carried.
     The matrix realizes "apply the adjoint, then include the coarse result
     back into the fine grid", so nonzero eigenvalues have eigenvectors that
     are constant on the blocks of the coarser grid.
     """
 
     matrix: np.ndarray
-    basis: tuple[tuple[int, int], ...]
+    basis: np.ndarray
     scale: int
     chain: SigmaChain
     grid: GridSpec
@@ -212,38 +222,26 @@ class TransferMatrix:
 def assemble_transfer_matrix(
     filt: FilterMatrix, dim_cap: Optional[int] = None
 ) -> TransferMatrix:
-    """Build the dense adjoint-then-include matrix on the fine step space."""
+    """Build the dense adjoint-then-include matrix on the fine step space.
+
+    This is the fiber rule of ``transfer_apply`` written as a matrix: basis
+    coordinate (j, s) enters coarse cell s mod M/N with weight
+    conj(H_{i,j}(s))/N, and row (i, t) reads coarse cell t // N back.
+    """
     cap = _dim_cap() if dim_cap is None else dim_cap
-    c = filt.count
-    m = filt.cells
-    n = filt.scale
-    mp = m // n
-    masks = filt.sigma_masks()
-    position = -np.ones((c, m), dtype=np.int64)
-    basis: list[tuple[int, int]] = []
-    for i in range(c):
-        for t in np.nonzero(masks[i])[0]:
-            position[i, t] = len(basis)
-            basis.append((i, int(t)))
+    basis = np.argwhere(np.array(filt.sigma_masks()))
     dim = len(basis)
     if dim > cap:
         raise DimensionCapError(
             f"transfer matrix dimension {dim} exceeds cap {cap}"
         )
+    n = filt.scale
+    comp, cell = basis.T
+    rows, cols = np.nonzero(cell[:, None] // n == cell % (filt.cells // n))
     matrix = np.zeros((dim, dim), dtype=np.complex128)
-    rows_t = np.arange(m)
-    for i in range(c):
-        row_ok = masks[i]
-        for j in range(c):
-            for k in range(n):
-                cols_s = rows_t // n + k * mp
-                ok = row_ok & masks[j][cols_s]
-                if not np.any(ok):
-                    continue
-                matrix[position[i, rows_t[ok]], position[j, cols_s[ok]]] = (
-                    np.conj(filt.samples[i, j, cols_s[ok]]) / n
-                )
-    return TransferMatrix(matrix, tuple(basis), n, filt.chain, filt.grid)
+    weights = filt.samples[comp[rows], comp[cols], cell[cols]]
+    matrix[rows, cols] = np.conj(weights) / n
+    return TransferMatrix(matrix, basis, n, filt.chain, filt.grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,11 +274,9 @@ def _field_from_eigvec(
     """
     c = tm.chain.count
     m = tm.grid.cells
-    n = tm.scale
     full = np.zeros((c, m), dtype=np.complex128)
-    for pos, (i, t) in enumerate(tm.basis):
-        full[i, t] = vec[pos]
-    blocks = full.reshape(c, m // n, n)
+    full[tm.basis[:, 0], tm.basis[:, 1]] = vec
+    blocks = full.reshape(c, m // tm.scale, tm.scale)
     coarse_vals = blocks.mean(axis=2)
     block_dev = float(np.abs(blocks - coarse_vals[:, :, None]).max())
     pivot = int(np.argmax(np.abs(coarse_vals)))
@@ -288,10 +284,32 @@ def _field_from_eigvec(
     if pval != 0:
         coarse_vals = coarse_vals * (np.conj(pval) / abs(pval))
     f = VecField.masked(tm.chain, tm.grid.coarser(), coarse_vals)
+    return _unit(f), block_dev
+
+
+def _unit(f: VecField) -> VecField:
+    """The field scaled to unit norm; the zero field comes back as is."""
     nrm = f.norm()
-    if nrm > 0:
-        f = f.scaled(1.0 / nrm)
-    return f, block_dev
+    return f.scaled(1.0 / nrm) if nrm > 0 else f
+
+
+def _retest(filt: FilterMatrix, f: VecField, lam: complex) -> tuple[float, float]:
+    """Re-test a coarse field directly against S_H f = lam f.
+
+    Returns the quadrature residual ||S_H f - lam f|| and the largest
+    deviation of ||f(cell)|| from one over the cells of sigma_1, where an
+    eigenvector of a non-pure operator must have unit pointwise norm.
+    """
+    image = ruelle_apply(filt, f)
+    residual = float(
+        np.sqrt(
+            np.sum(np.abs(image.values - lam * f.refine().values) ** 2)
+            / filt.cells
+        )
+    )
+    norms = f.pointwise_norms()[filt.chain.positive_set().cell_mask(f.grid)]
+    dev = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
+    return residual, dev
 
 
 def _sharpened_exact_pair(
@@ -308,25 +326,12 @@ def _sharpened_exact_pair(
     """
     if abs(pair.eigenvalue - 1.0) > tol_eig:
         return None
-    exact = VecField.ones(filt.chain, filt.coarse_grid())
-    nrm = exact.norm()
-    if nrm == 0.0:
-        return None
-    if nrm != 1.0:
-        exact = exact.scaled(1.0 / nrm)
+    exact = _unit(VecField.ones(filt.chain, filt.coarse_grid()))
     if np.abs(pair.fld.values - exact.values).max() > tol_norm:
         return None
-    image = ruelle_apply(filt, exact)
-    residual = float(
-        np.sqrt(
-            np.sum(np.abs(image.values - exact.refine().values) ** 2) / filt.cells
-        )
-    )
+    residual, dev = _retest(filt, exact, 1.0)
     if residual > pair.residual:
         return None
-    mask = filt.chain.positive_set().cell_mask(filt.coarse_grid())
-    norms = exact.pointwise_norms()[mask]
-    dev = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
     return EigenPair(1.0 + 0.0j, exact, residual, dev, dev <= tol_norm)
 
 
@@ -341,12 +346,11 @@ def _max_martingale_order(grid: GridSpec, cap: int = 3) -> int:
 
 def classify_purity(
     filt: FilterMatrix,
-    tol_eig: float = 1e-8,
-    tol_res: float = 1e-9,
-    tol_norm: float = 1e-6,
-    verify_tol: float = 1e-10,
+    tol_eig: float = TOL_EIG,
+    tol_res: float = TOL_RES,
+    tol_norm: float = TOL_NORM,
+    verify_tol: float = VERIFY_TOL,
     certificate: object = None,
-    dim_cap: Optional[int] = None,
 ) -> PurityVerdict:
     """Decide whether the operator of a verified filter is a pure isometry.
 
@@ -372,12 +376,13 @@ def classify_purity(
     both.
     """
     pre = filter_equation_residual(filt)
-    if pre.max_abs_residual > verify_tol:
+    # Written so that a NaN residual fails closed.
+    if not (pre.max_abs_residual <= verify_tol):
         raise ParameterError(
             "purity analysis needs a verified filter; defining identity "
             f"residual {pre.max_abs_residual:.3e} exceeds {verify_tol:.3e}"
         )
-    tm = assemble_transfer_matrix(filt, dim_cap=dim_cap)
+    tm = assemble_transfer_matrix(filt)
     eigenvalues, vectors = np.linalg.eig(tm.matrix)
     moduli = np.abs(eigenvalues)
     order = sorted(
@@ -391,22 +396,14 @@ def classify_purity(
     pairs: list[EigenPair] = []
     tested: list[dict] = []
     sharpened = 0
-    sigma1_coarse = filt.chain.positive_set().cell_mask(filt.coarse_grid())
     for k in order:
         if not candidate_flags[k]:
             continue
-        lam_adj = complex(eigenvalues[k])
         f, block_dev = _field_from_eigvec(tm, vectors[:, k])
         if f.norm() == 0.0:
             continue
-        lam = np.conj(lam_adj)
-        image = ruelle_apply(filt, f)
-        residual = float(
-            np.sqrt(
-                np.sum(np.abs(image.values - lam * f.refine().values) ** 2)
-                / filt.cells
-            )
-        )
+        lam = np.conj(complex(eigenvalues[k]))
+        residual, dev = _retest(filt, f, lam)
         passed = residual <= tol_res
         passing_flags[k] = passed
         tested.append(
@@ -419,8 +416,6 @@ def classify_purity(
         )
         if not passed:
             continue
-        norms = f.pointwise_norms()[sigma1_coarse]
-        dev = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
         ok = dev <= tol_norm
         if not ok:
             anomalies.append(
@@ -447,11 +442,7 @@ def classify_purity(
     else:
         status = PURE_AT_RESOLUTION
 
-    probe = VecField.ones(filt.chain, filt.grid)
-    nrm = probe.norm()
-    if nrm > 0:
-        probe = probe.scaled(1.0 / nrm)
-    decay = decay_probe(filt, probe, 6)
+    decay = decay_probe(filt, _unit(VecField.ones(filt.chain, filt.grid)), 6)
 
     diagnostics = {
         "tolerances": {

@@ -124,9 +124,6 @@ class GridSpec:
         """Index of the cell containing ``point``."""
         return int(point.value * self.cells)
 
-    def cell_width(self) -> Fraction:
-        return Fraction(1, self.cells)
-
 
 def _arc_parts(start: Fraction, end: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Half-open arc from start to end, traversed forward, as [0,1) parts.

@@ -1,6 +1,18 @@
-"""Prints one terminal line per acceptance criterion as it settles."""
+"""Prints one terminal line per acceptance criterion as it settles.
+
+Also hands the checkout's ``src`` to the subprocesses some tests start,
+matching the ``pythonpath`` setting that pytest applies to this process.
+"""
+
+import os
+from pathlib import Path
 
 import pytest
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 class _AcceptanceLines:

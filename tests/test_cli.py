@@ -187,6 +187,34 @@ class TestClassify:
         assert report["status"] == "verification_failed"
         assert "purity" not in report
 
+    def test_nan_sample_fails_closed(self, tmp_path, capsys):
+        bundle = generate(tmp_path, "haar")
+        raw = json.loads(bundle.read_text())
+        raw["entries"][0]["samples"][3] = ["nan", "0.0"]
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "classify.json"
+        capsys.readouterr()
+        assert main(["classify", str(bad), "--out", str(out)]) == EXIT_VERIFY_FAIL
+        assert report_of(out)["status"] == "verification_failed"
+        assert capsys.readouterr().err == ""
+        assert main(["spectrum", str(bad)]) == EXIT_VERIFY_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_malformed_dimension_cap_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        bundle = generate(tmp_path, "haar")
+        monkeypatch.setenv("GMRAFILTERS_DIM_CAP", "abc")
+        capsys.readouterr()
+        assert main(["classify", str(bundle)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "gmrafilters: GMRAFILTERS_DIM_CAP must be an integer, got 'abc'"
+        ]
+
     def test_uncertified_filter_is_left_undecided(self, tmp_path):
         rng = np.random.default_rng(0)
         filt = random_scalar_filter(rng, depth=4)

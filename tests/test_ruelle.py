@@ -34,7 +34,7 @@ from gmrafilters import (
 from gmrafilters.filters import FilterMatrix
 from gmrafilters.ruelle import DIM_CAP_ENV
 
-from helpers import random_scalar_filter
+from helpers import random_phase_copy, random_scalar_filter, with_sample
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
@@ -42,6 +42,20 @@ INV_SQRT2 = 1.0 / SQRT2
 
 def journe_filter():
     return make_journe_family(derive_journe(0.1).params)
+
+
+def journe_step_phase_copy():
+    return random_phase_copy(make_journe_step(), np.random.default_rng(4))
+
+
+EVERY_SUPPORT_GEOMETRY = [
+    make_constant,
+    make_haar,
+    make_shannon,
+    make_journe_step,
+    journe_filter,
+    journe_step_phase_copy,
+]
 
 
 class TestVecField:
@@ -128,8 +142,9 @@ class TestOperator:
 
 
 class TestTransferMatrix:
-    def test_matrix_agrees_with_the_functional_adjoint(self):
-        filt = make_journe_step()
+    @pytest.mark.parametrize("make", EVERY_SUPPORT_GEOMETRY)
+    def test_matrix_agrees_with_the_functional_adjoint(self, make):
+        filt = make()
         tm = assemble_transfer_matrix(filt)
         rng = np.random.default_rng(11)
         g = random_vecfield(filt.chain, filt.grid, rng)
@@ -138,12 +153,27 @@ class TestTransferMatrix:
         expected = np.array([direct.values[i, t] for i, t in tm.basis])
         assert np.allclose(tm.matrix @ vec, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("make", EVERY_SUPPORT_GEOMETRY)
+    def test_matrix_matches_the_entrywise_rule(self, make):
+        filt = make()
+        tm = assemble_transfer_matrix(filt)
+        n = filt.scale
+        mp = filt.cells // n
+        expected = np.zeros_like(tm.matrix)
+        for p, (i, t) in enumerate(tm.basis):
+            for q, (j, s) in enumerate(tm.basis):
+                if s % mp == t // n:
+                    expected[p, q] = np.conj(filt.samples[i, j, s]) / n
+        assert np.array_equal(tm.matrix, expected)
+
     def test_basis_is_restricted_to_the_supports(self):
         filt = make_journe_step()
         tm = assemble_transfer_matrix(filt)
         masks = filt.sigma_masks()
         assert tm.dimension == int(masks[0].sum() + masks[1].sum())
         assert all(masks[i][t] for i, t in tm.basis)
+        rows = [tuple(row) for row in tm.basis]
+        assert rows == sorted(rows)
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
@@ -155,6 +185,9 @@ class TestTransferMatrix:
             assemble_transfer_matrix(make_haar(depth=4))
         monkeypatch.setenv(DIM_CAP_ENV, "64")
         assemble_transfer_matrix(make_haar(depth=4))
+        monkeypatch.setenv(DIM_CAP_ENV, "abc")
+        with pytest.raises(ParameterError):
+            assemble_transfer_matrix(make_haar(depth=4))
 
     @pytest.mark.parametrize(
         "make",
@@ -180,6 +213,11 @@ class TestClassification:
     def test_requires_a_verified_filter(self):
         filt = make_constant()
         bad = FilterMatrix(filt.scale, filt.chain, filt.grid, filt.samples * 1.1)
+        with pytest.raises(ParameterError):
+            classify_purity(bad)
+
+    def test_nan_sample_fails_closed(self):
+        bad = with_sample(make_haar(), 0, 0, 3, float("nan"))
         with pytest.raises(ParameterError):
             classify_purity(bad)
 
