@@ -159,8 +159,10 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
     except GmraFilterError as exc:
         raise BundleFormatError(f"bundle does not assemble: {exc}") from exc
     cells = grid.cells
-    samples = np.zeros((count, count, cells), dtype=np.complex128)
-    seen = set()
+    # Every sample count is checked before the samples array exists, so a
+    # declared grid far larger than the entries carry is refused without
+    # allocating it.
+    checked = {}
     for ei, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise BundleFormatError(f"entries[{ei}] must be an object")
@@ -171,15 +173,17 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
                 f"entries[{ei}] addresses ({i}, {j}) outside a "
                 f"{count} x {count} matrix"
             )
-        if (i, j) in seen:
+        if (i, j) in checked:
             raise BundleFormatError(f"entry ({i}, {j}) appears twice")
-        seen.add((i, j))
         raw = _need(entry, "samples", list)
         if len(raw) != cells:
             raise BundleFormatError(
                 f"entry ({i}, {j}) carries {len(raw)} samples, "
                 f"the grid has {cells} cells"
             )
+        checked[i, j] = raw
+    samples = np.zeros((count, count, cells), dtype=np.complex128)
+    for (i, j), raw in checked.items():
         for t, pair in enumerate(raw):
             where = f"entry ({i}, {j}) sample {t}"
             if not (isinstance(pair, list) and len(pair) == 2):

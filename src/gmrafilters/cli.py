@@ -204,14 +204,20 @@ def _spectrum_rows(diag: dict) -> list[list[str]]:
     return rows
 
 
+def _fails_verification(
+    section: dict, support_clean: bool, verify_tol: float
+) -> bool:
+    # Written so that a NaN residual fails closed.
+    return not support_clean or not (
+        float(section["max_residual"]) <= verify_tol
+    )
+
+
 def cmd_classify(args) -> int:
     t0 = time.perf_counter()
     filt, provenance = load_bundle(args.bundle)
     section, support_clean = _equation_section(filt)
-    # Written so that a NaN residual fails closed.
-    if not support_clean or not (
-        float(section["max_residual"]) <= args.verify_tol
-    ):
+    if _fails_verification(section, support_clean, args.verify_tol):
         report = {
             "command": "classify",
             "bundle": args.bundle,
@@ -263,7 +269,6 @@ def cmd_classify(args) -> int:
                 {
                     "eigenvalue": complex_pair(c["eigenvalue"]),
                     "residual": float_str(c["residual"]),
-                    "block_deviation": float_str(c["block_deviation"]),
                     "passed": c["passed"],
                 }
                 for c in diag["candidates_tested"]
@@ -305,17 +310,22 @@ def cmd_classify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     filt, _ = load_bundle(args.bundle)
-    try:
-        verdict = classify_purity(
-            filt,
-            tol_eig=args.tol_eig,
-            tol_res=args.tol_res,
-            tol_norm=args.tol_norm,
-            verify_tol=args.verify_tol,
+    section, support_clean = _equation_section(filt)
+    if _fails_verification(section, support_clean, args.verify_tol):
+        print(
+            f"gmrafilters: {args.bundle} fails verification: defining "
+            f"identity residual {section['max_residual']}, support rule "
+            f"{'clean' if support_clean else 'violated'}",
+            file=sys.stderr,
         )
-    except GmraFilterError as exc:
-        print(f"gmrafilters: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
+    verdict = classify_purity(
+        filt,
+        tol_eig=args.tol_eig,
+        tol_res=args.tol_res,
+        tol_norm=args.tol_norm,
+        verify_tol=args.verify_tol,
+    )
     lines = ["eigenvalue_re,eigenvalue_im,modulus,passes_eigen_test"]
     lines.extend(",".join(row) for row in _spectrum_rows(verdict.diagnostics))
     _write_text(args.out, "\n".join(lines) + "\n")

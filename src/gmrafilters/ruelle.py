@@ -13,7 +13,10 @@ and the central dichotomy is spectral: S_H fails to be a pure isometry
 precisely when it has an eigenvector of modulus-one eigenvalue, and any
 such eigenvector has pointwise norm one almost everywhere.  On a fixed
 grid both operators are finite matrices, so the dichotomy can be probed
-exactly: eigenvalues of the dense adjoint matrix near the unit circle are
+exactly.  The matrix solved is K = adjoint o include on the coarse step
+space, 1/N the size of include o adjoint on the fine one: AB and BA
+share their nonzero spectrum, and an eigenvector of K is already the
+coarse field to test.  Eigenvalues of K near the unit circle are
 re-tested directly against the eigenvector relation, and every verdict
 records the resolution it was reached at.
 """
@@ -198,19 +201,21 @@ def isometry_residual(
 
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
-    """Dense matrix of the adjoint on the step space of one grid.
+    """Dense matrix K of "include, then apply the adjoint" on a coarse space.
 
-    The basis is a (dimension, 2) array of (component i, cell t) rows,
-    lexicographic, restricted to the cells of sigma_i; coordinates outside
-    the supports are never carried.
-    The matrix realizes "apply the adjoint, then include the coarse result
-    back into the fine grid", so nonzero eigenvalues have eigenvectors that
-    are constant on the blocks of the coarser grid.
+    The basis is a (dimension, 2) array of (component i, coarse cell u)
+    rows, lexicographic, holding the cells of the coarse grid whose block
+    of N fine cells meets sigma_i; ``grid`` is that coarse grid.  K is the
+    quotient of the fine matrix "apply the adjoint, then include" on the
+    ``fine_dimension`` coordinates of the fine step space: the two are BA
+    and AB for the same pair of maps, so they share their nonzero
+    spectrum, det(lam I - AB) = lam^(n - m) det(lam I - BA), and the fine
+    spectrum is K's followed by ``fine_dimension - dimension`` zeros.
     """
 
     matrix: np.ndarray
     basis: np.ndarray
-    scale: int
+    fine_dimension: int
     chain: SigmaChain
     grid: GridSpec
 
@@ -222,26 +227,39 @@ class TransferMatrix:
 def assemble_transfer_matrix(
     filt: FilterMatrix, dim_cap: Optional[int] = None
 ) -> TransferMatrix:
-    """Build the dense adjoint-then-include matrix on the fine step space.
+    """Build the dense quotient matrix K on the coarse step space.
 
-    This is the fiber rule of ``transfer_apply`` written as a matrix: basis
-    coordinate (j, s) enters coarse cell s mod M/N with weight
-    conj(H_{i,j}(s))/N, and row (i, t) reads coarse cell t // N back.
+    This is the fiber rule of ``transfer_apply`` written as a matrix: fine
+    coordinate (j, s) enters coarse cell s mod M/N of every row component
+    i with weight conj(H_{i,j}(s))/N, and it is read from coarse cell
+    s // N, the block it refines.  Weights landing on one entry are summed,
+    which happens when the coarse grid has fewer than N cells.  The cap
+    applies to the dimension of the fine step space.
     """
     cap = _dim_cap() if dim_cap is None else dim_cap
-    basis = np.argwhere(np.array(filt.sigma_masks()))
-    dim = len(basis)
-    if dim > cap:
+    masks = np.array(filt.sigma_masks())
+    fine = np.argwhere(masks)
+    if len(fine) > cap:
         raise DimensionCapError(
-            f"transfer matrix dimension {dim} exceeds cap {cap}"
+            f"transfer matrix dimension {len(fine)} exceeds cap {cap}"
         )
     n = filt.scale
-    comp, cell = basis.T
-    rows, cols = np.nonzero(cell[:, None] // n == cell % (filt.cells // n))
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    weights = filt.samples[comp[rows], comp[cols], cell[cols]]
-    matrix[rows, cols] = np.conj(weights) / n
-    return TransferMatrix(matrix, basis, n, filt.chain, filt.grid)
+    c = filt.count
+    mp = filt.cells // n
+    coarse = masks.reshape(c, mp, n).any(axis=2)
+    basis = np.argwhere(coarse)
+    position = np.full((c, mp), -1)
+    position[coarse] = np.arange(len(basis))
+    comp, cell = fine.T
+    rows = position[:, cell % mp]
+    cols = np.broadcast_to(position[comp, cell // n], rows.shape)
+    weights = np.conj(filt.samples[:, comp, cell]) / n
+    keep = rows >= 0
+    matrix = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    np.add.at(matrix, (rows[keep], cols[keep]), weights[keep])
+    return TransferMatrix(
+        matrix, basis, len(fine), filt.chain, filt.coarse_grid()
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,28 +281,14 @@ class PurityVerdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _field_from_eigvec(
-    tm: TransferMatrix, vec: np.ndarray
-) -> tuple[VecField, float]:
-    """Read a transfer eigenvector as a coarse field, canonically scaled.
-
-    Returns the field on the coarser grid together with the largest
-    deviation of the raw vector from block constancy (a pure diagnostic:
-    nonzero eigenvalues are block constant up to rounding).
-    """
-    c = tm.chain.count
-    m = tm.grid.cells
-    full = np.zeros((c, m), dtype=np.complex128)
-    full[tm.basis[:, 0], tm.basis[:, 1]] = vec
-    blocks = full.reshape(c, m // tm.scale, tm.scale)
-    coarse_vals = blocks.mean(axis=2)
-    block_dev = float(np.abs(blocks - coarse_vals[:, :, None]).max())
-    pivot = int(np.argmax(np.abs(coarse_vals)))
-    pval = coarse_vals.flat[pivot]
+def _field_from_eigvec(tm: TransferMatrix, vec: np.ndarray) -> VecField:
+    """Read an eigenvector of K as a coarse field, canonically scaled."""
+    values = np.zeros((tm.chain.count, tm.grid.cells), dtype=np.complex128)
+    values[tm.basis[:, 0], tm.basis[:, 1]] = vec
+    pval = values.flat[int(np.argmax(np.abs(values)))]
     if pval != 0:
-        coarse_vals = coarse_vals * (np.conj(pval) / abs(pval))
-    f = VecField.masked(tm.chain, tm.grid.coarser(), coarse_vals)
-    return _unit(f), block_dev
+        values *= np.conj(pval) / abs(pval)
+    return _unit(VecField(tm.chain, tm.grid, values))
 
 
 def _unit(f: VecField) -> VecField:
@@ -354,16 +358,18 @@ def classify_purity(
 ) -> PurityVerdict:
     """Decide whether the operator of a verified filter is a pure isometry.
 
-    The adjoint matrix is eigendecomposed; every eigenvalue within
-    ``tol_eig`` of the unit circle is a candidate.  A candidate is
-    accepted only if the conjugate eigenvalue relation for the operator
-    itself holds directly: reading the eigenvector as a coarse field f,
-    the residual ||S_H f - conj(lambda) f|| must fall below ``tol_res``
-    after normalization.  An accepted pair lying within tolerance of the
-    closed form (1, chi) is re-tested in exact arithmetic and replaced by
-    that form when the substitution does at least as well, which is what
-    makes the flagship non-pure example come out exact rather than
-    merely small.  Accepted pairs are then checked against the
+    The quotient matrix K of ``assemble_transfer_matrix`` is
+    eigendecomposed, and the reported spectrum is K's eigenvalues followed
+    by the zeros that only the fine step space carries; every eigenvalue
+    of K within ``tol_eig`` of the unit circle is a candidate.  A
+    candidate is accepted only if the conjugate eigenvalue relation for
+    the operator itself holds directly: with the eigenvector as a coarse
+    field f, the residual ||S_H f - conj(lambda) f|| must fall below
+    ``tol_res`` after normalization.  An accepted pair lying within
+    tolerance of the closed form (1, chi) is re-tested in exact arithmetic
+    and replaced by that form when the substitution does at least as well,
+    which is what makes the flagship non-pure example come out exact
+    rather than merely small.  Accepted pairs are then checked against the
     structural consequence that ||f(cell)|| = 1 wherever the multiplicity
     is positive; a failure there does not revoke the pair but is flagged
     as an anomaly.
@@ -383,7 +389,13 @@ def classify_purity(
             f"residual {pre.max_abs_residual:.3e} exceeds {verify_tol:.3e}"
         )
     tm = assemble_transfer_matrix(filt)
-    eigenvalues, vectors = np.linalg.eig(tm.matrix)
+    solved, vectors = np.linalg.eig(tm.matrix)
+    # The fine spectrum: K's eigenvalues, then the zeros only the fine
+    # space carries.  Those zeros have no eigenvector here and are never
+    # re-tested; zero could not pass, as ||S_H f|| = ||f|| = 1.
+    eigenvalues = np.concatenate(
+        [solved, np.zeros(tm.fine_dimension - tm.dimension, dtype=solved.dtype)]
+    )
     moduli = np.abs(eigenvalues)
     order = sorted(
         range(len(eigenvalues)),
@@ -397,11 +409,9 @@ def classify_purity(
     tested: list[dict] = []
     sharpened = 0
     for k in order:
-        if not candidate_flags[k]:
+        if not candidate_flags[k] or k >= tm.dimension:
             continue
-        f, block_dev = _field_from_eigvec(tm, vectors[:, k])
-        if f.norm() == 0.0:
-            continue
+        f = _field_from_eigvec(tm, vectors[:, k])
         lam = np.conj(complex(eigenvalues[k]))
         residual, dev = _retest(filt, f, lam)
         passed = residual <= tol_res
@@ -410,7 +420,6 @@ def classify_purity(
             {
                 "eigenvalue": lam,
                 "residual": residual,
-                "block_deviation": block_dev,
                 "passed": passed,
             }
         )
@@ -451,7 +460,7 @@ def classify_purity(
             "tol_norm": tol_norm,
             "verify_tol": verify_tol,
         },
-        "dimension": tm.dimension,
+        "dimension": tm.fine_dimension,
         "spectrum": eigenvalues,
         "spectrum_order": order,
         "candidate_flags": candidate_flags,

@@ -123,6 +123,21 @@ class TestVerify:
         bad.write_text("{not json")
         assert main(["verify", str(bad)]) == EXIT_USAGE
 
+    def test_oversized_grid_is_refused_before_allocating(self, tmp_path, capsys):
+        bundle = generate(tmp_path, "haar")
+        raw = json.loads(bundle.read_text())
+        raw["depth"] = 45
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["verify", str(big)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "gmrafilters: entry (0, 0) carries 16 samples, "
+            "the grid has 35184372088832 cells"
+        ]
+
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == EXIT_USAGE
 
@@ -207,13 +222,17 @@ class TestClassify:
         self, tmp_path, capsys, monkeypatch
     ):
         bundle = generate(tmp_path, "haar")
-        monkeypatch.setenv("GMRAFILTERS_DIM_CAP", "abc")
         capsys.readouterr()
-        assert main(["classify", str(bundle)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "gmrafilters: GMRAFILTERS_DIM_CAP must be an integer, got 'abc'"
-        ]
+        for cap, message in [
+            ("abc", "GMRAFILTERS_DIM_CAP must be an integer, got 'abc'"),
+            ("8", "transfer matrix dimension 16 exceeds cap 8"),
+        ]:
+            monkeypatch.setenv("GMRAFILTERS_DIM_CAP", cap)
+            for command in ("classify", "spectrum"):
+                assert main([command, str(bundle)]) == EXIT_USAGE
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.splitlines() == [f"gmrafilters: {message}"]
 
     def test_uncertified_filter_is_left_undecided(self, tmp_path):
         rng = np.random.default_rng(0)
