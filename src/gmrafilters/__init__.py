@@ -15,7 +15,6 @@ from .bundleio import (
     float_str,
     load_bundle,
     parse_bundle,
-    save_bundle,
 )
 from .errors import (
     BundleFormatError,
@@ -31,8 +30,6 @@ from .filters import (
     ResidualReport,
     StepFn,
     SupportReport,
-    coarsen_check,
-    cocycle_product,
     filter_equation_residual,
     generalized_filter_residual,
     journe_profile,
@@ -45,7 +42,7 @@ from .filters import (
     refine,
     support_violations,
 )
-from .gmra import IntersectionReport, Tower, build_tower, intersection_report
+from .gmra import IntersectionReport, intersection_report
 from .lowpass import (
     BoundCheck,
     Certificate,
@@ -74,14 +71,7 @@ from .ruelle import (
     ruelle_apply,
     transfer_apply,
 )
-from .torus import (
-    GridSpec,
-    IntervalSet,
-    SigmaChain,
-    TorusPoint,
-    kernel_points,
-    rat_str,
-)
+from .torus import GridSpec, IntervalSet, SigmaChain, rat_str
 
 __version__ = "0.1.0"
 
@@ -111,18 +101,13 @@ __all__ = [
     "SigmaChain",
     "StepFn",
     "SupportReport",
-    "Tower",
-    "TorusPoint",
     "TransferMatrix",
     "VecField",
     "assemble_transfer_matrix",
-    "build_tower",
     "canonical_json",
     "certificate_eps",
     "check_certificate",
     "classify_purity",
-    "coarsen_check",
-    "cocycle_product",
     "decay_probe",
     "derive_journe",
     "emit_bundle",
@@ -133,7 +118,6 @@ __all__ = [
     "isometry_residual",
     "journe_profile",
     "journe_sigma_chain",
-    "kernel_points",
     "load_bundle",
     "make_journe_step",
     "make_constant",
@@ -146,7 +130,6 @@ __all__ = [
     "rat_str",
     "refine",
     "ruelle_apply",
-    "save_bundle",
     "search_certificate",
     "support_violations",
     "transfer_apply",

@@ -198,13 +198,6 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
     return filt, provenance
 
 
-def save_bundle(
-    path: str, filt: FilterMatrix, provenance: Optional[dict] = None
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_bundle(filt, provenance))
-
-
 def load_bundle(path: str) -> tuple[FilterMatrix, dict]:
     with open(path, encoding="utf-8") as fh:
         return parse_bundle(fh.read())

@@ -6,8 +6,10 @@ its shortest round-tripping decimal string, and anything nondeterministic
 that two runs on the same input differ at most there.
 
 Exit codes: 0 success (for classify, a certified pure verdict), 1
-verification failure, 2 usage or parse problems, 3 a certified non-pure
-verdict, 4 a verdict that is neither certified outcome.
+verification failure, 2 usage or parse problems (including a grid too
+large to allocate), 3 a certified non-pure verdict, 4 a verdict that is
+neither certified outcome.  Every exit 2 after argument parsing prints
+one ``gmrafilters: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .bundleio import (
 from .errors import GmraFilterError, GridAlignmentError, ResolutionError
 from .filters import (
     FilterMatrix,
+    ResidualReport,
+    SupportReport,
     filter_equation_residual,
     generalized_filter_residual,
     make_journe_step,
@@ -117,7 +121,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _equation_section(filt: FilterMatrix) -> tuple[dict, bool]:
+def _equation_section(
+    filt: FilterMatrix,
+) -> tuple[dict, ResidualReport, SupportReport]:
     eq = filter_equation_residual(filt)
     sup = support_violations(filt)
     section = {
@@ -132,15 +138,22 @@ def _equation_section(filt: FilterMatrix) -> tuple[dict, bool]:
             "dilated_row_violations": [list(v) for v in sup.dilated_row],
         },
     }
-    return section, sup.clean()
+    return section, eq, sup
+
+
+def _fails_verification(
+    eq: ResidualReport, sup: SupportReport, verify_tol: float
+) -> bool:
+    """The gate of verify, classify and spectrum; a NaN residual fails it."""
+    return not sup.clean() or not (eq.max_abs_residual <= verify_tol)
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     filt, provenance = load_bundle(args.bundle)
     tol = args.tol
-    section, support_clean = _equation_section(filt)
-    ok = support_clean and float(section["max_residual"]) <= tol
+    section, eq, sup = _equation_section(filt)
+    ok = not _fails_verification(eq, sup, tol)
 
     generalized = []
     for order in range(1, args.nmax + 1):
@@ -204,20 +217,11 @@ def _spectrum_rows(diag: dict) -> list[list[str]]:
     return rows
 
 
-def _fails_verification(
-    section: dict, support_clean: bool, verify_tol: float
-) -> bool:
-    # Written so that a NaN residual fails closed.
-    return not support_clean or not (
-        float(section["max_residual"]) <= verify_tol
-    )
-
-
 def cmd_classify(args) -> int:
     t0 = time.perf_counter()
     filt, provenance = load_bundle(args.bundle)
-    section, support_clean = _equation_section(filt)
-    if _fails_verification(section, support_clean, args.verify_tol):
+    section, eq, sup = _equation_section(filt)
+    if _fails_verification(eq, sup, args.verify_tol):
         report = {
             "command": "classify",
             "bundle": args.bundle,
@@ -310,12 +314,12 @@ def cmd_classify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     filt, _ = load_bundle(args.bundle)
-    section, support_clean = _equation_section(filt)
-    if _fails_verification(section, support_clean, args.verify_tol):
+    section, eq, sup = _equation_section(filt)
+    if _fails_verification(eq, sup, args.verify_tol):
         print(
             f"gmrafilters: {args.bundle} fails verification: defining "
             f"identity residual {section['max_residual']}, support rule "
-            f"{'clean' if support_clean else 'violated'}",
+            f"{'clean' if sup.clean() else 'violated'}",
             file=sys.stderr,
         )
         return EXIT_VERIFY_FAIL
@@ -397,10 +401,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except GmraFilterError as exc:
-        print(f"gmrafilters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (GmraFilterError, OSError, MemoryError) as exc:
+        # A MemoryError here is a grid refused by the allocator, such as
+        # generate at depth 40: a usage problem, not a failed verification.
         print(f"gmrafilters: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,14 +29,7 @@ from typing import Union
 import numpy as np
 
 from .errors import GridAlignmentError, ParameterError, ResolutionError
-from .torus import (
-    GridSpec,
-    IntervalSet,
-    RatLike,
-    SigmaChain,
-    TorusPoint,
-    as_rat,
-)
+from .torus import GridSpec, IntervalSet, RatLike, SigmaChain, as_rat
 
 SQRT2 = math.sqrt(2.0)
 
@@ -56,22 +49,6 @@ class StepFn:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-
-    def value_at(self, point: TorusPoint) -> complex:
-        return complex(self.samples[self.grid.cell_of_point(point)])
-
-    def support(self) -> IntervalSet:
-        """Union of the cells carrying a nonzero sample."""
-        m = self.grid.cells
-        arcs = [
-            (Fraction(t, m), Fraction(t + 1, m))
-            for t in range(m)
-            if self.samples[t] != 0
-        ]
-        return IntervalSet.from_arcs(arcs)
-
-    def refine(self) -> "StepFn":
-        return StepFn(self.grid.finer(), np.repeat(self.samples, self.grid.scale))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,15 +101,6 @@ class FilterMatrix:
 
     def coarse_grid(self) -> GridSpec:
         return self.grid.coarser()
-
-    def entry(self, i: int, j: int) -> StepFn:
-        return StepFn(self.grid, self.samples[i, j])
-
-    def matrix_at_cell(self, index: int) -> np.ndarray:
-        return self.samples[:, :, index % self.cells]
-
-    def matrix_at(self, point: TorusPoint) -> np.ndarray:
-        return self.matrix_at_cell(self.grid.cell_of_point(point))
 
     def sigma_masks(self, grid: GridSpec | None = None) -> list[np.ndarray]:
         """Cell masks of the support chain on ``grid`` (default: fine grid)."""
@@ -237,22 +205,6 @@ def generalized_filter_residual(filt: FilterMatrix, order: int) -> ResidualRepor
     return _report_from_residuals(np.abs(lhs - rhs))
 
 
-def cocycle_product(filt: FilterMatrix, point: TorusPoint, order: int) -> np.ndarray:
-    """Ordered product of transposed filter matrices along a dilation orbit.
-
-    Returns H^T(x) H^T(x^N) ... H^T(x^(N^(order-1))) as a dense c x c
-    matrix; the empty product (order 0) is the identity.
-    """
-    if order < 0:
-        raise ParameterError("order must be >= 0")
-    out = np.eye(filt.count, dtype=np.complex128)
-    x = point
-    for _ in range(order):
-        out = out @ filt.matrix_at(x).T
-        x = x.dilate(filt.scale)
-    return out
-
-
 @dataclass(frozen=True)
 class SupportReport:
     """Cells where the support rules fail, by category.
@@ -297,14 +249,6 @@ def refine(filt: FilterMatrix) -> FilterMatrix:
     )
 
 
-def coarsen_check(filt: FilterMatrix) -> bool:
-    """True when the samples are constant on the cells of the coarser grid."""
-    n = filt.scale
-    c = filt.count
-    blocks = filt.samples.reshape(c, c, filt.cells // n, n)
-    return bool(np.all(blocks == blocks[:, :, :, :1]))
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -331,13 +275,9 @@ def make_haar(depth: int = 4, base: int = 1) -> FilterMatrix:
     """
     grid = GridSpec(2, base, depth)
     m = grid.cells
-    half = m // 2
-    t = np.arange(half)
-    z = np.exp(2j * np.pi * t / m)
-    samples = np.empty((1, 1, m), dtype=np.complex128)
-    samples[0, 0, :half] = (1 + z) / SQRT2
-    samples[0, 0, half:] = (1 - z) / SQRT2
-    return FilterMatrix(2, SigmaChain.full_circle(1), grid, samples)
+    z = np.exp(2j * np.pi * np.arange(m // 2) / m)
+    samples = np.concatenate([1 + z, 1 - z]) / SQRT2
+    return FilterMatrix(2, SigmaChain.full_circle(1), grid, samples[None, None])
 
 
 def make_shannon(depth: int = 4, base: int = 4) -> FilterMatrix:

@@ -1,19 +1,17 @@
-"""Finite towers of refinement spaces and the intersection dichotomy.
+"""The intersection dichotomy, stated through the purity verdict.
 
 A verified filter turns the step fields of each grid into a nested family
-of spaces: level k lives on the base fine grid refined k more times, and
-the operator embeds each level isometrically into the next.  The tower
-here materializes finitely many levels of that picture so the embeddings,
-their telescoping into matrix products along dilation orbits, and the
-decay of adjoint averages can all be exercised concretely.
-
-The dichotomy itself concerns the common intersection of the ranges of
-the iterated embeddings.  ``intersection_report`` combines the purity
-classification with a certificate search and phrases the outcome in those
-terms.  It deliberately reports no numeric dimension for the
-intersection: whenever that space is nonzero in the ambient model it is
-infinite dimensional, and a rank count at any single resolution sees only
-a finite shadow, so printing one would mislead.
+of spaces, a tower: level k lives on the filter's fine grid refined k
+more times, and the operator embeds each level isometrically into the
+next.  The dichotomy concerns the common intersection of the ranges of
+the iterated embeddings, which is nonzero exactly when the operator has
+a modulus-one eigenvector, so the tower itself never has to be built.
+``intersection_report`` runs the certificate search and the purity
+classification and phrases their outcome in those terms.  It
+deliberately reports no numeric dimension for the intersection: whenever
+that space is nonzero in the ambient model it is infinite dimensional,
+and a rank count at any single resolution sees only a finite shadow, so
+printing one would mislead.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionCapError, ParameterError, ResolutionError
-from .filters import FilterMatrix, refine
+from .filters import FilterMatrix
 from .lowpass import Certificate, search_certificate
 from .ruelle import (
     INCONCLUSIVE,
@@ -36,89 +33,8 @@ from .ruelle import (
     TOL_RES,
     VERIFY_TOL,
     PurityVerdict,
-    VecField,
-    _dim_cap,
     classify_purity,
-    ruelle_apply,
 )
-from .torus import GridSpec
-
-
-@dataclass(frozen=True, eq=False)
-class Tower:
-    """Finitely many refinement levels above a base filter.
-
-    Level 0 is the step space of the filter's own fine grid; level k sits
-    on that grid refined k times.  ``stages[k - 1]`` is the filter lifted
-    to level k, whose coarse grid is level k - 1, so applying the operator
-    of that stage is the embedding of level k - 1 into level k.
-    """
-
-    base: FilterMatrix
-    depth: int
-    stages: tuple[FilterMatrix, ...]
-
-    @property
-    def levels(self) -> tuple[GridSpec, ...]:
-        return (self.base.grid,) + tuple(s.grid for s in self.stages)
-
-    def dimension(self, level: int) -> int:
-        """Count of (component, cell) coordinates inside the supports."""
-        grid = self.levels[level]
-        return sum(
-            int(np.count_nonzero(s.cell_mask(grid)))
-            for s in self.base.chain.sigmas
-        )
-
-    def level_of(self, f: VecField) -> int:
-        for k, grid in enumerate(self.levels):
-            if grid == f.grid:
-                return k
-        raise ResolutionError("field does not live on any level of this tower")
-
-    def embed(self, f: VecField) -> VecField:
-        """Embed a field one level up."""
-        k = self.level_of(f)
-        if k >= self.depth:
-            raise ResolutionError("field already lives on the top level")
-        return ruelle_apply(self.stages[k], f)
-
-    def lift(self, f: VecField, to_level: Optional[int] = None) -> VecField:
-        """Embed repeatedly until the field reaches ``to_level`` (default top)."""
-        target = self.depth if to_level is None else to_level
-        k = self.level_of(f)
-        if not (k <= target <= self.depth):
-            raise ResolutionError(
-                f"cannot lift from level {k} to level {target}"
-            )
-        for _ in range(target - k):
-            f = self.embed(f)
-        return f
-
-
-def build_tower(
-    filt: FilterMatrix, depth: int, dim_cap: Optional[int] = None
-) -> Tower:
-    """Materialize ``depth`` refinement levels above a filter's fine grid."""
-    if depth < 0:
-        raise ParameterError(f"tower depth must be >= 0, got {depth}")
-    cap = _dim_cap() if dim_cap is None else dim_cap
-    top_cells = filt.cells * filt.scale**depth
-    top_dim = sum(
-        s.measure() * top_cells for s in filt.chain.sigmas
-    )
-    if top_dim.denominator != 1:
-        raise ParameterError("support chain does not align with the top grid")
-    if int(top_dim) > cap:
-        raise DimensionCapError(
-            f"top level dimension {int(top_dim)} exceeds cap {cap}"
-        )
-    stages = []
-    lifted = filt
-    for _ in range(depth):
-        lifted = refine(lifted)
-        stages.append(lifted)
-    return Tower(base=filt, depth=depth, stages=tuple(stages))
 
 
 @dataclass(frozen=True, eq=False)

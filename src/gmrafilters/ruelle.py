@@ -224,19 +224,18 @@ class TransferMatrix:
         return len(self.basis)
 
 
-def assemble_transfer_matrix(
-    filt: FilterMatrix, dim_cap: Optional[int] = None
-) -> TransferMatrix:
+def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     """Build the dense quotient matrix K on the coarse step space.
 
     This is the fiber rule of ``transfer_apply`` written as a matrix: fine
     coordinate (j, s) enters coarse cell s mod M/N of every row component
     i with weight conj(H_{i,j}(s))/N, and it is read from coarse cell
     s // N, the block it refines.  Weights landing on one entry are summed,
-    which happens when the coarse grid has fewer than N cells.  The cap
-    applies to the dimension of the fine step space.
+    which happens when the coarse grid has fewer than N cells.  The cap,
+    read from ``GMRAFILTERS_DIM_CAP``, applies to the dimension of the fine
+    step space.
     """
-    cap = _dim_cap() if dim_cap is None else dim_cap
+    cap = _dim_cap()
     masks = np.array(filt.sigma_masks())
     fine = np.argwhere(masks)
     if len(fine) > cap:

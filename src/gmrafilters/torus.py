@@ -1,11 +1,13 @@
-"""Exact rational arithmetic on the circle.
+"""Exact rational grids, interval sets and support chains on the circle.
 
 The circle is modelled as the half-open interval [0, 1) with addition mod 1.
-Points are rationals, sets are finite unions of half-open rational intervals,
-and the dilation x -> scale * x mod 1 plays the role of the N-fold covering
-map.  Everything in this module is exact: measures, images, preimages and
-grid alignment are computed with ``fractions.Fraction`` and never touch
-floating point.
+A grid splits it into equal half-open cells, the supports of a filter are
+finite unions of half-open rational intervals, and a support chain is a
+nested sequence of such sets.  The dilation x -> scale * x mod 1 acts on
+sets through their forward image.  Everything in this module is exact:
+measures, intersections, images and grid alignment are computed with
+``fractions.Fraction`` and never touch floating point; cell masks are the
+one bridge to the sampled world.
 """
 
 from __future__ import annotations
@@ -36,51 +38,6 @@ def as_rat(value: RatLike) -> Fraction:
 def rat_str(value: Fraction) -> str:
     """Serialize a Fraction as ``"p/q"`` with q > 0 and gcd(p, q) = 1."""
     return f"{value.numerator}/{value.denominator}"
-
-
-@dataclass(frozen=True, order=True)
-class TorusPoint:
-    """A point of the circle, stored as a Fraction in [0, 1)."""
-
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        if not (ZERO <= self.value < ONE):
-            raise ParameterError(f"torus point out of range: {self.value}")
-
-    @classmethod
-    def of(cls, value: RatLike) -> "TorusPoint":
-        """Build a point from any rational, reducing mod 1."""
-        return cls(as_rat(value) % 1)
-
-    def dilate(self, scale: int) -> "TorusPoint":
-        """Apply x -> scale * x mod 1."""
-        return TorusPoint(self.value * scale % 1)
-
-    def dilate_iter(self, scale: int, steps: int) -> "TorusPoint":
-        return TorusPoint(self.value * scale**steps % 1)
-
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint((self.value + other.value) % 1)
-
-    def __neg__(self) -> "TorusPoint":
-        return TorusPoint(-self.value % 1)
-
-    def __str__(self) -> str:
-        return rat_str(self.value)
-
-
-def kernel_points(scale: int, order: int) -> list[TorusPoint]:
-    """The kernel of the order-fold dilation: all k / scale**order.
-
-    These form a cyclic subgroup of the circle of size scale**order; they are
-    the translation offsets that appear in the coset sums of the filter
-    identity.
-    """
-    if scale < 2 or order < 0:
-        raise ParameterError("kernel_points needs scale >= 2 and order >= 0")
-    size = scale**order
-    return [TorusPoint(Fraction(k, size)) for k in range(size)]
 
 
 @dataclass(frozen=True)
@@ -115,14 +72,6 @@ class GridSpec:
 
     def finer(self) -> "GridSpec":
         return GridSpec(self.scale, self.base, self.depth + 1)
-
-    def point_of_cell(self, index: int) -> TorusPoint:
-        """Left endpoint of cell ``index``."""
-        return TorusPoint(Fraction(index % self.cells, self.cells))
-
-    def cell_of_point(self, point: TorusPoint) -> int:
-        """Index of the cell containing ``point``."""
-        return int(point.value * self.cells)
 
 
 def _arc_parts(start: Fraction, end: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -186,28 +135,14 @@ class IntervalSet:
         return cls(tuple((a, b) for a, b in merged))
 
     @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(())
-
-    @classmethod
     def full(cls) -> "IntervalSet":
         return cls(((ZERO, ONE),))
 
     def is_empty(self) -> bool:
         return not self.parts
 
-    def is_full(self) -> bool:
-        return self.parts == ((ZERO, ONE),)
-
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.parts), start=ZERO)
-
-    def contains(self, point: TorusPoint) -> bool:
-        x = point.value
-        return any(a <= x < b for a, b in self.parts)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_arcs([*self.parts, *other.parts])
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out: list[tuple[Fraction, Fraction]] = []
@@ -218,42 +153,14 @@ class IntervalSet:
                     out.append((lo, hi))
         return IntervalSet.from_arcs(out)
 
-    def complement(self) -> "IntervalSet":
-        gaps: list[tuple[Fraction, Fraction]] = []
-        cursor = ZERO
-        for a, b in self.parts:
-            if cursor < a:
-                gaps.append((cursor, a))
-            cursor = b
-        if cursor < ONE:
-            gaps.append((cursor, ONE))
-        return IntervalSet.from_arcs(gaps)
-
     def contains_set(self, other: "IntervalSet") -> bool:
         return self.intersect(other) == other
-
-    def translate(self, offset: TorusPoint) -> "IntervalSet":
-        t = offset.value
-        return IntervalSet.from_arcs([(a + t, b + t) for a, b in self.parts])
 
     def dilate(self, scale: int) -> "IntervalSet":
         """Forward image under x -> scale * x mod 1 (exact)."""
         return IntervalSet.from_arcs(
             [(a * scale, a * scale + (b - a) * scale) for a, b in self.parts]
         )
-
-    def dilate_preimage(self, scale: int) -> "IntervalSet":
-        """Exact preimage under x -> scale * x mod 1.
-
-        The preimage of [a, b) is the union over k < scale of
-        [(a + k) / scale, (b + k) / scale).
-        """
-        arcs = [
-            (Fraction(a + k, scale), Fraction(b + k, scale))
-            for a, b in self.parts
-            for k in range(scale)
-        ]
-        return IntervalSet.from_arcs(arcs)
 
     def aligned(self, grid: GridSpec) -> bool:
         """True when every endpoint is a multiple of one cell width."""
@@ -310,9 +217,6 @@ class SigmaChain:
     @property
     def count(self) -> int:
         return len(self.sigmas)
-
-    def multiplicity(self, point: TorusPoint) -> int:
-        return sum(1 for s in self.sigmas if s.contains(point))
 
     def positive_set(self) -> IntervalSet:
         """Where the multiplicity is at least one (this is sigma_1)."""

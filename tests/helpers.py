@@ -1,10 +1,12 @@
-"""Shared builders for randomized but exactly valid filters."""
+"""Shared builders for randomized but exactly valid filters, and an exact
+membership oracle for interval sets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from gmrafilters import FilterMatrix, GridSpec, SigmaChain
+from gmrafilters import FilterMatrix, GridSpec, IntervalSet, SigmaChain
 
 SQRT2 = math.sqrt(2.0)
 
@@ -43,3 +45,8 @@ def with_sample(filt: FilterMatrix, i: int, j: int, cell: int, value) -> FilterM
     samples = filt.samples.copy()
     samples[i, j, cell] = value
     return FilterMatrix(filt.scale, filt.chain, filt.grid, samples)
+
+
+def member(s: IntervalSet, x: Fraction) -> bool:
+    """Pointwise membership of x in [0, 1), read off the canonical parts."""
+    return any(a <= x < b for a, b in s.parts)

@@ -7,19 +7,21 @@ across BLAS thread counts.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from gmrafilters import parse_bundle, save_bundle
+from gmrafilters import emit_bundle, parse_bundle
 from gmrafilters.cli import (
     EXIT_NOT_PURE,
     EXIT_OK,
     EXIT_UNDECIDED,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
+    GENERATOR_DEPTHS,
     main,
 )
 
@@ -55,8 +57,6 @@ class TestGenerate:
         path = generate(tmp_path, "journe_step")
         text = path.read_text()
         filt, provenance = parse_bundle(text)
-        from gmrafilters import emit_bundle
-
         assert emit_bundle(filt, provenance) == text
 
     def test_journe_provenance_records_the_derivation(self, tmp_path):
@@ -90,6 +90,41 @@ class TestGenerate:
 
     def test_unknown_generator_is_a_usage_error(self):
         assert main(["generate", "daubechies"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_DEPTHS))
+    def test_depth_zero_is_a_usage_error(self, name, capsys):
+        capsys.readouterr()
+        assert main(["generate", name, "--depth", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("gmrafilters: ")
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_DEPTHS))
+    def test_grid_too_large_to_allocate_is_a_usage_error(self, name):
+        # Depth 40 asks for terabytes.  An address-space limit on the child
+        # makes that allocation fail at once whatever the host's overcommit
+        # policy, so the test never touches the memory it asks for.
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))
+
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmrafilters.cli", "generate", name,
+             "--depth", "40"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=limit_address_space,
+            timeout=60,
+            check=False,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("gmrafilters: ")
 
 
 class TestVerify:
@@ -238,7 +273,7 @@ class TestClassify:
         rng = np.random.default_rng(0)
         filt = random_scalar_filter(rng, depth=4)
         bundle = tmp_path / "random.json"
-        save_bundle(str(bundle), filt)
+        bundle.write_text(emit_bundle(filt), encoding="utf-8")
         out = tmp_path / "classify.json"
         assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_UNDECIDED
         report = report_of(out)

@@ -1,17 +1,15 @@
-"""Refinement towers, telescoping, and the intersection dichotomy report."""
+"""The refinement tower behind the dichotomy, and the intersection report."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gmrafilters import (
-    DimensionCapError,
     NOT_PURE_CERTIFIED,
     PURE_CERTIFIED,
-    ParameterError,
-    ResolutionError,
     VecField,
-    build_tower,
-    cocycle_product,
+    assemble_transfer_matrix,
     derive_journe,
     intersection_report,
     make_journe_step,
@@ -19,92 +17,78 @@ from gmrafilters import (
     make_haar,
     make_journe_family,
     random_vecfield,
+    refine,
     ruelle_apply,
 )
 
 
+def tower_stages(filt, depth):
+    """The filter refined 1, ..., depth times.
+
+    Level 0 of the tower is the filter's own fine grid and level k that
+    grid refined k times; the coarse grid of stage k is level k - 1, so
+    the operator of stage k embeds level k - 1 into level k.
+    """
+    stages = []
+    for _ in range(depth):
+        filt = refine(filt)
+        stages.append(filt)
+    return stages
+
+
 class TestTower:
     def test_haar_level_dimensions(self):
-        tower = build_tower(make_haar(depth=1), 3)
-        assert [tower.dimension(k) for k in range(4)] == [2, 4, 8, 16]
-        assert [g.cells for g in tower.levels] == [2, 4, 8, 16]
+        filt = make_haar(depth=1)
+        levels = [filt, *tower_stages(filt, 3)]
+        assert [assemble_transfer_matrix(s).fine_dimension for s in levels] == [
+            2, 4, 8, 16,
+        ]
+        assert [s.cells for s in levels] == [2, 4, 8, 16]
 
     def test_journe_level_dimensions_weight_by_multiplicity(self):
-        tower = build_tower(make_journe_step(), 2)
-        assert [tower.dimension(k) for k in range(3)] == [112, 224, 448]
+        filt = make_journe_step()
+        levels = [filt, *tower_stages(filt, 2)]
+        assert [assemble_transfer_matrix(s).fine_dimension for s in levels] == [
+            112, 224, 448,
+        ]
 
     def test_each_embedding_is_an_isometry(self):
-        tower = build_tower(make_journe_step(), 3)
+        filt = make_journe_step()
         rng = np.random.default_rng(0)
-        f = random_vecfield(tower.base.chain, tower.levels[0], rng)
-        for _ in range(tower.depth):
-            g = tower.embed(f)
+        f = random_vecfield(filt.chain, filt.grid, rng)
+        for stage in tower_stages(filt, 3):
+            g = ruelle_apply(stage, f)
             assert g.norm() == pytest.approx(f.norm(), abs=1e-13)
             f = g
 
     @pytest.mark.parametrize("base,steps", [(make_haar, 3), (make_journe_step, 2)])
     def test_lift_telescopes_into_the_cocycle(self, base, steps):
         filt = base(depth=1) if base is make_haar else base()
-        tower = build_tower(filt, steps)
         rng = np.random.default_rng(4)
-        f = random_vecfield(filt.chain, tower.levels[0], rng)
-        top = tower.lift(f)
+        f = random_vecfield(filt.chain, filt.grid, rng)
+        top = f
+        for stage in tower_stages(filt, steps):
+            top = ruelle_apply(stage, top)
+        # Oracle: the ordered product H^T(x) H^T(x^N) ... of the base
+        # filter's matrices along the dilation orbit of each top cell x,
+        # applied to f at x^(N^steps).
         n = filt.scale
-        grid = tower.levels[steps]
-        for cell in range(grid.cells):
-            x = grid.point_of_cell(cell)
-            prod = cocycle_product(filt, x, steps)
-            target = x.dilate_iter(n, steps)
-            source = f.values[:, f.grid.cell_of_point(target)]
-            expected = prod @ source
-            assert np.allclose(top.values[:, cell], expected, atol=1e-12)
-
-    def test_lift_to_intermediate_level(self):
-        tower = build_tower(make_haar(depth=1), 3)
-        f = VecField.ones(tower.base.chain, tower.levels[0])
-        mid = tower.lift(f, to_level=2)
-        assert mid.grid == tower.levels[2]
-        with pytest.raises(ResolutionError):
-            tower.lift(mid, to_level=1)
+        m0 = filt.cells
+        m = top.grid.cells
+        for cell in range(m):
+            x = Fraction(cell, m)
+            prod = np.eye(filt.count, dtype=np.complex128)
+            for k in range(steps):
+                prod = prod @ filt.samples[:, :, int(x * n**k % 1 * m0)].T
+            source = f.values[:, int(x * n**steps % 1 * m0)]
+            assert np.allclose(top.values[:, cell], prod @ source, atol=1e-12)
 
     def test_constant_filter_keeps_the_ones_field_at_every_level(self):
-        tower = build_tower(make_constant(depth=2), 3)
-        f = VecField.ones(tower.base.chain, tower.levels[0])
-        for level in range(1, tower.depth + 1):
-            lifted = tower.lift(f, to_level=level)
-            assert np.all(lifted.values == 1.0)
-
-    def test_embedding_agrees_with_direct_application(self):
-        filt = make_journe_step()
-        tower = build_tower(filt, 1)
-        rng = np.random.default_rng(8)
-        f = random_vecfield(filt.chain, filt.grid, rng)
-        assert np.allclose(
-            tower.embed(f).values,
-            ruelle_apply(tower.stages[0], f).values,
-            atol=0,
-        )
-
-    def test_alien_field_is_refused(self):
-        tower = build_tower(make_haar(depth=1), 2)
-        f = VecField.ones(tower.base.chain, tower.levels[2].finer())
-        with pytest.raises(ResolutionError):
-            tower.level_of(f)
-
-    def test_top_of_tower_cannot_embed_further(self):
-        tower = build_tower(make_haar(depth=1), 1)
-        f = VecField.ones(tower.base.chain, tower.levels[1])
-        with pytest.raises(ResolutionError):
-            tower.embed(f)
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionCapError):
-            build_tower(make_haar(depth=1), 6, dim_cap=100)
-        build_tower(make_haar(depth=1), 5, dim_cap=100)
-
-    def test_negative_depth_is_refused(self):
-        with pytest.raises(ParameterError):
-            build_tower(make_haar(), -1)
+        filt = make_constant(depth=2)
+        f = VecField.ones(filt.chain, filt.grid)
+        for stage in tower_stages(filt, 3):
+            f = ruelle_apply(stage, f)
+            assert np.all(f.values == 1.0)
 
 
 class TestIntersectionReport:

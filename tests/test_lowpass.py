@@ -98,7 +98,7 @@ class TestCheckCertificate:
 
     def test_empty_region_fails(self):
         filt = make_haar()
-        failure = check_certificate(filt, 1, 0.1, IntervalSet.empty())
+        failure = check_certificate(filt, 1, 0.1, IntervalSet(()))
         assert isinstance(failure, CertificateFailure)
         assert failure.reason == "empty region"
 

@@ -227,9 +227,14 @@ class TestTransferMatrix:
         rows = [tuple(row) for row in tm.basis]
         assert rows == sorted(rows)
 
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionCapError):
-            assemble_transfer_matrix(make_haar(depth=4), dim_cap=8)
+    def test_dimension_cap(self, monkeypatch):
+        # the cap counts the 16 fine coordinates, not the 8 coarse ones
+        for cap in ("8", "15"):
+            monkeypatch.setenv(DIM_CAP_ENV, cap)
+            with pytest.raises(DimensionCapError):
+                assemble_transfer_matrix(make_haar(depth=4))
+        monkeypatch.setenv(DIM_CAP_ENV, "16")
+        assert assemble_transfer_matrix(make_haar(depth=4)).fine_dimension == 16
 
     def test_dimension_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv(DIM_CAP_ENV, "8")
