@@ -298,7 +298,10 @@ def cmd_classify(args) -> int:
             "dimension_caution": rep.dimension_caution,
         },
         "provenance": provenance,
-        "timings": {"total_s": time.perf_counter() - t0},
+        "timings": {
+            "eigensolve_s": diag["eigensolve_s"],
+            "total_s": time.perf_counter() - t0,
+        },
     }
     if "martingale_max_dev" in diag:
         report["purity"]["martingale_max_dev"] = [

@@ -60,6 +60,11 @@ class CertificateFailure:
     detail: str = ""
 
 
+def _nonfinite_cells(filt: FilterMatrix) -> np.ndarray:
+    """The cells, ascending, at which some sample is NaN or infinite."""
+    return np.nonzero(~np.isfinite(filt.samples).all(axis=(0, 1)))[0]
+
+
 def _block_norms(filt: FilterMatrix, block_size: int, cells: np.ndarray):
     """Per-cell smallest singular value of A and largest of B, C, D."""
     a = block_size
@@ -91,8 +96,9 @@ def check_certificate(
     block satisfies sigma_min(A) >= 1 + delta (equivalently its inverse
     has norm at most 1/(1 + delta)); the other blocks stay strictly below
     eps = min(1/8, delta/8) in operator norm; and the region meets its own
-    dilation image in positive measure.  Witness cells in failures are the
-    lowest offending cell index.
+    dilation image in positive measure.  A filter with a non-finite
+    sample anywhere is refused before any norm is taken.  Witness cells in
+    failures are the lowest offending cell index.
     """
     if not (1 <= block_size <= filt.count):
         raise ParameterError(
@@ -102,12 +108,20 @@ def check_certificate(
         raise ParameterError(f"delta must be positive, got {delta}")
     if not region.aligned(filt.grid):
         raise GridAlignmentError("certificate region must align with the grid")
+    nonfinite = _nonfinite_cells(filt)
+    if nonfinite.size:
+        return CertificateFailure(
+            "non-finite samples",
+            witness_cell=int(nonfinite[0]),
+            detail=f"a sample at cell {int(nonfinite[0])} is not finite",
+        )
     cells = np.nonzero(region.cell_mask(filt.grid))[0]
     if cells.size == 0:
         return CertificateFailure("empty region")
     smin, off = _block_norms(filt, block_size, cells)
     eps = certificate_eps(delta)
-    bad = np.nonzero(smin < 1.0 + delta)[0]
+    # Both tests are negated so that a NaN norm counts as a failure.
+    bad = np.nonzero(~(smin >= 1.0 + delta))[0]
     if bad.size:
         k = int(bad[0])
         kind = "singular" if smin[k] == 0.0 else "insufficiently expanding"
@@ -119,7 +133,7 @@ def check_certificate(
                 f"sigma_min {smin[k]!r} < 1 + delta {1.0 + delta!r}"
             ),
         )
-    bad = np.nonzero(off >= eps)[0]
+    bad = np.nonzero(~(off < eps))[0]
     if bad.size:
         k = int(bad[0])
         return CertificateFailure(
@@ -160,8 +174,10 @@ def search_certificate(filt: FilterMatrix) -> Optional[Certificate]:
     size is tried.  For a given region the best possible delta is
     sigma_min - 1, so candidates are scored by (delta, region measure)
     and ties prefer the smaller block.  Returns None when no region
-    certifies.
+    certifies, and at once when a sample is not finite.
     """
+    if _nonfinite_cells(filt).size:
+        return None
     m = filt.cells
     all_cells = np.arange(m)
     best: Optional[tuple] = None

@@ -16,14 +16,17 @@ grid both operators are finite matrices, so the dichotomy can be probed
 exactly.  The matrix solved is K = adjoint o include on the coarse step
 space, 1/N the size of include o adjoint on the fine one: AB and BA
 share their nonzero spectrum, and an eigenvector of K is already the
-coarse field to test.  Eigenvalues of K near the unit circle are
-re-tested directly against the eigenvector relation, and every verdict
-records the resolution it was reached at.
+coarse field to test.  The full spectrum is solved eigenvalues only, in
+real arithmetic when K is real; eigenvectors are taken, from one SVD per
+distinct eigenvalue, only for the eigenvalues near the unit circle, the
+only ones the dichotomy can use.  Those are re-tested directly against the eigenvector
+relation, and every verdict records the resolution it was reached at.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -280,6 +283,39 @@ class PurityVerdict:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _candidate_vectors(
+    matrix: np.ndarray, eigenvalues: np.ndarray, candidates: list, tol_res: float
+) -> dict:
+    """Null vectors of K - lam I for the candidates, one SVD per cluster.
+
+    Candidates, given in spectrum order, join the first cluster whose
+    leading eigenvalue lies within ``tol_res`` of theirs, so only
+    eigenvalues that agree to the acceptance tolerance share an SVD.  A
+    cluster of m members takes one SVD of K - lam I at its leading lam
+    (real when K and lam are real), and its members in order get the
+    conjugated right singular vectors of the m smallest singular values,
+    smallest first: the leader gets its own null vector, and a repeated
+    eigenvalue, semisimple as every unimodular eigenvalue of the
+    contraction K is, gets an orthonormal basis of its null space.
+    Returns the vectors keyed by candidate, in the order given.
+    """
+    clusters: list[list[int]] = []
+    for k in candidates:
+        for cluster in clusters:
+            if abs(eigenvalues[k] - eigenvalues[cluster[0]]) <= tol_res:
+                cluster.append(k)
+                break
+        else:
+            clusters.append([k])
+    vectors = {}
+    for cluster in clusters:
+        lam = eigenvalues[cluster[0]]
+        shift = lam.real if lam.imag == 0 else lam
+        vh = np.linalg.svd(matrix - shift * np.eye(len(matrix)))[2]
+        vectors.update(zip(cluster, np.conj(vh[::-1][: len(cluster)])))
+    return {k: vectors[k] for k in candidates}
+
+
 def _field_from_eigvec(tm: TransferMatrix, vec: np.ndarray) -> VecField:
     """Read an eigenvector of K as a coarse field, canonically scaled."""
     values = np.zeros((tm.chain.count, tm.grid.cells), dtype=np.complex128)
@@ -357,28 +393,35 @@ def classify_purity(
 ) -> PurityVerdict:
     """Decide whether the operator of a verified filter is a pure isometry.
 
-    The quotient matrix K of ``assemble_transfer_matrix`` is
-    eigendecomposed, and the reported spectrum is K's eigenvalues followed
-    by the zeros that only the fine step space carries; every eigenvalue
-    of K within ``tol_eig`` of the unit circle is a candidate.  A
-    candidate is accepted only if the conjugate eigenvalue relation for
-    the operator itself holds directly: with the eigenvector as a coarse
-    field f, the residual ||S_H f - conj(lambda) f|| must fall below
-    ``tol_res`` after normalization.  An accepted pair lying within
-    tolerance of the closed form (1, chi) is re-tested in exact arithmetic
-    and replaced by that form when the substitution does at least as well,
-    which is what makes the flagship non-pure example come out exact
-    rather than merely small.  Accepted pairs are then checked against the
-    structural consequence that ||f(cell)|| = 1 wherever the multiplicity
-    is positive; a failure there does not revoke the pair but is flagged
-    as an anomaly.
+    The eigenvalues of the quotient matrix K of
+    ``assemble_transfer_matrix`` are solved without eigenvectors, in real
+    arithmetic when K has no imaginary part, and the reported spectrum is
+    K's eigenvalues followed by the zeros that only the fine step space
+    carries; every eigenvalue of K within ``tol_eig`` of the unit circle
+    is a candidate.  Only the candidates get eigenvectors: each distinct
+    candidate eigenvalue takes one SVD of K - lambda I, and candidates
+    within ``tol_res`` of each other share it, its smallest right singular
+    vectors giving a repeated eigenvalue orthonormal fields (see
+    ``_candidate_vectors``).  A candidate is accepted only if the
+    conjugate eigenvalue relation for the operator itself holds
+    directly: with the eigenvector as a coarse field f, the residual
+    ||S_H f - conj(lambda) f|| must fall below ``tol_res`` after
+    normalization.  An accepted pair lying within tolerance of the closed
+    form (1, chi) is re-tested in exact arithmetic and replaced by that
+    form when the substitution does at least as well, which is what makes
+    the flagship non-pure example come out exact rather than merely
+    small.  Accepted pairs are then checked against the structural
+    consequence that ||f(cell)|| = 1 wherever the multiplicity is
+    positive; a failure there does not revoke the pair but is flagged as
+    an anomaly.
 
     Any accepted pair yields ``not_pure_certified``.  With none, the
     verdict is ``pure_at_resolution``, upgraded to ``pure_certified``
     when the caller supplies a block certificate.  A certificate together
     with an accepted pair is contradictory and comes back
     ``inconclusive`` with an anomaly, since sound inputs cannot produce
-    both.
+    both.  ``diagnostics["eigensolve_s"]`` is the wall time of the
+    eigenvalue solve plus the candidate SVDs.
     """
     pre = filter_equation_residual(filt)
     # Written so that a NaN residual fails closed.
@@ -388,7 +431,10 @@ def classify_purity(
             f"residual {pre.max_abs_residual:.3e} exceeds {verify_tol:.3e}"
         )
     tm = assemble_transfer_matrix(filt)
-    solved, vectors = np.linalg.eig(tm.matrix)
+    matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
+    start = time.perf_counter()
+    solved = np.linalg.eigvals(matrix).astype(np.complex128)
+    eigensolve_s = time.perf_counter() - start
     # The fine spectrum: K's eigenvalues, then the zeros only the fine
     # space carries.  Those zeros have no eigenvector here and are never
     # re-tested; zero could not pass, as ||S_H f|| = ||f|| = 1.
@@ -402,15 +448,21 @@ def classify_purity(
     )
     candidate_flags = np.abs(moduli - 1.0) <= tol_eig
     passing_flags = np.zeros(len(eigenvalues), dtype=bool)
+    start = time.perf_counter()
+    vectors = _candidate_vectors(
+        matrix,
+        solved,
+        [k for k in order if candidate_flags[k] and k < tm.dimension],
+        tol_res,
+    )
+    eigensolve_s += time.perf_counter() - start
 
     anomalies: list[str] = []
     pairs: list[EigenPair] = []
     tested: list[dict] = []
     sharpened = 0
-    for k in order:
-        if not candidate_flags[k] or k >= tm.dimension:
-            continue
-        f = _field_from_eigvec(tm, vectors[:, k])
+    for k, vec in vectors.items():
+        f = _field_from_eigvec(tm, vec)
         lam = np.conj(complex(eigenvalues[k]))
         residual, dev = _retest(filt, f, lam)
         passed = residual <= tol_res
@@ -468,6 +520,7 @@ def classify_purity(
         "sharpened_to_exact": sharpened,
         "anomalies": anomalies,
         "decay_probe": decay,
+        "eigensolve_s": eigensolve_s,
     }
     if pairs:
         f = pairs[0].fld

@@ -215,6 +215,8 @@ class TestClassify:
         assert "martingale_max_dev" in report["purity"]
         caution = report["intersection"]["dimension_caution"]
         assert "No dimension" in caution
+        timings = report["timings"]
+        assert 0.0 <= timings["eigensolve_s"] <= timings["total_s"]
 
     def test_journe_family_is_certified_pure(self, tmp_path):
         bundle = generate(tmp_path, "journe", "--delta", "0.1")
@@ -283,8 +285,8 @@ class TestClassify:
         assert table["modulus_one_eigenvector"] == "none_found"
         assert table["tail_intersection_nontrivial"] == "undetermined"
 
-    def test_report_survives_thread_count_changes(self, tmp_path):
-        bundle = generate(tmp_path, "haar")
+    @staticmethod
+    def _reports_per_thread_count(bundle, expected_code):
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ)
@@ -297,10 +299,29 @@ class TestClassify:
                 env=env,
                 check=False,
             )
-            assert proc.returncode == EXIT_OK
+            assert proc.returncode == expected_code
             report = json.loads(proc.stdout)
             report.pop("timings")
             outputs.append(json.dumps(report, sort_keys=True))
+        return outputs
+
+    def test_report_survives_thread_count_changes(self, tmp_path):
+        bundle = generate(tmp_path, "haar")
+        outputs = self._reports_per_thread_count(bundle, EXIT_OK)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.xfail(
+        strict=False,
+        reason=(
+            "FOUND in CHANGES.md: reports are not byte-identical across BLAS "
+            "thread counts; the smeared zero cluster of constant depth 9 moves"
+        ),
+    )
+    def test_report_with_a_zero_cluster_survives_thread_count_changes(
+        self, tmp_path
+    ):
+        bundle = generate(tmp_path, "constant", "--depth", "9")
+        outputs = self._reports_per_thread_count(bundle, EXIT_NOT_PURE)
         assert outputs[0] == outputs[1]
 
 

@@ -30,7 +30,7 @@ from gmrafilters import (
     search_certificate,
 )
 
-from helpers import random_phase_copy, random_scalar_filter
+from helpers import random_phase_copy, random_scalar_filter, with_sample
 
 SQRT2 = math.sqrt(2.0)
 
@@ -102,6 +102,14 @@ class TestCheckCertificate:
         assert isinstance(failure, CertificateFailure)
         assert failure.reason == "empty region"
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_sample_fails_closed(self, value):
+        filt = with_sample(make_haar(), 0, 0, 0, value)
+        failure = check_certificate(filt, 1, 0.3, symmetric(1, 8))
+        assert isinstance(failure, CertificateFailure)
+        assert failure.reason == "non-finite samples"
+        assert failure.witness_cell == 0
+
     def test_parameter_validation(self):
         filt = make_haar()
         with pytest.raises(ParameterError):
@@ -148,6 +156,10 @@ class TestSearchCertificate:
 
     def test_constant_filter_has_no_certificate(self):
         assert search_certificate(make_constant()) is None
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_sample_finds_no_certificate(self, value):
+        assert search_certificate(with_sample(make_haar(), 0, 0, 0, value)) is None
 
     def test_search_result_passes_rechecking(self):
         cert = search_certificate(make_haar())

@@ -290,6 +290,35 @@ class TestClassification:
         spread = np.ptp(np.abs(pair.fld.values))
         assert spread <= 1e-12
 
+    @pytest.mark.parametrize(
+        "phi, tols",
+        [
+            (0.0, {}),
+            (5e-9, {}),
+            (1e-4, {"tol_eig": 1e-3}),
+            (1e-4, {"tol_eig": 1e-3, "tol_res": 1e-3}),
+        ],
+    )
+    def test_unimodular_eigenvalues_each_get_their_own_field(self, phi, tols):
+        # H = diag(1, e^{i phi}): S_H f(x) = H(x)* f(x^2), so the constant
+        # fields e_1 and e_2 have eigenvalues 1 and e^{i phi}; at phi = 0
+        # a double eigenvalue, otherwise two of a complex matrix closer to
+        # each other than tol_eig, in the last case also than tol_res.
+        grid = GridSpec(2, 1, 4)
+        samples = np.zeros((2, 2, grid.cells), dtype=np.complex128)
+        samples[0, 0] = 1.0
+        samples[1, 1] = np.exp(1j * phi)
+        filt = FilterMatrix(2, SigmaChain.full_circle(2), grid, samples)
+        verdict = classify_purity(filt, **tols)
+        assert verdict.status == NOT_PURE_CERTIFIED
+        tested = verdict.diagnostics["candidates_tested"]
+        assert [c["passed"] for c in tested] == [True, True]
+        assert max(c["residual"] for c in tested) <= 1e-12
+        assert len(verdict.eigenpairs) == 2
+        fields = [p.fld for p in verdict.eigenpairs]
+        gram = np.array([[f.inner(g) for g in fields] for f in fields])
+        assert np.abs(gram - np.eye(2)).max() <= 1e-12
+
     def test_constant_eigenpair_is_sharpened_to_the_closed_form(self):
         verdict = classify_purity(make_constant())
         pair = verdict.eigenpairs[0]
