@@ -6,9 +6,12 @@ of A at least 1 + delta) while the remaining blocks stay below
 eps = min(1/8, delta/8), and whose region overlaps its own dilation in
 positive measure, generates a pure operator: no modulus-one eigenvector
 can exist.  This module checks such certificates cell by cell, searches
-for them over nested grid-aligned regions, and derives the parameter
-budget that places the smooth Journe family inside the certificate regime
-for a requested delta.
+for them over the nested grid-aligned regions [-j/M, j/M), and derives the
+parameter budget that places the smooth Journe family inside the
+certificate regime for a requested delta.  Each such region lies inside
+its own dilation image, so its overlap with that image is its measure
+2j/M: the search ranks candidates from per-cell norms alone and builds
+the exact region only for the winner, which check_certificate re-checks.
 """
 
 from __future__ import annotations
@@ -171,9 +174,14 @@ def search_certificate(filt: FilterMatrix) -> Optional[Certificate]:
     """Search symmetric grid-aligned regions around 0 for a certificate.
 
     Candidate regions are [-j/M, j/M) for j = 1 .. M/2 and every block
-    size is tried.  For a given region the best possible delta is
-    sigma_min - 1, so candidates are scored by (delta, region measure)
-    and ties prefer the smaller block.  Returns None when no region
+    size is tried.  Widening the region from j - 1 to j adds the cell pair
+    (j - 1, M - j), so a running min of sigma_min and max of the off-block
+    norms over those pairs gives each candidate's best delta,
+    sigma_min - 1, with no set algebra.  The region lies inside its own
+    dilation image [-Nj/M, Nj/M), so its overlap with that image is 2j/M,
+    positive and increasing in j: candidates are scored by (delta, j) and
+    ties prefer the smaller block.  Only the winning region is built, and
+    check_certificate re-checks it exactly.  Returns None when no region
     certifies, and at once when a sample is not finite.
     """
     if _nonfinite_cells(filt).size:
@@ -182,13 +190,12 @@ def search_certificate(filt: FilterMatrix) -> Optional[Certificate]:
     all_cells = np.arange(m)
     best: Optional[tuple] = None
     for a in range(1, filt.count + 1):
-        smin, off = _block_norms(filt, a, all_cells)
+        smin, off = (x.tolist() for x in _block_norms(filt, a, all_cells))
         worst_smin = math.inf
         worst_off = 0.0
         for j in range(1, m // 2 + 1):
-            new = (j - 1, m - j) if j > 1 else (0, m - 1)
-            worst_smin = min(worst_smin, smin[new[0]], smin[new[1]])
-            worst_off = max(worst_off, off[new[0]], off[new[1]])
+            worst_smin = min(worst_smin, smin[j - 1], smin[m - j])
+            worst_off = max(worst_off, off[j - 1], off[m - j])
             delta = worst_smin - 1.0
             if delta <= 0.0:
                 break
@@ -196,17 +203,14 @@ def search_certificate(filt: FilterMatrix) -> Optional[Certificate]:
                 delta = float(np.nextafter(delta, -math.inf))
             if worst_off >= certificate_eps(delta):
                 continue
-            region = _symmetric_region(filt.grid, j)
-            overlap = region.intersect(region.dilate(filt.scale)).measure()
-            if overlap <= 0:
-                continue
-            key = (delta, overlap, -a)
-            if best is None or key > best[0]:
-                best = (key, a, delta, region)
+            key = (delta, j, -a)
+            if best is None or key > best:
+                best = key
     if best is None:
         return None
-    _, a, delta, region = best
-    found = check_certificate(filt, a, delta, region)
+    delta, j, neg_a = best
+    region = _symmetric_region(filt.grid, j)
+    found = check_certificate(filt, -neg_a, delta, region)
     if not isinstance(found, Certificate):
         raise AssertionError(
             f"search produced a candidate that fails re-checking: {found}"
@@ -280,22 +284,18 @@ def derive_journe(
     eps = certificate_eps(delta)
     band12 = _journe_sets()["band12"].cell_mask(grid)
     h12 = np.abs(np.roll(q, -(m // 2)) * band12)
-    chosen = None
-    for n in range(7, m + 1):
-        if m % n:
+    for chosen in range(7, m + 1):
+        if m % chosen:
             continue
-        j = m // n
+        j = m // chosen
         cells = np.concatenate([np.arange(j), np.arange(m - j, m)])
         if np.all(q[cells] > threshold) and np.all(h12[cells] < eps):
-            chosen = n
             break
-    if chosen is None:
+    else:
         raise ParameterError(
             "no aligned region satisfies the derived bounds; refine the grid"
         )
-    j = m // chosen
     region = _symmetric_region(grid, j)
-    cells = np.concatenate([np.arange(j), np.arange(m - j, m)])
     checks = {
         "deformation_keeps_expansion": BoundCheck(
             "1 / (sqrt(2) sqrt(1 - 2 r^2)) stays within 1 / (1 + delta)",

@@ -505,12 +505,6 @@ def classify_purity(
     decay = decay_probe(filt, _unit(VecField.ones(filt.chain, filt.grid)), 6)
 
     diagnostics = {
-        "tolerances": {
-            "tol_eig": tol_eig,
-            "tol_res": tol_res,
-            "tol_norm": tol_norm,
-            "verify_tol": verify_tol,
-        },
         "dimension": tm.fine_dimension,
         "spectrum": eigenvalues,
         "spectrum_order": order,

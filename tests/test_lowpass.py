@@ -22,6 +22,7 @@ from gmrafilters import (
     check_certificate,
     classify_purity,
     derive_journe,
+    filter_equation_residual,
     make_journe_step,
     make_constant,
     make_haar,
@@ -39,6 +40,47 @@ def symmetric(num, den) -> IntervalSet:
     return IntervalSet.from_arcs([(Fraction(-num, den), Fraction(num, den))])
 
 
+def shannon_three(depth: int) -> FilterMatrix:
+    """sqrt(3) on [-1/6, 1/6), else 0, at scale N = 3.
+
+    [-1/6, 1/6) meets each coset {x, x + 1/3, x + 2/3} exactly once, so
+    the coset sum is 3 everywhere.
+    """
+    grid = GridSpec(3, 6, depth)
+    samples = np.zeros((1, 1, grid.cells), dtype=np.complex128)
+    samples[0, 0, symmetric(1, 6).cell_mask(grid)] = math.sqrt(3.0)
+    return FilterMatrix(3, SigmaChain.full_circle(1), grid, samples)
+
+
+def reference_search(filt: FilterMatrix):
+    """The certificate search by exact set algebra, for comparison.
+
+    Every block size a and half-width j is tried with the largest delta
+    whose 1 + delta stays within the region's smallest sigma_min, and the
+    successes are ranked by (delta, exact overlap, -a).
+    """
+    m = filt.cells
+    mats = np.transpose(filt.samples, (2, 0, 1))
+    best = None
+    for a in range(1, filt.count + 1):
+        for j in range(1, m // 2 + 1):
+            region = symmetric(j, m)
+            cells = np.nonzero(region.cell_mask(filt.grid))[0]
+            svals = np.linalg.svd(mats[cells, :a, :a], compute_uv=False)
+            sigma = float(svals[:, -1].min())
+            delta = sigma - 1.0
+            if delta <= 0.0:
+                continue
+            while 1.0 + delta > sigma:
+                delta = float(np.nextafter(delta, -math.inf))
+            cert = check_certificate(filt, a, delta, region)
+            if isinstance(cert, Certificate):
+                key = (cert.delta, cert.overlap_measure, -a)
+                if best is None or key > best[0]:
+                    best = (key, cert)
+    return None if best is None else best[1]
+
+
 def block_filter(values: dict, count: int = 2, cells: int = 4) -> FilterMatrix:
     """Hand-built filter for block checks; no identity is implied."""
     grid = GridSpec(2, 1, int(math.log2(cells)))
@@ -46,6 +88,46 @@ def block_filter(values: dict, count: int = 2, cells: int = 4) -> FilterMatrix:
     for (i, j), v in values.items():
         samples[i, j, :] = v
     return FilterMatrix(2, SigmaChain.full_circle(count), grid, samples)
+
+
+def expanding_unitary_filter(rng: np.random.Generator, depth: int) -> FilterMatrix:
+    """(1 + 0.6 cos 2 pi x) times a random 2 x 2 unitary at each cell.
+
+    Only the full block expands, by a factor that shrinks away from 0, so
+    the winning block size is 2 and the margin falls as the region grows.
+    No identity is implied.
+    """
+    grid = GridSpec(2, 1, depth)
+    z = rng.normal(size=(grid.cells, 2, 2)) + 1j * rng.normal(size=(grid.cells, 2, 2))
+    unitary = np.linalg.qr(z)[0]
+    gain = 1.0 + 0.6 * np.cos(2.0 * np.pi * np.arange(grid.cells) / grid.cells)
+    samples = np.transpose(gain[:, None, None] * unitary, (1, 2, 0))
+    return FilterMatrix(2, SigmaChain.full_circle(2), grid, samples)
+
+
+def reference_sweep_filters() -> list:
+    rng = np.random.default_rng(2024)
+    cases = []
+    for depth in range(1, 7):
+        for k in range(4):
+            filt = random_scalar_filter(rng, depth)
+            cases.append((f"random_d{depth}_{k}", filt))
+    journe = make_journe_family(derive_journe(0.1).params)
+    for k in range(2):
+        step = random_phase_copy(make_journe_step(), rng)
+        cases.append((f"journe_step_phase_{k}", step))
+        cases.append((f"journe_phase_{k}", random_phase_copy(journe, rng)))
+    cases.append(("constant", make_constant()))
+    for depth in range(1, 4):
+        cases.append((f"shannon_three_d{depth}", shannon_three(depth)))
+    cases.append(("full_block", block_filter({(0, 0): 1.2, (1, 1): 1.3}, cells=16)))
+    for depth in (3, 5):
+        filt = expanding_unitary_filter(rng, depth)
+        cases.append((f"expanding_unitary_d{depth}", filt))
+    return cases
+
+
+REFERENCE_SWEEP = reference_sweep_filters()
 
 
 class TestEpsRule:
@@ -160,6 +242,41 @@ class TestSearchCertificate:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_sample_finds_no_certificate(self, value):
         assert search_certificate(with_sample(make_haar(), 0, 0, 0, value)) is None
+
+    @pytest.mark.parametrize(
+        "filt",
+        [filt for _, filt in REFERENCE_SWEEP],
+        ids=[name for name, _ in REFERENCE_SWEEP],
+    )
+    def test_ranking_matches_exact_set_algebra(self, filt):
+        assert search_certificate(filt) == reference_search(filt)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_scale_three_shannon_certifies_with_overlap_one_third(self, depth):
+        filt = shannon_three(depth)
+        assert filter_equation_residual(filt).max_abs_residual <= 1e-12
+        cert = search_certificate(filt)
+        assert cert is not None
+        assert cert.region == symmetric(1, 6)
+        assert cert.overlap_measure == Fraction(1, 3)
+
+    def test_only_the_winning_region_is_built(self, monkeypatch):
+        # The candidates are ranked without set algebra, so the number of
+        # exact regions built does not grow with the grid.
+        from_arcs = IntervalSet.from_arcs.__func__
+        calls = []
+
+        def counting(cls, arcs):
+            calls.append(1)
+            return from_arcs(cls, arcs)
+
+        monkeypatch.setattr(IntervalSet, "from_arcs", classmethod(counting))
+        counts = []
+        for depth in (6, 10):
+            calls.clear()
+            assert search_certificate(make_haar(depth=depth)) is not None
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_search_result_passes_rechecking(self):
         cert = search_certificate(make_haar())

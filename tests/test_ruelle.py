@@ -329,7 +329,16 @@ class TestClassification:
         assert verdict.diagnostics["sharpened_to_exact"] == 1
 
     def test_sharpening_leaves_distant_fields_alone(self):
-        verdict = classify_purity(make_haar())
+        # h = e^{2 pi i 0.3} is valid (|h|^2 + |h|^2 = 2) and has the
+        # constant field as an eigenvector for an eigenvalue far from 1,
+        # so the pair is accepted but not replaced by the closed form.
+        lam = np.exp(2j * np.pi * 0.3)
+        base = make_constant()
+        filt = FilterMatrix(base.scale, base.chain, base.grid, base.samples * lam)
+        verdict = classify_purity(filt)
+        assert verdict.status == NOT_PURE_CERTIFIED
+        assert len(verdict.eigenpairs) == 1
+        assert abs(verdict.eigenpairs[0].eigenvalue - lam) <= 1e-12
         assert verdict.diagnostics["sharpened_to_exact"] == 0
 
     @pytest.mark.parametrize("depth", [4, 5, 6])
