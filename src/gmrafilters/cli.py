@@ -28,6 +28,7 @@ from .bundleio import (
 )
 from .errors import GmraFilterError, GridAlignmentError, ResolutionError
 from .filters import (
+    JOURNE_EPS_SMOOTH,
     FilterMatrix,
     ResidualReport,
     SupportReport,
@@ -108,8 +109,8 @@ def _build_filter(args) -> tuple[FilterMatrix, dict]:
                 "r_expansion_cap": float_str(derivation.r2),
                 "interval_denominator": derivation.interval_denominator,
                 "region": _interval_parts(derivation.region),
-                "eps_smooth": rat_str(derivation.params.eps_smooth),
-                "transition": derivation.params.transition,
+                "eps_smooth": rat_str(JOURNE_EPS_SMOOTH),
+                "transition": "exp_bump",
             }
         )
     return filt, provenance
@@ -202,16 +203,13 @@ def _field_section(fld) -> dict:
 
 def _spectrum_rows(diag: dict) -> list[list[str]]:
     rows = []
-    spectrum = diag["spectrum"]
-    passing = diag["passing_flags"]
-    for k in diag["spectrum_order"]:
-        lam = complex(spectrum[k])
+    for lam, passed in zip(diag["spectrum"].tolist(), diag["passing_flags"]):
         rows.append(
             [
                 float_str(lam.real),
                 float_str(lam.imag),
                 float_str(abs(lam)),
-                "true" if bool(passing[k]) else "false",
+                "true" if passed else "false",
             ]
         )
     return rows

@@ -253,18 +253,18 @@ def refine(filt: FilterMatrix) -> FilterMatrix:
 # generators
 
 
-def make_constant(depth: int = 4, base: int = 1, scale: int = 2) -> FilterMatrix:
+def make_constant(depth: int = 4, scale: int = 2) -> FilterMatrix:
     """The multiplicity-one filter h = 1: the identity fails to dilate.
 
     Satisfies the defining identity exactly because the coset sum is
-    1 + ... + 1 = N on the full circle.
+    1 + ... + 1 = N on the full circle, where N is ``scale``.
     """
-    grid = GridSpec(scale, base, depth)
+    grid = GridSpec(scale, 1, depth)
     samples = np.ones((1, 1, grid.cells), dtype=np.complex128)
     return FilterMatrix(scale, SigmaChain.full_circle(1), grid, samples)
 
 
-def make_haar(depth: int = 4, base: int = 1) -> FilterMatrix:
+def make_haar(depth: int = 4) -> FilterMatrix:
     """The Haar low-pass filter h(x) = (1 + e^(2 pi i x)) / sqrt(2) at N = 2.
 
     Samples are taken at cell left endpoints on the first half of the
@@ -273,23 +273,21 @@ def make_haar(depth: int = 4, base: int = 1) -> FilterMatrix:
     pair identity |h(x)|^2 + |h(x + 1/2)|^2 = 2 hold to rounding at every
     cell rather than only in the limit.
     """
-    grid = GridSpec(2, base, depth)
+    grid = GridSpec(2, 1, depth)
     m = grid.cells
     z = np.exp(2j * np.pi * np.arange(m // 2) / m)
     samples = np.concatenate([1 + z, 1 - z]) / SQRT2
     return FilterMatrix(2, SigmaChain.full_circle(1), grid, samples[None, None])
 
 
-def make_shannon(depth: int = 4, base: int = 4) -> FilterMatrix:
+def make_shannon(depth: int = 4) -> FilterMatrix:
     """The Shannon filter: sqrt(2) on the quarter arcs around 0, else 0.
 
     The support [-1/4, 1/4) is a section of the doubling map over the full
     circle, so each coset of a cell meets the support exactly once and the
     coset sum is |sqrt(2)|^2 = 2 everywhere.
     """
-    if base % 4:
-        raise GridAlignmentError("shannon needs a base divisible by 4")
-    grid = GridSpec(2, base, depth)
+    grid = GridSpec(2, 4, depth)
     support = IntervalSet.from_arcs([(Fraction(-1, 4), Fraction(1, 4))])
     samples = np.zeros((1, 1, grid.cells), dtype=np.complex128)
     samples[0, 0, support.cell_mask(grid)] = SQRT2
@@ -335,9 +333,7 @@ def _journe_sets() -> dict[str, IntervalSet]:
     }
 
 
-def make_journe_step(
-    depth: int = 2, base: int = 28, half_turn_phases: bool = False
-) -> FilterMatrix:
+def make_journe_step(depth: int = 2, half_turn_phases: bool = False) -> FilterMatrix:
     """The classical two-channel Journe step filter.
 
     The two nonzero entries sit in the first column:
@@ -354,9 +350,7 @@ def make_journe_step(
     flipping the sign on each section.  Either way the moduli, and hence
     all residuals and certificates, are unchanged.
     """
-    if base % 28:
-        raise GridAlignmentError("the Journe geometry needs a base divisible by 28")
-    grid = GridSpec(2, base, depth)
+    grid = GridSpec(2, 28, depth)
     sets = _journe_sets()
     sign = -1.0 if half_turn_phases else 1.0
     samples = np.zeros((2, 2, grid.cells), dtype=np.complex128)
@@ -365,19 +359,21 @@ def make_journe_step(
     return FilterMatrix(2, journe_sigma_chain(), grid, samples)
 
 
+# Half-width of the smoothed transitions of the Journe deformation.
+JOURNE_EPS_SMOOTH = Fraction(1, 56)
+
+
 @dataclass(frozen=True)
 class JourneParams:
     """Parameters of the smooth one-parameter Journe deformation.
 
     ``r`` in (0, 1) is the deformation parameter (r -> 0 recovers the
-    step profile), ``eps_smooth`` < 1/28 is the half-width of the smoothed
-    transitions, and ``transition`` selects the interpolant used inside
-    them.  Floats passed for ``r`` are kept at their exact binary value.
+    step profile); floats passed for it are kept at their exact binary
+    value.  Every transition is smoothed over the half-width
+    ``JOURNE_EPS_SMOOTH``, so the grid must resolve multiples of 1/56.
     """
 
     r: Union[RatLike, float]
-    eps_smooth: RatLike = Fraction(1, 56)
-    transition: str = "exp_bump"
     grid: GridSpec = GridSpec(2, 56, 2)
 
     def __post_init__(self) -> None:
@@ -385,15 +381,8 @@ class JourneParams:
         object.__setattr__(
             self, "r", Fraction(r) if isinstance(r, float) else as_rat(r)
         )
-        object.__setattr__(self, "eps_smooth", as_rat(self.eps_smooth))
         if not (0 < self.r < 1):
             raise ParameterError(f"r must lie in (0, 1), got {self.r}")
-        if not (0 < self.eps_smooth < Fraction(1, 28)):
-            raise ParameterError(
-                f"eps_smooth must lie in (0, 1/28), got {self.eps_smooth}"
-            )
-        if self.transition not in ("exp_bump", "polynomial_c2"):
-            raise ParameterError(f"unknown transition {self.transition!r}")
         if self.grid.scale != 2 or self.grid.depth < 1:
             raise ParameterError("the Journe family needs scale 2 and depth >= 1")
         m = self.grid.cells
@@ -404,7 +393,7 @@ class JourneParams:
                 )
 
     def breakpoints(self) -> tuple[Fraction, ...]:
-        e = self.eps_smooth
+        e = JOURNE_EPS_SMOOTH
         return (
             Fraction(1, 7) - e,
             Fraction(3, 14) + e,
@@ -419,17 +408,15 @@ class JourneParams:
         )
 
 
-def _transition(kind: str, t: float) -> float:
-    """Monotone interpolant from 0 at t = 0 to 1 at t = 1."""
+def _transition(t: float) -> float:
+    """Smooth monotone interpolant from 0 at t = 0 to 1 at t = 1."""
     if t <= 0.0:
         return 0.0
     if t >= 1.0:
         return 1.0
-    if kind == "exp_bump":
-        g0 = math.exp(-1.0 / t)
-        g1 = math.exp(-1.0 / (1.0 - t))
-        return g0 / (g0 + g1)
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    g0 = math.exp(-1.0 / t)
+    g1 = math.exp(-1.0 / (1.0 - t))
+    return g0 / (g0 + g1)
 
 
 def journe_profile(params: JourneParams) -> np.ndarray:
@@ -439,7 +426,7 @@ def journe_profile(params: JourneParams) -> np.ndarray:
     sqrt(2) sqrt(1 - r^2) at 0 to a zero plateau before 3/14, rises to a
     sqrt(2) plateau across [2/7, 5/14], falls back to a zero plateau
     around 3/7, and rises to sqrt(2) r at 1/2, each transition smoothed
-    over a width controlled by eps_smooth.  Cells on the second half are
+    over the half-width JOURNE_EPS_SMOOTH.  Cells on the second half are
     then forced by the exact complement rule
 
         q(cell + 1/2) = sqrt(max(0, 2 - q(cell)^2)),
@@ -453,24 +440,23 @@ def journe_profile(params: JourneParams) -> np.ndarray:
     r = float(params.r)
     p1, p2, p3, p4, p5, p6, phalf = params.breakpoints()[:7]
     q0 = SQRT2 * math.sqrt(1.0 - r * r)
-    kind = params.transition
     q = np.zeros(m)
     for t in range(half):
         x = Fraction(t, m)
         if x < p1:
-            q[t] = q0 * (1.0 - _transition(kind, float(x / p1)))
+            q[t] = q0 * (1.0 - _transition(float(x / p1)))
         elif x < p2:
             q[t] = 0.0
         elif x < p3:
-            q[t] = SQRT2 * _transition(kind, float((x - p2) / (p3 - p2)))
+            q[t] = SQRT2 * _transition(float((x - p2) / (p3 - p2)))
         elif x < p4:
             q[t] = SQRT2
         elif x < p5:
-            q[t] = SQRT2 * (1.0 - _transition(kind, float((x - p4) / (p5 - p4))))
+            q[t] = SQRT2 * (1.0 - _transition(float((x - p4) / (p5 - p4))))
         elif x < p6:
             q[t] = 0.0
         else:
-            q[t] = SQRT2 * r * _transition(kind, float((x - p6) / (phalf - p6)))
+            q[t] = SQRT2 * r * _transition(float((x - p6) / (phalf - p6)))
     for t in range(half, m):
         q[t] = math.sqrt(max(0.0, 2.0 - q[t - half] ** 2))
     return q

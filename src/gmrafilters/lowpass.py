@@ -34,6 +34,14 @@ from .torus import GridSpec, IntervalSet
 
 SQRT2 = math.sqrt(2.0)
 
+# The smallest margin a certificate may claim.  Moduli and singular values
+# are taken in floating point, and a product of unit phases such as
+# lambda f(x) / f(Nx) is stored with modulus 1 + 2^-52 at some cells;
+# without an allowance its non-pure operator is "certified" pure with
+# delta = eps.  8 eps (1.8e-15) covers a few such roundings and lies far
+# below every genuine margin measured (the smallest is about 0.007).
+MARGIN_ALLOWANCE = 8.0 * float(np.finfo(np.float64).eps)
+
 
 def certificate_eps(delta: float) -> float:
     """The off-block budget paired with an expansion margin delta."""
@@ -99,9 +107,11 @@ def check_certificate(
     block satisfies sigma_min(A) >= 1 + delta (equivalently its inverse
     has norm at most 1/(1 + delta)); the other blocks stay strictly below
     eps = min(1/8, delta/8) in operator norm; and the region meets its own
-    dilation image in positive measure.  A filter with a non-finite
-    sample anywhere is refused before any norm is taken.  Witness cells in
-    failures are the lowest offending cell index.
+    dilation image in positive measure.  A margin delta within
+    ``MARGIN_ALLOWANCE`` of 0 is refused as indistinguishable from
+    rounding, and a filter with a non-finite sample anywhere is refused
+    before any norm is taken.  Witness cells in failures are the lowest
+    offending cell index.
     """
     if not (1 <= block_size <= filt.count):
         raise ParameterError(
@@ -111,6 +121,11 @@ def check_certificate(
         raise ParameterError(f"delta must be positive, got {delta}")
     if not region.aligned(filt.grid):
         raise GridAlignmentError("certificate region must align with the grid")
+    if delta <= MARGIN_ALLOWANCE:
+        return CertificateFailure(
+            "margin within rounding allowance",
+            detail=f"delta {delta!r} <= allowance {MARGIN_ALLOWANCE!r}",
+        )
     nonfinite = _nonfinite_cells(filt)
     if nonfinite.size:
         return CertificateFailure(
@@ -182,7 +197,9 @@ def search_certificate(filt: FilterMatrix) -> Optional[Certificate]:
     positive and increasing in j: candidates are scored by (delta, j) and
     ties prefer the smaller block.  Only the winning region is built, and
     check_certificate re-checks it exactly.  Returns None when no region
-    certifies, and at once when a sample is not finite.
+    certifies, and at once when a sample is not finite.  The margin only
+    shrinks as j grows, so a block size's scan stops at the first margin
+    within ``MARGIN_ALLOWANCE`` of 0.
     """
     if _nonfinite_cells(filt).size:
         return None
@@ -197,7 +214,7 @@ def search_certificate(filt: FilterMatrix) -> Optional[Certificate]:
             worst_smin = min(worst_smin, smin[j - 1], smin[m - j])
             worst_off = max(worst_off, off[j - 1], off[m - j])
             delta = worst_smin - 1.0
-            if delta <= 0.0:
+            if delta <= MARGIN_ALLOWANCE:
                 break
             while 1.0 + delta > worst_smin:
                 delta = float(np.nextafter(delta, -math.inf))
@@ -251,10 +268,7 @@ class JourneDerivation:
 
 
 def derive_journe(
-    delta: float,
-    grid: GridSpec = GridSpec(2, 56, 2),
-    eps_smooth: Fraction = Fraction(1, 56),
-    transition: str = "exp_bump",
+    delta: float, grid: GridSpec = GridSpec(2, 56, 2)
 ) -> JourneDerivation:
     """Derive the deformation size r and region for a requested delta.
 
@@ -275,9 +289,7 @@ def derive_journe(
     r1 = min(1.0 / 16.0, delta / 16.0) / 2.0
     r2 = math.sqrt((SQRT2 - (1.0 + delta)) / (1.0 + delta))
     r = min(r1, r2)
-    params = JourneParams(
-        r=r, eps_smooth=eps_smooth, transition=transition, grid=grid
-    )
+    params = JourneParams(r=r, grid=grid)
     q = journe_profile(params)
     m = grid.cells
     threshold = SQRT2 * math.sqrt(1.0 - 2.0 * r * r)

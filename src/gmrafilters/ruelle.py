@@ -420,7 +420,10 @@ def classify_purity(
     when the caller supplies a block certificate.  A certificate together
     with an accepted pair is contradictory and comes back
     ``inconclusive`` with an anomaly, since sound inputs cannot produce
-    both.  ``diagnostics["eigensolve_s"]`` is the wall time of the
+    both.  ``diagnostics["spectrum"]`` holds K's eigenvalues by
+    descending modulus, then real part, then imaginary part, and
+    ``diagnostics["passing_flags"]`` marks, row for row, the accepted
+    ones.  ``diagnostics["eigensolve_s"]`` is the wall time of the
     eigenvalue solve plus the candidate SVDs.
     """
     pre = filter_equation_residual(filt)
@@ -435,26 +438,19 @@ def classify_purity(
     start = time.perf_counter()
     solved = np.linalg.eigvals(matrix).astype(np.complex128)
     eigensolve_s = time.perf_counter() - start
+    # A stable sort, so exact ties keep the solver's order.
+    solved = solved[np.lexsort((-solved.imag, -solved.real, -np.abs(solved)))]
     # The fine spectrum: K's eigenvalues, then the zeros only the fine
-    # space carries.  Those zeros have no eigenvector here and are never
+    # space carries, which sort after every nonzero eigenvalue and after
+    # K's own zeros.  They have no eigenvector here and are never
     # re-tested; zero could not pass, as ||S_H f|| = ||f|| = 1.
     eigenvalues = np.concatenate(
         [solved, np.zeros(tm.fine_dimension - tm.dimension, dtype=solved.dtype)]
     )
-    moduli = np.abs(eigenvalues)
-    order = sorted(
-        range(len(eigenvalues)),
-        key=lambda k: (-moduli[k], -eigenvalues[k].real, -eigenvalues[k].imag, k),
-    )
-    candidate_flags = np.abs(moduli - 1.0) <= tol_eig
+    candidates = np.nonzero(np.abs(np.abs(solved) - 1.0) <= tol_eig)[0]
     passing_flags = np.zeros(len(eigenvalues), dtype=bool)
     start = time.perf_counter()
-    vectors = _candidate_vectors(
-        matrix,
-        solved,
-        [k for k in order if candidate_flags[k] and k < tm.dimension],
-        tol_res,
-    )
+    vectors = _candidate_vectors(matrix, solved, candidates.tolist(), tol_res)
     eigensolve_s += time.perf_counter() - start
 
     anomalies: list[str] = []
@@ -463,7 +459,7 @@ def classify_purity(
     sharpened = 0
     for k, vec in vectors.items():
         f = _field_from_eigvec(tm, vec)
-        lam = np.conj(complex(eigenvalues[k]))
+        lam = np.conj(complex(solved[k]))
         residual, dev = _retest(filt, f, lam)
         passed = residual <= tol_res
         passing_flags[k] = passed
@@ -507,8 +503,6 @@ def classify_purity(
     diagnostics = {
         "dimension": tm.fine_dimension,
         "spectrum": eigenvalues,
-        "spectrum_order": order,
-        "candidate_flags": candidate_flags,
         "passing_flags": passing_flags,
         "candidates_tested": tested,
         "sharpened_to_exact": sharpened,

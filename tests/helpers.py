@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gmrafilters import FilterMatrix, GridSpec, IntervalSet, SigmaChain
+from gmrafilters import FilterMatrix, GridSpec, IntervalSet, SigmaChain, VecField
 
 SQRT2 = math.sqrt(2.0)
 
@@ -28,6 +28,27 @@ def random_scalar_filter(rng: np.random.Generator, depth: int = 4) -> FilterMatr
     samples[0, 0, :mp] = SQRT2 * np.cos(phi) * np.exp(1j * a)
     samples[0, 0, mp:] = SQRT2 * np.sin(phi) * np.exp(1j * b)
     return FilterMatrix(2, SigmaChain.full_circle(1), grid, samples)
+
+
+def planted_filter(
+    rng: np.random.Generator, scale: int, depth: int, lam: complex
+) -> tuple[FilterMatrix, VecField]:
+    """A non-pure scalar filter with a known eigenpair, and that eigenvector.
+
+    With f a random unimodular field on the coarse grid, the filter
+    H(s) = lam f(s // N) / f(s mod M/N) gives S_H f = lam f exactly: fine
+    cell s dilates onto coarse cell s mod M/N and refines coarse cell
+    s // N.  Every sample has modulus one, so the coset sum is N.
+    """
+    grid = GridSpec(scale, 1, depth)
+    m = grid.cells
+    mp = m // scale
+    f = np.exp(2j * np.pi * rng.random(mp))
+    s = np.arange(m)
+    samples = lam * f[s // scale] / f[s % mp]
+    chain = SigmaChain.full_circle(1)
+    filt = FilterMatrix(scale, chain, grid, samples[None, None])
+    return filt, VecField(chain, grid.coarser(), f[None])
 
 
 def random_phase_copy(filt: FilterMatrix, rng: np.random.Generator) -> FilterMatrix:

@@ -25,7 +25,7 @@ from gmrafilters.cli import (
     main,
 )
 
-from helpers import random_scalar_filter
+from helpers import planted_filter, random_scalar_filter
 
 
 def generate(tmp_path, name, *extra):
@@ -284,6 +284,21 @@ class TestClassify:
         table = report["intersection"]["equivalence"]
         assert table["modulus_one_eigenvector"] == "none_found"
         assert table["tail_intersection_nontrivial"] == "undetermined"
+
+    def test_planted_non_pure_filter_is_certified_non_pure(self, tmp_path):
+        # Samples of modulus 1 + 2^-52 around 0 would give this filter a
+        # certificate with delta = 2^-52 but for the margin allowance, and
+        # the verdict would be inconclusive (exit 4).
+        rng = np.random.default_rng(4)
+        filt, _ = planted_filter(rng, 2, 3, np.exp(2j * np.pi * 0.3))
+        bundle = tmp_path / "planted.json"
+        bundle.write_text(emit_bundle(filt), encoding="utf-8")
+        out = tmp_path / "classify.json"
+        assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_NOT_PURE
+        report = report_of(out)
+        assert report["status"] == "not_pure_certified"
+        assert report["certificate"] is None
+        assert report["purity"]["anomalies"] == []
 
     @staticmethod
     def _reports_per_thread_count(bundle, expected_code):

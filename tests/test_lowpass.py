@@ -31,7 +31,14 @@ from gmrafilters import (
     search_certificate,
 )
 
-from helpers import random_phase_copy, random_scalar_filter, with_sample
+from gmrafilters.lowpass import MARGIN_ALLOWANCE
+
+from helpers import (
+    planted_filter,
+    random_phase_copy,
+    random_scalar_filter,
+    with_sample,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -203,6 +210,27 @@ class TestCheckCertificate:
         with pytest.raises(GridAlignmentError):
             check_certificate(filt, 1, 0.1, symmetric(1, 3))
 
+    def test_margin_within_the_allowance_is_refused(self):
+        filt = make_haar()
+        for delta in (2.0**-52, MARGIN_ALLOWANCE):
+            failure = check_certificate(filt, 1, delta, symmetric(1, 16))
+            assert isinstance(failure, CertificateFailure)
+            assert failure.reason == "margin within rounding allowance"
+        above = float(np.nextafter(MARGIN_ALLOWANCE, math.inf))
+        cert = check_certificate(filt, 1, above, symmetric(1, 16))
+        assert isinstance(cert, Certificate)
+
+    def test_one_ulp_expansion_of_a_planted_filter_is_refused(self):
+        # Cells 0 and 7 of this non-pure filter have modulus 1 + 2^-52.
+        filt, _ = planted_filter(
+            np.random.default_rng(4), 2, 3, np.exp(2j * np.pi * 0.3)
+        )
+        moduli = np.abs(filt.samples[0, 0, [0, 7]])
+        assert np.all(moduli > 1.0)
+        failure = check_certificate(filt, 1, 2.0**-52, symmetric(1, 8))
+        assert isinstance(failure, CertificateFailure)
+        assert failure.reason == "margin within rounding allowance"
+
     def test_full_block_certificate_ignores_off_blocks(self):
         filt = block_filter({(0, 0): 1.2, (1, 1): 1.3})
         cert = check_certificate(filt, 2, 0.1, symmetric(1, 4))
@@ -277,6 +305,18 @@ class TestSearchCertificate:
             assert search_certificate(make_haar(depth=depth)) is not None
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_planted_non_pure_filters_get_no_certificate(self):
+        lam = np.exp(2j * np.pi * 0.3)
+        certified = []
+        for scale in (2, 3, 4):
+            for depth in (2, 3, 4):
+                for seed in range(300):
+                    rng = np.random.default_rng(seed)
+                    filt, _ = planted_filter(rng, scale, depth, lam)
+                    if search_certificate(filt) is not None:
+                        certified.append((scale, depth, seed))
+        assert certified == []
 
     def test_search_result_passes_rechecking(self):
         cert = search_certificate(make_haar())

@@ -19,6 +19,7 @@ from gmrafilters import (
     classify_purity,
     decay_probe,
     derive_journe,
+    filter_equation_residual,
     isometry_residual,
     make_journe_step,
     make_constant,
@@ -34,7 +35,12 @@ from gmrafilters import (
 from gmrafilters.filters import FilterMatrix
 from gmrafilters.ruelle import DIM_CAP_ENV
 
-from helpers import random_phase_copy, random_scalar_filter, with_sample
+from helpers import (
+    planted_filter,
+    random_phase_copy,
+    random_scalar_filter,
+    with_sample,
+)
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
@@ -367,13 +373,12 @@ class TestClassification:
         diag = verdict.diagnostics
         assert diag["dimension"] == 8
         assert len(diag["spectrum"]) == 8
-        order = diag["spectrum_order"]
-        moduli = np.abs(diag["spectrum"])
-        assert sorted(moduli, reverse=True) == pytest.approx(
-            [moduli[k] for k in order]
-        )
-        assert diag["candidate_flags"][order[0]]
-        assert diag["passing_flags"][order[0]]
+        spectrum = diag["spectrum"]
+        keys = [(-abs(z), -z.real, -z.imag) for z in spectrum.tolist()]
+        assert keys == sorted(keys)
+        assert spectrum[0] == pytest.approx(1.0, abs=1e-12)
+        assert diag["passing_flags"][0]
+        assert diag["passing_flags"].sum() == 1
         assert diag["candidates_tested"][0]["passed"]
 
     def test_constant_eigenvector_martingale_is_flat(self):
@@ -381,6 +386,47 @@ class TestClassification:
         devs = verdict.diagnostics["martingale_max_dev"]
         assert len(devs) >= 1
         assert max(devs) <= 1e-12
+
+
+PLANTED_LAMBDA = np.exp(2j * np.pi * 0.3)
+
+
+class TestPlantedFilters:
+    # Seed 4 at N = 2, depth 3 and seed 8 at N = 3, depth 2 have samples
+    # of modulus 1 + 2^-52 around 0; without the margin allowance the
+    # search certifies them pure with delta = 2^-52.
+    @pytest.mark.parametrize("seed", [0, 4, 8])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [2, 3, 4])
+    def test_planted_eigenpair_is_found(self, scale, depth, seed):
+        rng = np.random.default_rng(seed)
+        filt, planted = planted_filter(rng, scale, depth, PLANTED_LAMBDA)
+        assert filter_equation_residual(filt).max_abs_residual <= 1e-14
+        verdict = classify_purity(filt)
+        assert verdict.status == NOT_PURE_CERTIFIED
+        assert len(verdict.eigenpairs) == 1
+        pair = verdict.eigenpairs[0]
+        assert abs(pair.eigenvalue - PLANTED_LAMBDA) <= 1e-12
+        expected = planted.scaled(1.0 / planted.norm())
+        phase = pair.fld.inner(expected)
+        phase /= abs(phase)
+        assert np.abs(pair.fld.values - phase * expected.values).max() <= 1e-12
+        assert "martingale_max_dev" in verdict.diagnostics
+        assert search_certificate(filt) is None
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("scale", [3, 4])
+    def test_constant_filter_at_scale_n_is_sharpened(self, scale, depth):
+        filt = make_constant(depth=depth, scale=scale)
+        verdict = classify_purity(filt)
+        assert verdict.status == NOT_PURE_CERTIFIED
+        assert len(verdict.eigenpairs) == 1
+        pair = verdict.eigenpairs[0]
+        assert pair.eigenvalue == 1.0 + 0.0j
+        assert pair.residual == 0.0
+        assert np.all(pair.fld.values == 1.0)
+        assert verdict.diagnostics["sharpened_to_exact"] == 1
+        assert search_certificate(filt) is None
 
 
 class TestMartingale:

@@ -1,0 +1,92 @@
+"""Write the command line's outputs on a fixed corpus, for byte comparison.
+
+Usage::
+
+    python3 tools/output_corpus.py SRC OUT
+
+SRC is a checkout of this repository (the package is imported from
+SRC/src) and OUT a directory to create.  For every job of the corpus the
+script runs ``generate``, ``verify``, ``classify`` and ``spectrum`` in
+this process through ``gmrafilters.cli.main`` and writes, under OUT/<job>/,
+the bundle, the verify and classify reports without their ``timings``
+and ``bundle`` keys (both vary from run to run), and the spectrum CSV;
+OUT/exit_codes.txt lists every exit code.  BLAS is held to one thread
+before numpy is imported, because the spectrum's last bits depend on the
+thread count.  Running the script on two checkouts and comparing with
+``diff -r`` shows whether a change keeps every output byte for byte.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+from pathlib import Path
+
+# (job name, generate arguments)
+JOBS = [
+    ("haar", ["haar"]),
+    ("shannon", ["shannon"]),
+    ("constant", ["constant"]),
+    ("journe_step", ["journe_step"]),
+    ("journe", ["journe"]),
+    ("haar_8", ["haar", "--depth", "8"]),
+    ("haar_10", ["haar", "--depth", "10"]),
+    ("constant_8", ["constant", "--depth", "8"]),
+    ("constant_10", ["constant", "--depth", "10"]),
+    ("shannon_7", ["shannon", "--depth", "7"]),
+    ("journe_step_4", ["journe_step", "--depth", "4"]),
+    ("journe_4", ["journe", "--depth", "4"]),
+    ("journe_5", ["journe", "--depth", "5"]),
+    ("journe_step_half_turn", ["journe_step", "--half-turn-phases"]),
+    ("journe_half_turn", ["journe", "--half-turn-phases"]),
+    ("journe_delta_0.05", ["journe", "--delta", "0.05"]),
+]
+
+
+def _strip_report(path: Path) -> None:
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report.pop("timings", None)
+    report.pop("bundle", None)
+    text = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    path.write_text(text, encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: output_corpus.py SRC OUT", file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve() / "src"
+    out = Path(argv[1])
+    # Read by OpenBLAS when numpy is first imported, just below.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(src))
+    from gmrafilters import cli
+
+    if Path(cli.__file__).resolve().parent != src / "gmrafilters":
+        print(f"gmrafilters imported from {cli.__file__}, not {src}", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=False)
+    codes = []
+    for name, gen_args in JOBS:
+        job = out / name
+        job.mkdir()
+        bundle = str(job / "bundle.json")
+        steps = [
+            ("generate", ["generate", *gen_args, "--out", bundle]),
+            ("verify", ["verify", bundle, "--out", str(job / "verify.json")]),
+            ("classify", ["classify", bundle, "--out", str(job / "classify.json")]),
+            ("spectrum", ["spectrum", bundle, "--out", str(job / "spectrum.csv")]),
+        ]
+        for step, cmd in steps:
+            codes.append(f"{name} {step} {cli.main(cmd)}")
+        for report in ("verify.json", "classify.json"):
+            if (job / report).exists():
+                _strip_report(job / report)
+    (out / "exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
