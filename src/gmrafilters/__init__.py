@@ -5,8 +5,9 @@ factor, verifies their defining coset identities exactly on rational
 grids, realizes the associated averaging operator and its adjoint on step
 fields, and decides between the two sides of the purity dichotomy: decay
 of all averages against a shared modulus-one eigenvector, backed either
-way by checkable evidence (a direct eigenpair re-test or an expansion
-certificate on a region around 0).
+way by checkable evidence (a direct eigenpair re-test, an expansion
+certificate on a region around 0, or a contraction bound on the
+transfer matrix).
 """
 
 from .bundleio import (
@@ -58,18 +59,22 @@ from .ruelle import (
     NOT_PURE_CERTIFIED,
     PURE_AT_RESOLUTION,
     PURE_CERTIFIED,
+    Contraction,
     EigenPair,
     PurityVerdict,
     TransferMatrix,
+    TransferSpectrum,
     VecField,
     assemble_transfer_matrix,
     classify_purity,
+    contraction_certificate,
     decay_probe,
     isometry_residual,
     martingale_sequence,
     random_vecfield,
     ruelle_apply,
     transfer_apply,
+    transfer_spectrum,
 )
 from .torus import GridSpec, IntervalSet, SigmaChain, rat_str
 
@@ -80,6 +85,7 @@ __all__ = [
     "BundleFormatError",
     "Certificate",
     "CertificateFailure",
+    "Contraction",
     "DimensionCapError",
     "EigenPair",
     "FilterMatrix",
@@ -102,12 +108,14 @@ __all__ = [
     "StepFn",
     "SupportReport",
     "TransferMatrix",
+    "TransferSpectrum",
     "VecField",
     "assemble_transfer_matrix",
     "canonical_json",
     "certificate_eps",
     "check_certificate",
     "classify_purity",
+    "contraction_certificate",
     "decay_probe",
     "derive_journe",
     "emit_bundle",
@@ -133,4 +141,5 @@ __all__ = [
     "search_certificate",
     "support_violations",
     "transfer_apply",
+    "transfer_spectrum",
 ]

@@ -50,8 +50,9 @@ from .ruelle import (
     TOL_NORM,
     TOL_RES,
     VERIFY_TOL,
-    classify_purity,
+    classify_purity,  # noqa: F401  (a name clibench/spans.py wraps)
     isometry_residual,
+    transfer_spectrum,
 )
 from .torus import GridSpec, rat_str
 
@@ -201,20 +202,6 @@ def _field_section(fld) -> dict:
     }
 
 
-def _spectrum_rows(diag: dict) -> list[list[str]]:
-    rows = []
-    for lam, passed in zip(diag["spectrum"].tolist(), diag["passing_flags"]):
-        rows.append(
-            [
-                float_str(lam.real),
-                float_str(lam.imag),
-                float_str(abs(lam)),
-                "true" if passed else "false",
-            ]
-        )
-    return rows
-
-
 def cmd_classify(args) -> int:
     t0 = time.perf_counter()
     filt, provenance = load_bundle(args.bundle)
@@ -277,8 +264,15 @@ def cmd_classify(args) -> int:
             ],
             "anomalies": list(diag["anomalies"]),
             "decay_probe": [float_str(x) for x in diag["decay_probe"]],
+            "contraction": None
+            if verdict.contraction is None
+            else {
+                "steps": verdict.contraction.steps,
+                "bound": float_str(verdict.contraction.bound),
+                "allowance": float_str(verdict.contraction.allowance),
+                "rho_bound": float_str(verdict.contraction.rho_bound),
+            },
         },
-        "spectrum": _spectrum_rows(diag),
         "certificate": None
         if cert is None
         else {
@@ -297,6 +291,7 @@ def cmd_classify(args) -> int:
         },
         "provenance": provenance,
         "timings": {
+            "contraction_s": diag["contraction_s"],
             "eigensolve_s": diag["eigensolve_s"],
             "total_s": time.perf_counter() - t0,
         },
@@ -324,23 +319,18 @@ def cmd_spectrum(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VERIFY_FAIL
-    verdict = classify_purity(
-        filt,
-        tol_eig=args.tol_eig,
-        tol_res=args.tol_res,
-        tol_norm=args.tol_norm,
-        verify_tol=args.verify_tol,
-    )
+    spectrum = transfer_spectrum(filt, tol_eig=args.tol_eig, tol_res=args.tol_res)
     lines = ["eigenvalue_re,eigenvalue_im,modulus,passes_eigen_test"]
-    lines.extend(",".join(row) for row in _spectrum_rows(verdict.diagnostics))
+    for lam, passed in zip(spectrum.eigenvalues.tolist(), spectrum.passing_flags):
+        row = [float_str(lam.real), float_str(lam.imag), float_str(abs(lam))]
+        lines.append(",".join(row + ["true" if passed else "false"]))
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _add_classify_tolerances(sub) -> None:
+def _add_spectrum_tolerances(sub) -> None:
     sub.add_argument("--tol-eig", type=float, default=TOL_EIG)
     sub.add_argument("--tol-res", type=float, default=TOL_RES)
-    sub.add_argument("--tol-norm", type=float, default=TOL_NORM)
     sub.add_argument("--verify-tol", type=float, default=VERIFY_TOL)
 
 
@@ -381,13 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="purity verdict with certificate search")
     cls.add_argument("bundle")
-    _add_classify_tolerances(cls)
+    _add_spectrum_tolerances(cls)
+    cls.add_argument("--tol-norm", type=float, default=TOL_NORM)
     cls.add_argument("--out", default=None)
     cls.set_defaults(func=cmd_classify)
 
     spectrum = sub.add_parser("spectrum", help="adjoint spectrum as CSV")
     spectrum.add_argument("bundle")
-    _add_classify_tolerances(spectrum)
+    _add_spectrum_tolerances(spectrum)
     spectrum.add_argument("--out", default=None)
     spectrum.set_defaults(func=cmd_spectrum)
 

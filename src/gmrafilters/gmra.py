@@ -7,7 +7,9 @@ next.  The dichotomy concerns the common intersection of the ranges of
 the iterated embeddings, which is nonzero exactly when the operator has
 a modulus-one eigenvector, so the tower itself never has to be built.
 ``intersection_report`` runs the certificate search and the purity
-classification and phrases their outcome in those terms.  It
+classification and phrases their outcome in those terms; a pure verdict
+is backed by the block certificate when the search finds one, and
+otherwise by the contraction bound on the transfer matrix.  It
 deliberately reports no numeric dimension for the intersection: whenever
 that space is nonzero in the ambient model it is infinite dimensional,
 and a rank count at any single resolution sees only a finite shadow, so
@@ -79,7 +81,9 @@ def intersection_report(
     intersection is nonzero exactly when the dilation on the ambient
     space has a modulus-one eigenvector.  The equivalence table records
     what the run established for each side and whether the two findings
-    are consistent.
+    are consistent.  A ``pure_certified`` verdict is narrated through the
+    block certificate when the search found one, and otherwise through
+    the verdict's contraction bound.
     """
     certificate = search_certificate(filt)
     verdict = classify_purity(
@@ -118,24 +122,40 @@ def intersection_report(
             )
         narrative = "  ".join(lines)
     elif status == PURE_CERTIFIED:
-        assert certificate is not None
         table = {
             "tail_intersection_nontrivial": "no",
             "modulus_one_eigenvector": "ruled_out",
             "consistent": True,
         }
-        a = certificate.block_size
-        narrative = (
-            "The certificate settles the dichotomy on the side of purity.  "
-            f"On a symmetric region of measure {certificate.region.measure()} "
-            f"around 0 the leading {a} x {a} corner of the filter expands "
-            f"every vector by at least 1 + {certificate.delta:.6g} while the "
-            f"complementary blocks stay below {certificate.eps:.6g}, and the "
-            "region meets its own dilation image in positive measure.  "
-            "Iterated adjoint averaging therefore drains every field, no "
-            "modulus-one eigenvector can exist, and the tower's common "
-            "intersection is zero."
-        )
+        if certificate is not None:
+            a = certificate.block_size
+            narrative = (
+                "The certificate settles the dichotomy on the side of purity.  "
+                f"On a symmetric region of measure {certificate.region.measure()} "
+                f"around 0 the leading {a} x {a} corner of the filter expands "
+                f"every vector by at least 1 + {certificate.delta:.6g} while the "
+                f"complementary blocks stay below {certificate.eps:.6g}, and the "
+                "region meets its own dilation image in positive measure.  "
+                "Iterated adjoint averaging therefore drains every field, no "
+                "modulus-one eigenvector can exist, and the tower's common "
+                "intersection is zero."
+            )
+        else:
+            bound = verdict.contraction
+            assert bound is not None
+            narrative = (
+                "The contraction bound settles the dichotomy on the side of "
+                "purity.  With every weight of the coarse transfer matrix "
+                "replaced by its modulus, the power k = "
+                f"{bound.steps} has norm at most {bound.bound:.6g}, below 1 "
+                f"by more than the rounding allowance {bound.allowance:.3g}, "
+                "so every eigenvalue of the transfer matrix has modulus at "
+                f"most {bound.rho_bound:.6g}.  Any modulus-one eigenvector would "
+                "be a step field on the coarse grid and an eigenvector of "
+                "that matrix, so none exists, iterated adjoint averaging "
+                "drains every field, and the tower's common intersection is "
+                "zero."
+            )
     elif status == PURE_AT_RESOLUTION:
         table = {
             "tail_intersection_nontrivial": "undetermined",
@@ -144,9 +164,9 @@ def intersection_report(
         }
         narrative = (
             "No modulus-one eigenvector passed the direct re-test at this "
-            "resolution, but no expansion certificate was found either, so "
-            "the dichotomy stays open.  The evidence is consistent with "
-            "purity without proving it."
+            "resolution, but neither an expansion certificate nor a "
+            "contraction bound was found, so the dichotomy stays open.  The "
+            "evidence is consistent with purity without proving it."
         )
     else:
         assert status == INCONCLUSIVE

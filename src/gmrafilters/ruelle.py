@@ -11,15 +11,22 @@ identity holds.  Its adjoint averages over dilation fibers,
 
 and the central dichotomy is spectral: S_H fails to be a pure isometry
 precisely when it has an eigenvector of modulus-one eigenvalue, and any
-such eigenvector has pointwise norm one almost everywhere.  On a fixed
-grid both operators are finite matrices, so the dichotomy can be probed
-exactly.  The matrix solved is K = adjoint o include on the coarse step
-space, 1/N the size of include o adjoint on the fine one: AB and BA
-share their nonzero spectrum, and an eigenvector of K is already the
-coarse field to test.  The full spectrum is solved eigenvalues only, in
-real arithmetic when K is real; eigenvectors are taken, from one SVD per
-distinct eigenvalue, only for the eigenvalues near the unit circle, the
-only ones the dichotomy can use.  Those are re-tested directly against the eigenvector
+such eigenvector has pointwise norm one almost everywhere.  For a filter
+constant on the cells of grid M, every such eigenvector is a step field
+on the coarse grid M/N, so the matrix K = adjoint o include on the
+coarse step space sees every unimodular eigenvalue of the operator, and
+rho(K) < 1 proves purity outright.
+
+``contraction_certificate`` bounds rho(K) first, with no matrix: it
+applies |H| through the same fiber rule as ``transfer_apply`` and
+``ruelle_apply`` (the finite transfer-operator criterion of Lawton,
+J. Math. Phys. 32, 1991).  Only a filter that bound cannot settle pays
+for the dense path, ``transfer_spectrum``: K, 1/N the size of
+include o adjoint on the fine space (AB and BA share their nonzero
+spectrum), is solved eigenvalues only, in real arithmetic when K is
+real; eigenvectors are taken, from one SVD per distinct eigenvalue, only
+for the eigenvalues near the unit circle, the only ones the dichotomy
+can use.  Those are re-tested directly against the eigenvector
 relation, and every verdict records the resolution it was reached at.
 """
 
@@ -28,7 +35,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,6 +46,8 @@ from .torus import GridSpec, SigmaChain
 __all__ = [
     "VecField",
     "TransferMatrix",
+    "Contraction",
+    "TransferSpectrum",
     "EigenPair",
     "PurityVerdict",
     "PURE_CERTIFIED",
@@ -49,6 +58,8 @@ __all__ = [
     "transfer_apply",
     "isometry_residual",
     "assemble_transfer_matrix",
+    "contraction_certificate",
+    "transfer_spectrum",
     "classify_purity",
     "martingale_sequence",
     "decay_probe",
@@ -69,6 +80,11 @@ VERIFY_TOL = 1e-10
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "GMRAFILTERS_DIM_CAP"
+
+# The most powers of |K| the contraction bound tries before it gives up.
+CONTRACTION_MAX_STEPS = 64
+# Unit roundoff of float64, the u of the rounding allowance.
+UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
 
 def _dim_cap() -> int:
@@ -159,6 +175,26 @@ def random_vecfield(
     return VecField.masked(chain, grid, radius * np.exp(1j * angle))
 
 
+def _pull(samples: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Fine values sum_i samples[i, j, t] values[i, t mod M/N] of coarse ones."""
+    m = samples.shape[2]
+    return np.einsum("ijt,it->jt", samples, values[:, np.arange(m) % values.shape[1]])
+
+
+def _fiber_mean(samples: np.ndarray, scale: int, values: np.ndarray) -> np.ndarray:
+    """Coarse values (1/N) sum over the fiber of samples[i, j] values[j]."""
+    c = samples.shape[0]
+    mp = samples.shape[2] // scale
+    return (
+        np.einsum(
+            "ijkt,jkt->it",
+            samples.reshape(c, c, scale, mp),
+            values.reshape(c, scale, mp),
+        )
+        / scale
+    )
+
+
 def ruelle_apply(filt: FilterMatrix, f: VecField) -> VecField:
     """Apply the operator: (S_H f)_j(x) = sum_i H_{i,j}(x) f_i(x^N).
 
@@ -169,23 +205,14 @@ def ruelle_apply(filt: FilterMatrix, f: VecField) -> VecField:
     """
     if f.grid != filt.coarse_grid():
         raise ResolutionError("input field must live on the filter's coarse grid")
-    m = filt.cells
-    mp = m // filt.scale
-    pulled = f.values[:, np.arange(m) % mp]
-    out = np.einsum("ijt,it->jt", filt.samples, pulled)
-    return VecField(filt.chain, filt.grid, out)
+    return VecField(filt.chain, filt.grid, _pull(filt.samples, f.values))
 
 
 def transfer_apply(filt: FilterMatrix, g: VecField) -> VecField:
     """Apply the adjoint: average conj(H) against g over each dilation fiber."""
     if g.grid != filt.grid:
         raise ResolutionError("input field must live on the filter's fine grid")
-    n = filt.scale
-    c = filt.count
-    mp = filt.cells // n
-    grouped_h = np.conj(filt.samples).reshape(c, c, n, mp)
-    grouped_g = g.values.reshape(c, n, mp)
-    out = np.einsum("ijkt,jkt->it", grouped_h, grouped_g) / n
+    out = _fiber_mean(np.conj(filt.samples), filt.scale, g.values)
     return VecField(filt.chain, filt.coarse_grid(), out)
 
 
@@ -227,6 +254,11 @@ class TransferMatrix:
         return len(self.basis)
 
 
+def _fine_coordinates(filt: FilterMatrix) -> np.ndarray:
+    """The (component i, fine cell) rows of the fine step space: sigma_i's cells."""
+    return np.argwhere(np.array(filt.sigma_masks()))
+
+
 def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     """Build the dense quotient matrix K on the coarse step space.
 
@@ -239,8 +271,7 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     step space.
     """
     cap = _dim_cap()
-    masks = np.array(filt.sigma_masks())
-    fine = np.argwhere(masks)
+    fine = _fine_coordinates(filt)
     if len(fine) > cap:
         raise DimensionCapError(
             f"transfer matrix dimension {len(fine)} exceeds cap {cap}"
@@ -248,11 +279,12 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     n = filt.scale
     c = filt.count
     mp = filt.cells // n
-    coarse = masks.reshape(c, mp, n).any(axis=2)
+    comp, cell = fine.T
+    coarse = np.zeros((c, mp), dtype=bool)
+    coarse[comp, cell // n] = True
     basis = np.argwhere(coarse)
     position = np.full((c, mp), -1)
     position[coarse] = np.arange(len(basis))
-    comp, cell = fine.T
     rows = position[:, cell % mp]
     cols = np.broadcast_to(position[comp, cell // n], rows.shape)
     weights = np.conj(filt.samples[:, comp, cell]) / n
@@ -262,6 +294,76 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     return TransferMatrix(
         matrix, basis, len(fine), filt.chain, filt.coarse_grid()
     )
+
+
+# Contraction and TransferSpectrum are named tuples, not dataclasses:
+# every CLI call imports this module, and a named tuple class costs a
+# fraction of a dataclass's creation time.
+class Contraction(NamedTuple):
+    """A matrix-free proof that rho(K) < 1 - tol_eig, and so that S_H is pure.
+
+    At power k = ``steps``, ``bound`` is the computed
+    sqrt(||A^k||_1 ||A^k||_inf) for the entrywise majorant A >= |K|, and
+    ``allowance`` = (k (c N + 3) + 2) u bounds its relative rounding
+    error, with u the unit roundoff.  ``rho_bound`` is
+    (bound (1 + allowance))^(1/k), an upper bound on rho(K), and it lies
+    below 1 - tol_eig: no eigenvalue of K is close enough to the unit
+    circle for the dense path to test it.
+    """
+
+    steps: int
+    bound: float
+    allowance: float
+    rho_bound: float
+
+
+def contraction_certificate(
+    filt: FilterMatrix, tol_eig: float = TOL_EIG
+) -> Optional[Contraction]:
+    """Prove rho(K) < 1 - tol_eig from |H| alone, or return None.
+
+    A is K with every weight conj(H_{i,j}(s))/N replaced by its modulus,
+    so |K^k| <= |K|^k <= A^k entrywise and rho(K)^k <= ||K^k||_2 <=
+    sqrt(||A^k||_1 ||A^k||_inf).  The row sums A^k 1 and the column sums
+    (A^T)^k 1 are iterated with no matrix built: A x is the fiber mean of
+    |H| against x refined, as in ``transfer_apply``, and A^T y the block
+    mean of |H| pulled back against y, as in ``ruelle_apply``.  They run
+    over the whole coarse step space, which holds K's basis; under the
+    support rule the other coordinates carry zeros, and where it fails
+    the extra entries can only raise the bound.
+
+    Each application takes the moduli (within one ulp, 2u), then sums c N
+    nonnegative products and divides once, so k of them carry a relative
+    error below k (c N + 3) u (Higham 2002, ch. 3); the product of the
+    two maxima and its square root add less than 2u.  The least
+    k <= ``CONTRACTION_MAX_STEPS`` with bound (1 + allowance) <
+    (1 - tol_eig)^k is returned, so a filter whose bound is only
+    barely below 1 is left to the dense path, which would count an
+    eigenvalue that close to the circle as a candidate.  A filter with a
+    non-finite sample, or a tol_eig outside [0, 1), is never certified.
+    """
+    # Written so that a NaN tolerance is never certified.
+    if not (0.0 <= tol_eig < 1.0) or not np.isfinite(filt.samples).all():
+        return None
+    n = filt.scale
+    c = filt.count
+    modulus = np.abs(filt.samples)
+    rows = cols = np.ones((c, filt.cells // n))
+    for k in range(1, CONTRACTION_MAX_STEPS + 1):
+        last = rows, cols
+        rows = _fiber_mean(modulus, n, np.repeat(rows, n, axis=1))
+        cols = _pull(modulus, cols).reshape(c, -1, n).sum(axis=2) / n
+        bound = float(np.sqrt(rows.max() * cols.max()))
+        allowance = (k * (c * n + 3) + 2) * UNIT_ROUNDOFF
+        # Written so that a NaN bound is never certified.
+        if bound * (1.0 + allowance) < (1.0 - tol_eig) ** k:
+            rho_bound = (bound * (1.0 + allowance)) ** (1.0 / k)
+            return Contraction(k, bound, allowance, rho_bound)
+        if np.array_equal(rows, last[0]) and np.array_equal(cols, last[1]):
+            # A fixed point, as for unimodular |H|: every later power
+            # gives this bound again, with a larger allowance.
+            return None
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +382,7 @@ class PurityVerdict:
     status: str
     eigenpairs: tuple[EigenPair, ...]
     resolution: GridSpec
+    contraction: Optional[Contraction] = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -351,6 +454,83 @@ def _retest(filt: FilterMatrix, f: VecField, lam: complex) -> tuple[float, float
     return residual, dev
 
 
+class TransferSpectrum(NamedTuple):
+    """The dense spectrum of K and the re-test of its unit-circle candidates.
+
+    ``eigenvalues`` is the fine spectrum: K's eigenvalues by descending
+    modulus, then real part, then imaginary part, followed by the
+    ``fine_dimension - dimension`` zeros only the fine step space carries.
+    ``candidates`` pairs each eigenvalue of K near the unit circle, by its
+    row, with its re-tested pair for the operator: the conjugate
+    eigenvalue, the eigenvector read as a unit coarse field, and
+    ``_retest``'s residual and unit-norm deviation, judged against
+    ``tol_norm``.  ``passing_flags`` marks, row for row, the eigenvalues
+    whose candidate passed.  ``eigensolve_s`` is the wall time of the
+    eigenvalue solve plus the candidate SVDs.
+    """
+
+    eigenvalues: np.ndarray
+    passing_flags: np.ndarray
+    candidates: tuple[tuple[int, EigenPair], ...]
+    fine_dimension: int
+    eigensolve_s: float
+
+
+def transfer_spectrum(
+    filt: FilterMatrix,
+    tol_eig: float = TOL_EIG,
+    tol_res: float = TOL_RES,
+    tol_norm: float = TOL_NORM,
+) -> TransferSpectrum:
+    """Solve K densely and re-test its eigenvalues near the unit circle.
+
+    The eigenvalues of the quotient matrix K of
+    ``assemble_transfer_matrix`` are solved without eigenvectors, in real
+    arithmetic when K has no imaginary part; every eigenvalue of K within
+    ``tol_eig`` of the unit circle is a candidate.  Only the candidates
+    get eigenvectors: each distinct candidate eigenvalue takes one SVD of
+    K - lambda I, and candidates within ``tol_res`` of each other share
+    it, its smallest right singular vectors giving a repeated eigenvalue
+    orthonormal fields (see ``_candidate_vectors``).  A candidate passes
+    only if the conjugate eigenvalue relation for the operator itself
+    holds directly: with the eigenvector as a coarse field f, the
+    residual ||S_H f - conj(lambda) f|| must fall below ``tol_res`` after
+    normalization.  Each candidate's pair records whether its field has
+    unit pointwise norm to within ``tol_norm``; that does not decide
+    passing.  The dimension cap of ``assemble_transfer_matrix`` applies.
+    """
+    tm = assemble_transfer_matrix(filt)
+    matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
+    start = time.perf_counter()
+    solved = np.linalg.eigvals(matrix).astype(np.complex128)
+    eigensolve_s = time.perf_counter() - start
+    # A stable sort, so exact ties keep the solver's order.
+    solved = solved[np.lexsort((-solved.imag, -solved.real, -np.abs(solved)))]
+    # The fine spectrum: K's eigenvalues, then the zeros only the fine
+    # space carries, which sort after every nonzero eigenvalue and after
+    # K's own zeros.  They have no eigenvector here and are never
+    # re-tested; zero could not pass, as ||S_H f|| = ||f|| = 1.
+    eigenvalues = np.concatenate(
+        [solved, np.zeros(tm.fine_dimension - tm.dimension, dtype=solved.dtype)]
+    )
+    candidates = np.nonzero(np.abs(np.abs(solved) - 1.0) <= tol_eig)[0]
+    passing_flags = np.zeros(len(eigenvalues), dtype=bool)
+    start = time.perf_counter()
+    vectors = _candidate_vectors(matrix, solved, candidates.tolist(), tol_res)
+    eigensolve_s += time.perf_counter() - start
+
+    tested = []
+    for k, vec in vectors.items():
+        f = _field_from_eigvec(tm, vec)
+        lam = np.conj(complex(solved[k]))
+        residual, dev = _retest(filt, f, lam)
+        passing_flags[k] = residual <= tol_res
+        tested.append((k, EigenPair(lam, f, residual, dev, dev <= tol_norm)))
+    return TransferSpectrum(
+        eigenvalues, passing_flags, tuple(tested), tm.fine_dimension, eigensolve_s
+    )
+
+
 def _sharpened_exact_pair(
     filt: FilterMatrix, pair: EigenPair, tol_eig: float, tol_norm: float
 ) -> Optional[EigenPair]:
@@ -393,38 +573,31 @@ def classify_purity(
 ) -> PurityVerdict:
     """Decide whether the operator of a verified filter is a pure isometry.
 
-    The eigenvalues of the quotient matrix K of
-    ``assemble_transfer_matrix`` are solved without eigenvectors, in real
-    arithmetic when K has no imaginary part, and the reported spectrum is
-    K's eigenvalues followed by the zeros that only the fine step space
-    carries; every eigenvalue of K within ``tol_eig`` of the unit circle
-    is a candidate.  Only the candidates get eigenvectors: each distinct
-    candidate eigenvalue takes one SVD of K - lambda I, and candidates
-    within ``tol_res`` of each other share it, its smallest right singular
-    vectors giving a repeated eigenvalue orthonormal fields (see
-    ``_candidate_vectors``).  A candidate is accepted only if the
-    conjugate eigenvalue relation for the operator itself holds
-    directly: with the eigenvector as a coarse field f, the residual
-    ||S_H f - conj(lambda) f|| must fall below ``tol_res`` after
-    normalization.  An accepted pair lying within tolerance of the closed
-    form (1, chi) is re-tested in exact arithmetic and replaced by that
-    form when the substitution does at least as well, which is what makes
-    the flagship non-pure example come out exact rather than merely
-    small.  Accepted pairs are then checked against the structural
-    consequence that ||f(cell)|| = 1 wherever the multiplicity is
-    positive; a failure there does not revoke the pair but is flagged as
-    an anomaly.
+    ``contraction_certificate`` runs first.  When it proves rho(K) < 1
+    the verdict is ``pure_certified`` at once, with the proof in
+    ``verdict.contraction``: no matrix is built, no eigenvalue solved and
+    the dimension cap never consulted.  Otherwise ``transfer_spectrum``
+    solves K densely and re-tests its unit-circle candidates.  An
+    accepted pair lying within tolerance of the closed form (1, chi) is
+    re-tested in exact arithmetic and replaced by that form when the
+    substitution does at least as well, which is what makes the flagship
+    non-pure example come out exact rather than merely small.  Accepted
+    pairs are then checked against the structural consequence that
+    ||f(cell)|| = 1 wherever the multiplicity is positive; a failure
+    there does not revoke the pair but is flagged as an anomaly.
 
     Any accepted pair yields ``not_pure_certified``.  With none, the
     verdict is ``pure_at_resolution``, upgraded to ``pure_certified``
     when the caller supplies a block certificate.  A certificate together
     with an accepted pair is contradictory and comes back
     ``inconclusive`` with an anomaly, since sound inputs cannot produce
-    both.  ``diagnostics["spectrum"]`` holds K's eigenvalues by
-    descending modulus, then real part, then imaginary part, and
-    ``diagnostics["passing_flags"]`` marks, row for row, the accepted
-    ones.  ``diagnostics["eigensolve_s"]`` is the wall time of the
-    eigenvalue solve plus the candidate SVDs.
+    both.  ``diagnostics["passing_flags"]`` marks, row for row of the
+    dense spectrum, the accepted eigenvalues, and
+    ``diagnostics["candidates_tested"]`` lists every candidate; both are
+    empty when the contraction bound settles the verdict.
+    ``diagnostics["eigensolve_s"]`` and ``diagnostics["contraction_s"]``
+    are the wall times of the dense solve (0.0 when skipped) and of the
+    contraction bound.
     """
     pre = filter_equation_residual(filt)
     # Written so that a NaN residual fails closed.
@@ -433,52 +606,43 @@ def classify_purity(
             "purity analysis needs a verified filter; defining identity "
             f"residual {pre.max_abs_residual:.3e} exceeds {verify_tol:.3e}"
         )
-    tm = assemble_transfer_matrix(filt)
-    matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
     start = time.perf_counter()
-    solved = np.linalg.eigvals(matrix).astype(np.complex128)
-    eigensolve_s = time.perf_counter() - start
-    # A stable sort, so exact ties keep the solver's order.
-    solved = solved[np.lexsort((-solved.imag, -solved.real, -np.abs(solved)))]
-    # The fine spectrum: K's eigenvalues, then the zeros only the fine
-    # space carries, which sort after every nonzero eigenvalue and after
-    # K's own zeros.  They have no eigenvector here and are never
-    # re-tested; zero could not pass, as ||S_H f|| = ||f|| = 1.
-    eigenvalues = np.concatenate(
-        [solved, np.zeros(tm.fine_dimension - tm.dimension, dtype=solved.dtype)]
-    )
-    candidates = np.nonzero(np.abs(np.abs(solved) - 1.0) <= tol_eig)[0]
-    passing_flags = np.zeros(len(eigenvalues), dtype=bool)
-    start = time.perf_counter()
-    vectors = _candidate_vectors(matrix, solved, candidates.tolist(), tol_res)
-    eigensolve_s += time.perf_counter() - start
+    contraction = contraction_certificate(filt, tol_eig=tol_eig)
+    contraction_s = time.perf_counter() - start
+    diagnostics = {
+        "passing_flags": np.zeros(0, dtype=bool),
+        "candidates_tested": [],
+        "sharpened_to_exact": 0,
+        "anomalies": [],
+        "decay_probe": decay_probe(
+            filt, _unit(VecField.ones(filt.chain, filt.grid)), 6
+        ),
+        "eigensolve_s": 0.0,
+        "contraction_s": contraction_s,
+    }
+    if contraction is not None:
+        diagnostics["dimension"] = len(_fine_coordinates(filt))
+        return PurityVerdict(PURE_CERTIFIED, (), filt.grid, contraction, diagnostics)
 
+    spectrum = transfer_spectrum(
+        filt, tol_eig=tol_eig, tol_res=tol_res, tol_norm=tol_norm
+    )
+    flags = spectrum.passing_flags
+    tested = [
+        {"eigenvalue": p.eigenvalue, "residual": p.residual, "passed": bool(flags[k])}
+        for k, p in spectrum.candidates
+    ]
     anomalies: list[str] = []
     pairs: list[EigenPair] = []
-    tested: list[dict] = []
     sharpened = 0
-    for k, vec in vectors.items():
-        f = _field_from_eigvec(tm, vec)
-        lam = np.conj(complex(solved[k]))
-        residual, dev = _retest(filt, f, lam)
-        passed = residual <= tol_res
-        passing_flags[k] = passed
-        tested.append(
-            {
-                "eigenvalue": lam,
-                "residual": residual,
-                "passed": passed,
-            }
-        )
-        if not passed:
+    for row, pair in spectrum.candidates:
+        if not flags[row]:
             continue
-        ok = dev <= tol_norm
-        if not ok:
+        if not pair.unit_norm_ok:
             anomalies.append(
                 f"accepted eigenpair violates the unit-norm law "
-                f"(deviation {dev:.3e})"
+                f"(deviation {pair.unit_norm_dev:.3e})"
             )
-        pair = EigenPair(lam, f, residual, dev, ok)
         exact_pair = _sharpened_exact_pair(filt, pair, tol_eig, tol_norm)
         if exact_pair is not None:
             pair = exact_pair
@@ -498,18 +662,14 @@ def classify_purity(
     else:
         status = PURE_AT_RESOLUTION
 
-    decay = decay_probe(filt, _unit(VecField.ones(filt.chain, filt.grid)), 6)
-
-    diagnostics = {
-        "dimension": tm.fine_dimension,
-        "spectrum": eigenvalues,
-        "passing_flags": passing_flags,
-        "candidates_tested": tested,
-        "sharpened_to_exact": sharpened,
-        "anomalies": anomalies,
-        "decay_probe": decay,
-        "eigensolve_s": eigensolve_s,
-    }
+    diagnostics.update(
+        dimension=spectrum.fine_dimension,
+        passing_flags=flags,
+        candidates_tested=tested,
+        sharpened_to_exact=sharpened,
+        anomalies=anomalies,
+        eigensolve_s=spectrum.eigensolve_s,
+    )
     if pairs:
         f = pairs[0].fld
         n_max = _max_martingale_order(f.grid)
@@ -517,7 +677,7 @@ def classify_purity(
         diagnostics["martingale_max_dev"] = [
             float(np.abs(x.samples - f.norm() ** 2).max()) for x in seq
         ]
-    return PurityVerdict(status, tuple(pairs), filt.grid, diagnostics)
+    return PurityVerdict(status, tuple(pairs), filt.grid, None, diagnostics)
 
 
 def martingale_sequence(

@@ -71,3 +71,25 @@ def with_sample(filt: FilterMatrix, i: int, j: int, cell: int, value) -> FilterM
 def member(s: IntervalSet, x: Fraction) -> bool:
     """Pointwise membership of x in [0, 1), read off the canonical parts."""
     return any(a <= x < b for a, b in s.parts)
+
+
+def near_constant_filter(
+    rng: np.random.Generator, depth: int = 4, eps: float = 1e-3
+) -> FilterMatrix:
+    """A pure scalar filter that the contraction bound cannot certify.
+
+    On each coset pair the samples are sqrt(2) cos(pi/4 + eps) e^(i a) and
+    sqrt(2) sin(pi/4 + eps) e^(i b) with random phases, so |K| has row
+    sums cos(eps) but column sums up to cos(eps) + sin(eps) > 1, and the
+    norm bound on its powers stays above 1 although the phases make rho(K)
+    well below 1.
+    """
+    grid = GridSpec(2, 1, depth)
+    m = grid.cells
+    mp = m // 2
+    a = rng.uniform(0.0, 2.0 * np.pi, mp)
+    b = rng.uniform(0.0, 2.0 * np.pi, mp)
+    samples = np.empty((1, 1, m), dtype=np.complex128)
+    samples[0, 0, :mp] = SQRT2 * math.cos(math.pi / 4 + eps) * np.exp(1j * a)
+    samples[0, 0, mp:] = SQRT2 * math.sin(math.pi / 4 + eps) * np.exp(1j * b)
+    return FilterMatrix(2, SigmaChain.full_circle(1), grid, samples)

@@ -25,7 +25,7 @@ from gmrafilters.cli import (
     main,
 )
 
-from helpers import planted_filter, random_scalar_filter
+from helpers import near_constant_filter, planted_filter, random_scalar_filter
 
 
 def generate(tmp_path, name, *extra):
@@ -258,29 +258,92 @@ class TestClassify:
     def test_malformed_dimension_cap_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch
     ):
-        bundle = generate(tmp_path, "haar")
+        # classify reaches the cap only on a filter the contraction bound
+        # leaves open, such as the constant one; spectrum always does.
+        bundles = {
+            "classify": generate(tmp_path, "constant"),
+            "spectrum": generate(tmp_path, "haar"),
+        }
         capsys.readouterr()
         for cap, message in [
             ("abc", "GMRAFILTERS_DIM_CAP must be an integer, got 'abc'"),
             ("8", "transfer matrix dimension 16 exceeds cap 8"),
         ]:
             monkeypatch.setenv("GMRAFILTERS_DIM_CAP", cap)
-            for command in ("classify", "spectrum"):
+            for command, bundle in bundles.items():
                 assert main([command, str(bundle)]) == EXIT_USAGE
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err.splitlines() == [f"gmrafilters: {message}"]
 
-    def test_uncertified_filter_is_left_undecided(self, tmp_path):
+    def test_cap_binds_classify_only_when_the_bound_fails(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        bundle = generate(tmp_path, "haar", "--depth", "8")
+        monkeypatch.setenv("GMRAFILTERS_DIM_CAP", "64")
+        out = tmp_path / "classify.json"
+        assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_OK
+        report = report_of(out)
+        assert report["status"] == "pure_certified"
+        assert report["purity"]["dimension"] == 256
+        capsys.readouterr()
+        assert main(["spectrum", str(bundle)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "gmrafilters: transfer matrix dimension 256 exceeds cap 64"
+        ]
+
+    def test_report_carries_the_contraction_and_no_spectrum(self, tmp_path):
+        bundle = generate(tmp_path, "haar")
+        out = tmp_path / "classify.json"
+        assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_OK
+        report = report_of(out)
+        assert "spectrum" not in report
+        assert report["purity"]["contraction"] == {
+            "steps": 5,
+            "bound": "0.8980579543201338",
+            "allowance": "2.9976021664879227e-15",
+            "rho_bound": "0.9787254303024158",
+        }
+        assert report["purity"]["candidates_tested"] == []
+        assert len(report["purity"]["decay_probe"]) == 7
+        timings = report["timings"]
+        assert timings["eigensolve_s"] == 0.0
+        assert 0.0 < timings["contraction_s"] <= timings["total_s"]
+        bundle = generate(tmp_path, "constant")
+        assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_NOT_PURE
+        assert report_of(out)["purity"]["contraction"] is None
+
+    def test_random_filter_is_certified_by_the_contraction_bound(self, tmp_path):
         rng = np.random.default_rng(0)
         filt = random_scalar_filter(rng, depth=4)
         bundle = tmp_path / "random.json"
+        bundle.write_text(emit_bundle(filt), encoding="utf-8")
+        out = tmp_path / "classify.json"
+        assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_OK
+        report = report_of(out)
+        assert report["status"] == "pure_certified"
+        assert report["certificate"] is None
+        contraction = report["purity"]["contraction"]
+        assert contraction["steps"] == 5
+        assert float(contraction["bound"]) == pytest.approx(0.903, abs=1e-3)
+        table = report["intersection"]["equivalence"]
+        assert table["modulus_one_eigenvector"] == "ruled_out"
+        assert table["tail_intersection_nontrivial"] == "no"
+        assert "contraction bound" in report["intersection"]["narrative"]
+
+    def test_uncertified_filter_is_left_undecided(self, tmp_path):
+        rng = np.random.default_rng(0)
+        filt = near_constant_filter(rng, depth=4, eps=1e-3)
+        bundle = tmp_path / "near_constant.json"
         bundle.write_text(emit_bundle(filt), encoding="utf-8")
         out = tmp_path / "classify.json"
         assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_UNDECIDED
         report = report_of(out)
         assert report["status"] == "pure_at_resolution"
         assert report["certificate"] is None
+        assert report["purity"]["contraction"] is None
         table = report["intersection"]["equivalence"]
         assert table["modulus_one_eigenvector"] == "none_found"
         assert table["tail_intersection_nontrivial"] == "undetermined"
@@ -325,18 +388,16 @@ class TestClassify:
         outputs = self._reports_per_thread_count(bundle, EXIT_OK)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.xfail(
-        strict=False,
-        reason=(
-            "FOUND in CHANGES.md: reports are not byte-identical across BLAS "
-            "thread counts; the smeared zero cluster of constant depth 9 moves"
-        ),
+    # The spectra of these two differ across thread counts in their last
+    # bits; the classify report carries no spectrum, so it must not.
+    @pytest.mark.parametrize(
+        "name, depth, code", [("constant", "9", EXIT_NOT_PURE), ("haar", "8", EXIT_OK)]
     )
-    def test_report_with_a_zero_cluster_survives_thread_count_changes(
-        self, tmp_path
+    def test_deeper_reports_survive_thread_count_changes(
+        self, tmp_path, name, depth, code
     ):
-        bundle = generate(tmp_path, "constant", "--depth", "9")
-        outputs = self._reports_per_thread_count(bundle, EXIT_NOT_PURE)
+        bundle = generate(tmp_path, name, "--depth", depth)
+        outputs = self._reports_per_thread_count(bundle, code)
         assert outputs[0] == outputs[1]
 
 
@@ -364,3 +425,12 @@ class TestSpectrum:
         top = lines[1].split(",")
         assert abs(float(top[2]) - 1.0) <= 1e-10
         assert top[3] == "true"
+
+    def test_tol_norm_is_not_a_spectrum_option(self, tmp_path, capsys):
+        # The CSV has no unit-norm column, so spectrum takes no --tol-norm.
+        bundle = generate(tmp_path, "constant")
+        assert main(["spectrum", str(bundle), "--tol-norm", "1e-6"]) == EXIT_USAGE
+        assert "--tol-norm" in capsys.readouterr().err
+        out = tmp_path / "classify.json"
+        args = ["classify", str(bundle), "--tol-norm", "1e-6", "--out", str(out)]
+        assert main(args) == EXIT_NOT_PURE

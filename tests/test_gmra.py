@@ -21,6 +21,8 @@ from gmrafilters import (
     ruelle_apply,
 )
 
+from helpers import random_scalar_filter
+
 
 def tower_stages(filt, depth):
     """The filter refined 1, ..., depth times.
@@ -116,6 +118,22 @@ class TestIntersectionReport:
         assert "power of 2" in rep.narrative
         assert "unit mass" in rep.narrative
         assert "fixed" in rep.narrative
+
+    def test_contraction_alone_makes_the_intersection_trivial(self):
+        filt = random_scalar_filter(np.random.default_rng(0), depth=4)
+        rep = intersection_report(filt)
+        assert rep.certificate is None
+        assert rep.verdict.status == PURE_CERTIFIED
+        bound = rep.verdict.contraction
+        assert bound is not None
+        assert rep.equivalence == {
+            "tail_intersection_nontrivial": "no",
+            "modulus_one_eigenvector": "ruled_out",
+            "consistent": True,
+        }
+        assert "contraction bound" in rep.narrative
+        assert f"{bound.rho_bound:.6g}" in rep.narrative
+        assert "zero" in rep.narrative
 
     def test_journe_family_intersection_is_trivial(self):
         filt = make_journe_family(derive_journe(0.1).params)

@@ -21,6 +21,7 @@ from gmrafilters import (
     certificate_eps,
     check_certificate,
     classify_purity,
+    contraction_certificate,
     derive_journe,
     filter_equation_residual,
     make_journe_step,
@@ -31,7 +32,7 @@ from gmrafilters import (
     search_certificate,
 )
 
-from gmrafilters.lowpass import MARGIN_ALLOWANCE
+from gmrafilters.lowpass import MARGIN_ALLOWANCE, _block_norms
 
 from helpers import (
     planted_filter,
@@ -315,8 +316,30 @@ class TestSearchCertificate:
                     rng = np.random.default_rng(seed)
                     filt, _ = planted_filter(rng, scale, depth, lam)
                     if search_certificate(filt) is not None:
-                        certified.append((scale, depth, seed))
+                        certified.append((scale, depth, seed, "block"))
+                    if contraction_certificate(filt) is not None:
+                        certified.append((scale, depth, seed, "contraction"))
         assert certified == []
+
+    def test_one_by_one_blocks_take_the_exact_modulus(self, monkeypatch):
+        two_channel = make_journe_step(depth=3)
+        cells = np.arange(two_channel.cells)
+        mats = np.transpose(two_channel.samples, (2, 0, 1))
+        smin, off = _block_norms(two_channel, 2, cells)
+        assert np.array_equal(smin, np.linalg.svd(mats, compute_uv=False)[:, -1])
+        assert np.all(off == 0.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 1 x 1 block went through the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        h = np.abs(two_channel.samples)
+        smin, off = _block_norms(two_channel, 1, cells)
+        assert np.array_equal(smin, h[0, 0])
+        assert np.array_equal(off, np.maximum(np.maximum(h[0, 1], h[1, 0]), h[1, 1]))
+        # a scalar filter's search takes no SVD at all
+        for filt in (make_haar(depth=8), make_shannon()):
+            assert search_certificate(filt) is not None
 
     def test_search_result_passes_rechecking(self):
         cert = search_certificate(make_haar())
@@ -402,7 +425,7 @@ class TestSoundness:
             cert = search_certificate(filt)
             verdict = classify_purity(filt, certificate=cert)
             assert verdict.status != "inconclusive", f"trial {k}"
-            if cert is not None:
+            if cert is not None or verdict.contraction is not None:
                 assert verdict.status == PURE_CERTIFIED, f"trial {k}"
             else:
                 assert verdict.status in (

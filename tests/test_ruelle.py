@@ -17,6 +17,7 @@ from gmrafilters import (
     VecField,
     assemble_transfer_matrix,
     classify_purity,
+    contraction_certificate,
     decay_probe,
     derive_journe,
     filter_equation_residual,
@@ -28,14 +29,23 @@ from gmrafilters import (
     make_shannon,
     martingale_sequence,
     random_vecfield,
+    refine,
     ruelle_apply,
     search_certificate,
     transfer_apply,
+    transfer_spectrum,
 )
 from gmrafilters.filters import FilterMatrix
-from gmrafilters.ruelle import DIM_CAP_ENV
+from gmrafilters.ruelle import (
+    CONTRACTION_MAX_STEPS,
+    DIM_CAP_ENV,
+    TOL_EIG,
+    UNIT_ROUNDOFF,
+    VERIFY_TOL,
+)
 
 from helpers import (
+    near_constant_filter,
     planted_filter,
     random_phase_copy,
     random_scalar_filter,
@@ -218,7 +228,7 @@ class TestTransferMatrix:
             nearest = min(remaining, key=lambda mu: abs(mu - lam))
             assert abs(nearest - lam) <= 1e-10
             remaining.remove(nearest)
-        spectrum = classify_purity(filt).diagnostics["spectrum"]
+        spectrum = transfer_spectrum(filt).eigenvalues
         assert len(spectrum) == tm.fine_dimension
         assert np.all(spectrum[tm.dimension :] == 0)
 
@@ -349,9 +359,12 @@ class TestClassification:
 
     @pytest.mark.parametrize("depth", [4, 5, 6])
     def test_haar_verdict_is_stable_across_resolutions(self, depth):
+        # No block certificate is passed in: the contraction bound alone
+        # certifies haar at every depth.
         filt = make_haar(depth=depth)
         verdict = classify_purity(filt)
-        assert verdict.status == PURE_AT_RESOLUTION
+        assert verdict.status == PURE_CERTIFIED
+        assert verdict.contraction is not None
         assert not verdict.eigenpairs
         assert verdict.resolution == filt.grid
 
@@ -369,16 +382,25 @@ class TestClassification:
         assert verdict.diagnostics["anomalies"]
 
     def test_diagnostics_carry_the_spectrum_and_flags(self):
-        verdict = classify_purity(make_constant(depth=3))
-        diag = verdict.diagnostics
-        assert diag["dimension"] == 8
-        assert len(diag["spectrum"]) == 8
-        spectrum = diag["spectrum"]
-        keys = [(-abs(z), -z.real, -z.imag) for z in spectrum.tolist()]
+        filt = make_constant(depth=3)
+        spectrum = transfer_spectrum(filt)
+        assert spectrum.fine_dimension == 8
+        assert len(spectrum.eigenvalues) == 8
+        keys = [(-abs(z), -z.real, -z.imag) for z in spectrum.eigenvalues.tolist()]
         assert keys == sorted(keys)
-        assert spectrum[0] == pytest.approx(1.0, abs=1e-12)
-        assert diag["passing_flags"][0]
-        assert diag["passing_flags"].sum() == 1
+        assert spectrum.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
+        assert spectrum.passing_flags[0]
+        assert spectrum.passing_flags.sum() == 1
+        assert [row for row, _ in spectrum.candidates] == [0]
+        pair = spectrum.candidates[0][1]
+        assert pair.eigenvalue == pytest.approx(1.0, abs=1e-12)
+        assert pair.residual <= 1e-12
+        assert pair.unit_norm_ok
+        verdict = classify_purity(filt)
+        diag = verdict.diagnostics
+        assert "spectrum" not in diag
+        assert diag["dimension"] == 8
+        assert np.array_equal(diag["passing_flags"], spectrum.passing_flags)
         assert diag["candidates_tested"][0]["passed"]
 
     def test_constant_eigenvector_martingale_is_flat(self):
@@ -389,6 +411,219 @@ class TestClassification:
 
 
 PLANTED_LAMBDA = np.exp(2j * np.pi * 0.3)
+
+
+def journe_at(depth):
+    return make_journe_family(derive_journe(0.1, grid=GridSpec(2, 56, depth)).params)
+
+
+def dense_majorant_bound(filt, steps):
+    """sqrt(||A^k||_1 ||A^k||_inf) for A = |K|, from the dense matrix."""
+    a = np.abs(assemble_transfer_matrix(filt).matrix)
+    power = np.linalg.matrix_power(a, steps)
+    return math.sqrt(power.sum(axis=0).max() * power.sum(axis=1).max())
+
+
+def unimodular_eigenvalues(filt):
+    """K's eigenvalues within 1e-8 of the unit circle, in a canonical order."""
+    eigenvalues = np.linalg.eigvals(assemble_transfer_matrix(filt).matrix)
+    near = eigenvalues[np.abs(np.abs(eigenvalues) - 1.0) <= 1e-8]
+    return near[np.lexsort((near.imag, near.real))]
+
+
+# Every bundled generator at its default depth and at the depths the
+# benchmark runs, and the random filters the contraction bound settles.
+CERTIFIED_BY_CONTRACTION = [
+    ("haar", lambda: make_haar()),
+    ("haar_10", lambda: make_haar(depth=10)),
+    ("haar_16", lambda: make_haar(depth=16)),
+    ("shannon", lambda: make_shannon()),
+    ("shannon_14", lambda: make_shannon(depth=14)),
+    ("journe_step", lambda: make_journe_step()),
+    ("journe_step_half_turn", lambda: make_journe_step(half_turn_phases=True)),
+    ("journe", lambda: journe_at(2)),
+    ("journe_5", lambda: journe_at(5)),
+    ("journe_9", lambda: journe_at(9)),
+] + [
+    (
+        f"random_seed{seed}_depth{depth}",
+        lambda seed=seed, depth=depth: random_scalar_filter(
+            np.random.default_rng(seed), depth=depth
+        ),
+    )
+    for seed in range(6)
+    for depth in (4, 8)
+]
+
+
+class TestContraction:
+    @pytest.mark.parametrize(
+        "name, build",
+        CERTIFIED_BY_CONTRACTION,
+        ids=[n for n, _ in CERTIFIED_BY_CONTRACTION],
+    )
+    def test_certified_filters_build_no_matrix(self, name, build, monkeypatch):
+        filt = build()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense path ran")
+
+        monkeypatch.setattr("gmrafilters.ruelle.assemble_transfer_matrix", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        verdict = classify_purity(filt)
+        assert verdict.status == PURE_CERTIFIED
+        assert verdict.contraction is not None
+        assert verdict.contraction.bound * (1 + verdict.contraction.allowance) < 1
+        assert verdict.contraction.rho_bound < 1 - TOL_EIG
+        diag = verdict.diagnostics
+        assert len(diag["passing_flags"]) == 0
+        assert diag["candidates_tested"] == []
+        assert diag["eigensolve_s"] == 0.0
+        assert diag["dimension"] == int(np.array(filt.sigma_masks()).sum())
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            make_haar,
+            make_shannon,
+            make_journe_step,
+            journe_filter,
+            journe_step_phase_copy,
+        ],
+    )
+    def test_bound_matches_the_dense_majorant(self, make):
+        filt = make()
+        found = contraction_certificate(filt)
+        assert found is not None
+        assert found.bound == pytest.approx(
+            dense_majorant_bound(filt, found.steps), rel=1e-13
+        )
+        assert found.allowance == (
+            found.steps * (filt.count * filt.scale + 3) + 2
+        ) * UNIT_ROUNDOFF
+        if found.steps > 1:
+            # the least power: one step fewer does not certify
+            assert dense_majorant_bound(filt, found.steps - 1) >= 1 - 1e-12
+
+    def test_rho_bound_covers_the_spectrum(self):
+        rng = np.random.default_rng(21)
+        filters = [
+            build(depth)
+            for build in (make_haar, make_shannon, make_journe_step, journe_at)
+            for depth in (1, 2, 3, 4)
+        ]
+        filters += [
+            random_scalar_filter(rng, depth=d) for d in (2, 4, 6) for _ in range(8)
+        ]
+        filters += [random_phase_copy(make_journe_step(), rng) for _ in range(4)]
+        certified = 0
+        for filt in filters:
+            found = contraction_certificate(filt)
+            if found is None:
+                continue
+            certified += 1
+            rho = np.abs(np.linalg.eigvals(assemble_transfer_matrix(filt).matrix)).max()
+            assert rho <= found.rho_bound < 1 - TOL_EIG
+        assert certified == len(filters)
+
+    def test_unimodular_spectrum_is_the_same_after_refinement(self):
+        # The lemma behind the certificate: every modulus-one eigenvector
+        # is a step field on the coarse grid, so refining the filter adds
+        # no unimodular eigenvalue to K and loses none.
+        rng = np.random.default_rng(8)
+        filters = [
+            random_scalar_filter(rng, depth=d) for d in (2, 3, 4) for _ in range(3)
+        ]
+        filters += [random_phase_copy(make_journe_step(), rng) for _ in range(2)]
+        filters += [make_constant(depth=2, scale=3), near_constant_filter(rng)]
+        for scale in (2, 3):
+            for lam in (1.0, PLANTED_LAMBDA):
+                filters.append(planted_filter(rng, scale, 2, lam)[0])
+        seen = 0
+        for filt in filters:
+            coarse = unimodular_eigenvalues(filt)
+            fine = unimodular_eigenvalues(refine(filt))
+            assert len(coarse) == len(fine)
+            assert np.abs(coarse - fine).max(initial=0.0) <= 1e-9
+            seen += len(coarse)
+        assert seen >= 5
+
+    def test_rounding_allowance_refuses_a_bound_just_below_one(self):
+        # |H| is lo or hi on a pattern that puts one of each in every row
+        # and every column of |K|, so A 1 = A^T 1 = (lo + hi)/2 exactly:
+        # 1 - 5u, between 1 - allowance and 1 - allowance/2 at one step
+        # (k (c N + 3) + 2 = 7).  The bound is below 1, but not by more
+        # than rounding could explain, even with no tolerance margin.
+        grid = GridSpec(2, 1, 4)
+        cell = np.arange(grid.cells)
+        lo, hi = 1 - 2.0**-20, 1 + 2.0**-20 - 10 * UNIT_ROUNDOFF
+        pattern = (cell % 2 == 0) == (cell < grid.cells // 2)
+        samples = np.where(pattern, lo, hi).astype(np.complex128)
+        filt = FilterMatrix(2, SigmaChain.full_circle(1), grid, samples[None, None])
+        assert filter_equation_residual(filt).max_abs_residual <= 1e-10
+        allowance = 7 * UNIT_ROUNDOFF
+        bound = dense_majorant_bound(filt, 1)
+        assert bound == 1 - 5 * UNIT_ROUNDOFF
+        assert allowance / 2 < 1 - bound < allowance
+        assert contraction_certificate(filt, tol_eig=0.0) is None
+        assert contraction_certificate(filt) is None
+        assert classify_purity(filt).contraction is None
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    @pytest.mark.parametrize("scale", [2, 3, 4])
+    def test_bound_within_tol_eig_of_one_is_left_to_the_dense_path(
+        self, scale, seed
+    ):
+        # Scaling a planted non-pure filter by 1 - 1e-11 keeps it within
+        # the verification gate and makes every row and column sum of |K|
+        # 1 - 1e-11: a bound below 1, but the planted eigenvalue is within
+        # tol_eig of the circle, so the dense path, not the bound, decides.
+        filt, _ = planted_filter(
+            np.random.default_rng(seed), scale, 3, PLANTED_LAMBDA
+        )
+        shrunk = FilterMatrix(
+            filt.scale, filt.chain, filt.grid, filt.samples * (1 - 1e-11)
+        )
+        assert filter_equation_residual(shrunk).max_abs_residual <= VERIFY_TOL
+        assert dense_majorant_bound(shrunk, 1) < 1
+        assert contraction_certificate(shrunk, tol_eig=0.0) is not None
+        assert contraction_certificate(shrunk) is None
+        verdict = classify_purity(shrunk)
+        assert verdict.status == NOT_PURE_CERTIFIED
+        assert verdict.contraction is None
+        assert abs(verdict.eigenpairs[0].eigenvalue - PLANTED_LAMBDA) <= 1e-10
+        assert transfer_spectrum(shrunk).passing_flags.sum() == 1
+
+    @pytest.mark.parametrize("tol_eig", [-1e-8, 1.0, 2.0, float("nan")])
+    def test_tolerance_outside_the_unit_interval_is_never_certified(self, tol_eig):
+        assert contraction_certificate(make_haar(), tol_eig=tol_eig) is None
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), complex(0, float("nan"))]
+    )
+    @pytest.mark.parametrize("make", [make_haar, make_journe_step])
+    def test_non_finite_sample_is_never_certified(self, make, value):
+        bad = with_sample(make(), 0, 0, 1, value)
+        assert contraction_certificate(bad) is None
+
+    def test_non_pure_filters_are_not_certified(self):
+        assert contraction_certificate(make_constant()) is None
+        assert contraction_certificate(make_constant(depth=3, scale=3)) is None
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for scale in (2, 3, 4):
+                filt, _ = planted_filter(rng, scale, 3, PLANTED_LAMBDA)
+                assert contraction_certificate(filt) is None
+
+    def test_the_undecided_filter_defeats_the_bound_but_not_the_spectrum(self):
+        filt = near_constant_filter(np.random.default_rng(0))
+        assert contraction_certificate(filt) is None
+        assert dense_majorant_bound(filt, CONTRACTION_MAX_STEPS) > 1
+        rho = np.abs(np.linalg.eigvals(assemble_transfer_matrix(filt).matrix)).max()
+        assert rho < 0.9
+        verdict = classify_purity(filt, certificate=search_certificate(filt))
+        assert verdict.status == PURE_AT_RESOLUTION
 
 
 class TestPlantedFilters:
