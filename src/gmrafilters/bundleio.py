@@ -6,10 +6,20 @@ every entry's samples as decimal strings that round-trip to the stored
 floats.  Emission is canonical (sorted keys, fixed ordering of entries,
 trailing newline) so that parse followed by emit reproduces the original
 text byte for byte.
+
+Both directions work on whole sample arrays.  Emission is text-level:
+the samples are written straight from the array in canonical_json's
+layout and spliced into canonical_json of the rest, so the text equals
+canonical_json of the bundle object with every sample as its
+``[repr(re), repr(im)]`` pair.  Parsing checks an entry's pairs in one
+sweep and decodes all its strings with ``float`` into the float64 view
+of the samples; only a malformed entry is walked sample by sample, to
+name its first bad sample.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Any, Optional
@@ -38,21 +48,29 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def bundle_dict(
-    filt: FilterMatrix, provenance: Optional[dict] = None
-) -> dict:
-    entries = []
-    for i in range(filt.count):
-        for j in range(filt.count):
-            entries.append(
-                {
-                    "row": i,
-                    "col": j,
-                    "samples": [
-                        complex_pair(z) for z in filt.samples[i, j]
-                    ],
-                }
-            )
+# How canonical_json lays out one entry's list of [re, im] pairs: the
+# pairs at 8 spaces, their strings at 10 and the closing bracket at 6.
+_SAMPLES_OPEN = '"samples": [\n        [\n          "'
+_RE_IM = '",\n          "'
+_NEXT_PAIR = '"\n        ],\n        [\n          "'
+_SAMPLES_CLOSE = '"\n        ]\n      ]'
+_NO_SAMPLES = '"samples": []'
+
+
+def _samples_text(row: np.ndarray) -> str:
+    """``"samples": [...]`` for one entry, as canonical_json writes it."""
+    pairs = zip(map(repr, row.real.tolist()), map(repr, row.imag.tolist()))
+    return _SAMPLES_OPEN + _NEXT_PAIR.join(map(_RE_IM.join, pairs)) + _SAMPLES_CLOSE
+
+
+def emit_bundle(filt: FilterMatrix, provenance: Optional[dict] = None) -> str:
+    """The bundle text: canonical_json of the bundle object, samples included.
+
+    Everything but the samples goes through canonical_json with each
+    entry's samples left empty; each entry's sample text is then written
+    straight from the array and spliced in where its empty list stands.
+    """
+    count = filt.count
     out = {
         "format_version": FORMAT_VERSION,
         "kind": KIND,
@@ -63,15 +81,21 @@ def bundle_dict(
             [[rat_str(a), rat_str(b)] for a, b in s.parts]
             for s in filt.chain.sigmas
         ],
-        "entries": entries,
+        "entries": [
+            {"row": i, "col": j, "samples": []}
+            for i in range(count)
+            for j in range(count)
+        ],
     }
     if provenance:
         out["provenance"] = provenance
-    return out
-
-
-def emit_bundle(filt: FilterMatrix, provenance: Optional[dict] = None) -> str:
-    return canonical_json(bundle_dict(filt, provenance))
+    # Only the integers "base" and "depth" sort before "entries", so the
+    # first count**2 empty sample lists are the entries', in order.
+    pieces = canonical_json(out).split(_NO_SAMPLES, count * count)
+    text = [pieces[0]]
+    for row, piece in zip(filt.samples.reshape(count * count, -1), pieces[1:]):
+        text += (_samples_text(row), piece)
+    return "".join(text)
 
 
 def _need(obj: dict, key: str, kind: type) -> Any:
@@ -103,6 +127,35 @@ def _parse_float(text: Any, where: str) -> float:
         return float(text)
     except ValueError as exc:
         raise BundleFormatError(f"{where}: bad decimal {text!r}") from exc
+
+
+def _decode_samples(raw: list, out: np.ndarray, entry: str) -> None:
+    """Write one entry's [re, im] decimal strings into ``out``.
+
+    The real and imaginary parts go through the float64 view, never
+    through complex arithmetic, so -0.0 and infinities keep their bits.
+    Malformed input names its first bad sample.
+    """
+    if all(
+        type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
+        for p in raw
+    ):
+        try:
+            out.view(np.float64)[:] = np.fromiter(
+                map(float, itertools.chain.from_iterable(raw)),
+                dtype=np.float64,
+                count=2 * len(raw),
+            )
+            return
+        except ValueError:
+            pass
+    for t, pair in enumerate(raw):
+        where = f"{entry} sample {t}"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise BundleFormatError(f"{where}: expected [re, im]")
+        _parse_float(pair[0], where)
+        _parse_float(pair[1], where)
+    raise AssertionError(f"{entry}: samples refused without a bad sample")
 
 
 def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
@@ -184,13 +237,7 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
         checked[i, j] = raw
     samples = np.zeros((count, count, cells), dtype=np.complex128)
     for (i, j), raw in checked.items():
-        for t, pair in enumerate(raw):
-            where = f"entry ({i}, {j}) sample {t}"
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise BundleFormatError(f"{where}: expected [re, im]")
-            samples[i, j, t] = complex(
-                _parse_float(pair[0], where), _parse_float(pair[1], where)
-            )
+        _decode_samples(raw, samples[i, j], f"entry ({i}, {j})")
     try:
         filt = FilterMatrix(scale, chain, grid, samples)
     except GmraFilterError as exc:
