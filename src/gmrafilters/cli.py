@@ -7,14 +7,16 @@ that two runs on the same input differ at most there.
 
 Exit codes: 0 success (for classify, a certified pure verdict), 1
 verification failure, 2 usage or parse problems (including a grid too
-large to allocate), 3 a certified non-pure verdict, 4 a verdict that is
-neither certified outcome.  Every exit 2 after argument parsing prints
-one ``gmrafilters: ...`` line on stderr.
+large to allocate, and a tolerance or count out of range), 3 a certified
+non-pure verdict, 4 a verdict that is neither certified outcome.  Every
+exit 2 after argument parsing prints one ``gmrafilters: ...`` line on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Optional
@@ -227,7 +229,7 @@ def cmd_classify(args) -> int:
         verify_tol=args.verify_tol,
     )
     verdict = rep.verdict
-    diag = verdict.diagnostics
+    spectrum = verdict.spectrum
     cert = rep.certificate
     report = {
         "command": "classify",
@@ -243,7 +245,7 @@ def cmd_classify(args) -> int:
         "filter_equation": section,
         "purity": {
             "status": verdict.status,
-            "dimension": diag["dimension"],
+            "dimension": verdict.dimension,
             "eigenpairs": [
                 {
                     "eigenvalue": complex_pair(p.eigenvalue),
@@ -256,14 +258,14 @@ def cmd_classify(args) -> int:
             ],
             "candidates_tested": [
                 {
-                    "eigenvalue": complex_pair(c["eigenvalue"]),
-                    "residual": float_str(c["residual"]),
-                    "passed": c["passed"],
+                    "eigenvalue": complex_pair(p.eigenvalue),
+                    "residual": float_str(p.residual),
+                    "passed": bool(spectrum.passing_flags[row]),
                 }
-                for c in diag["candidates_tested"]
+                for row, p in (() if spectrum is None else spectrum.candidates)
             ],
-            "anomalies": list(diag["anomalies"]),
-            "decay_probe": [float_str(x) for x in diag["decay_probe"]],
+            "anomalies": list(verdict.anomalies),
+            "decay_probe": [float_str(x) for x in verdict.decay_probe],
             "contraction": None
             if verdict.contraction is None
             else {
@@ -291,14 +293,14 @@ def cmd_classify(args) -> int:
         },
         "provenance": provenance,
         "timings": {
-            "contraction_s": diag["contraction_s"],
-            "eigensolve_s": diag["eigensolve_s"],
+            "contraction_s": verdict.contraction_s,
+            "eigensolve_s": 0.0 if spectrum is None else spectrum.eigensolve_s,
             "total_s": time.perf_counter() - t0,
         },
     }
-    if "martingale_max_dev" in diag:
+    if verdict.martingale_max_dev is not None:
         report["purity"]["martingale_max_dev"] = [
-            float_str(x) for x in diag["martingale_max_dev"]
+            float_str(x) for x in verdict.martingale_max_dev
         ]
     _write_text(args.out, canonical_json(report))
     if verdict.status == PURE_CERTIFIED:
@@ -328,10 +330,37 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite number >= 0, so NaN, inf and negatives exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        message = f"must be an integer >= {low}, got {text!r}"
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(message) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
+
+
 def _add_spectrum_tolerances(sub) -> None:
-    sub.add_argument("--tol-eig", type=float, default=TOL_EIG)
-    sub.add_argument("--tol-res", type=float, default=TOL_RES)
-    sub.add_argument("--verify-tol", type=float, default=VERIFY_TOL)
+    sub.add_argument("--tol-eig", type=_tolerance, default=TOL_EIG)
+    sub.add_argument("--tol-res", type=_tolerance, default=TOL_RES)
+    sub.add_argument("--verify-tol", type=_tolerance, default=VERIFY_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,17 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check the defining identities")
     ver.add_argument("bundle")
-    ver.add_argument("--tol", type=float, default=VERIFY_TOL)
-    ver.add_argument("--nmax", type=int, default=3, help="highest identity order")
-    ver.add_argument("--trials", type=int, default=20)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--tol", type=_tolerance, default=VERIFY_TOL)
+    ver.add_argument(
+        "--nmax", type=_int_at_least(0), default=3, help="highest identity order"
+    )
+    ver.add_argument("--trials", type=_int_at_least(1), default=20)
+    ver.add_argument("--seed", type=_int_at_least(0), default=0)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 
     cls = sub.add_parser("classify", help="purity verdict with certificate search")
     cls.add_argument("bundle")
     _add_spectrum_tolerances(cls)
-    cls.add_argument("--tol-norm", type=float, default=TOL_NORM)
+    cls.add_argument("--tol-norm", type=_tolerance, default=TOL_NORM)
     cls.add_argument("--out", default=None)
     cls.set_defaults(func=cmd_classify)
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .filters import FilterMatrix
 from .lowpass import Certificate, search_certificate
 from .ruelle import (
@@ -58,16 +56,6 @@ _CAUTION = (
 )
 
 
-def _is_unimodular_constant(pair) -> bool:
-    if abs(pair.eigenvalue - 1.0) > 1e-6:
-        return False
-    vals = pair.fld.values
-    mask = np.abs(vals) > 1e-12
-    if not np.any(mask):
-        return False
-    return float(np.abs(vals[mask] - vals[mask].flat[0]).max()) <= 1e-8
-
-
 def intersection_report(
     filt: FilterMatrix,
     tol_eig: float = TOL_EIG,
@@ -83,7 +71,8 @@ def intersection_report(
     what the run established for each side and whether the two findings
     are consistent.  A ``pure_certified`` verdict is narrated through the
     block certificate when the search found one, and otherwise through
-    the verdict's contraction bound.
+    the verdict's contraction bound; a non-pure one adds a concrete model
+    when ``classify_purity`` sharpened a pair to (1, chi).
     """
     certificate = search_certificate(filt)
     verdict = classify_purity(
@@ -108,7 +97,7 @@ def intersection_report(
             "averaging, so a nonzero field is shared by every level of the "
             "tower and the common intersection is nontrivial."
         ]
-        if any(_is_unimodular_constant(p) for p in verdict.eigenpairs):
+        if verdict.sharpened_to_exact:
             n = filt.scale
             lines.append(
                 "A concrete model fits this case.  Take square-summable "

@@ -27,14 +27,16 @@ spectrum), is solved eigenvalues only, in real arithmetic when K is
 real; eigenvectors are taken, from one SVD per distinct eigenvalue, only
 for the eigenvalues near the unit circle, the only ones the dichotomy
 can use.  Those are re-tested directly against the eigenvector
-relation, and every verdict records the resolution it was reached at.
+relation, and every verdict, a typed ``PurityVerdict``, records the
+resolution it was reached at and the one piece of evidence that decided.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -85,6 +87,8 @@ DIM_CAP_ENV = "GMRAFILTERS_DIM_CAP"
 CONTRACTION_MAX_STEPS = 64
 # Unit roundoff of float64, the u of the rounding allowance.
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+# The highest kernel order the martingale diagnostic checks.
+MARTINGALE_MAX_ORDER = 3
 
 
 def _dim_cap() -> int:
@@ -296,9 +300,9 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     )
 
 
-# Contraction and TransferSpectrum are named tuples, not dataclasses:
-# every CLI call imports this module, and a named tuple class costs a
-# fraction of a dataclass's creation time.
+# Contraction, TransferSpectrum and PurityVerdict are named tuples, not
+# dataclasses: every CLI call imports this module, and a named tuple
+# class costs a fraction of a dataclass's creation time.
 class Contraction(NamedTuple):
     """A matrix-free proof that rho(K) < 1 - tol_eig, and so that S_H is pure.
 
@@ -375,15 +379,6 @@ class EigenPair:
     residual: float
     unit_norm_dev: float
     unit_norm_ok: bool
-
-
-@dataclass(frozen=True, eq=False)
-class PurityVerdict:
-    status: str
-    eigenpairs: tuple[EigenPair, ...]
-    resolution: GridSpec
-    contraction: Optional[Contraction] = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _candidate_vectors(
@@ -531,6 +526,42 @@ def transfer_spectrum(
     )
 
 
+class PurityVerdict(NamedTuple):
+    """A purity verdict and its evidence, each piece recorded once.
+
+    Exactly one of ``contraction`` and ``spectrum`` is set, by whichever
+    decided; ``dimension`` is the fine step space's.  ``decay_probe``
+    holds the norms of six adjoint averagings of the unit constant field
+    and ``martingale_max_dev`` (None with no accepted pair) the largest
+    deviation from ||f||^2 of each martingale order for the first pair.
+    """
+
+    status: str
+    eigenpairs: tuple[EigenPair, ...]
+    resolution: GridSpec
+    dimension: int
+    decay_probe: list[float]
+    contraction_s: float
+    contraction: Optional[Contraction] = None
+    spectrum: Optional[TransferSpectrum] = None
+    sharpened_to_exact: int = 0
+    anomalies: tuple[str, ...] = ()
+    martingale_max_dev: Optional[list[float]] = None
+
+    @property
+    def diagnostics(self) -> MappingProxyType:
+        """Read-only ``passing_flags`` and ``candidates_tested`` of ``spectrum``.
+
+        Both are empty when the bound decided.  The only readers are
+        ``clibench/spans.py::_count_classify`` and criterion 04 of
+        ``tests/test_acceptance.py``.
+        """
+        flags, tested = np.zeros(0, dtype=bool), ()
+        if self.spectrum is not None:
+            flags, tested = self.spectrum.passing_flags, self.spectrum.candidates
+        return MappingProxyType({"passing_flags": flags, "candidates_tested": tested})
+
+
 def _sharpened_exact_pair(
     filt: FilterMatrix, pair: EigenPair, tol_eig: float, tol_norm: float
 ) -> Optional[EigenPair]:
@@ -554,13 +585,10 @@ def _sharpened_exact_pair(
     return EigenPair(1.0 + 0.0j, exact, residual, dev, dev <= tol_norm)
 
 
-def _max_martingale_order(grid: GridSpec, cap: int = 3) -> int:
-    order = 0
-    m = grid.cells
-    while order < cap and m % grid.scale == 0:
-        m //= grid.scale
-        order += 1
-    return order
+def _max_martingale_order(grid: GridSpec) -> int:
+    """The highest order, up to ``MARTINGALE_MAX_ORDER``, the grid resolves."""
+    orders = range(MARTINGALE_MAX_ORDER + 1)
+    return max(n for n in orders if grid.cells % grid.scale**n == 0)
 
 
 def classify_purity(
@@ -575,29 +603,25 @@ def classify_purity(
 
     ``contraction_certificate`` runs first.  When it proves rho(K) < 1
     the verdict is ``pure_certified`` at once, with the proof in
-    ``verdict.contraction``: no matrix is built, no eigenvalue solved and
-    the dimension cap never consulted.  Otherwise ``transfer_spectrum``
-    solves K densely and re-tests its unit-circle candidates.  An
+    ``verdict.contraction`` and ``verdict.spectrum`` None: no matrix is
+    built, no eigenvalue solved and the dimension cap never consulted.
+    Otherwise ``transfer_spectrum`` solves K densely and re-tests its
+    unit-circle candidates, and the verdict keeps that spectrum.  An
     accepted pair lying within tolerance of the closed form (1, chi) is
     re-tested in exact arithmetic and replaced by that form when the
     substitution does at least as well, which is what makes the flagship
-    non-pure example come out exact rather than merely small.  Accepted
-    pairs are then checked against the structural consequence that
-    ||f(cell)|| = 1 wherever the multiplicity is positive; a failure
-    there does not revoke the pair but is flagged as an anomaly.
+    non-pure example come out exact rather than merely small; such pairs
+    are counted in ``sharpened_to_exact``.  Accepted pairs are then
+    checked against the structural consequence that ||f(cell)|| = 1
+    wherever the multiplicity is positive; a failure there does not
+    revoke the pair but is recorded in ``anomalies``.
 
     Any accepted pair yields ``not_pure_certified``.  With none, the
     verdict is ``pure_at_resolution``, upgraded to ``pure_certified``
     when the caller supplies a block certificate.  A certificate together
     with an accepted pair is contradictory and comes back
     ``inconclusive`` with an anomaly, since sound inputs cannot produce
-    both.  ``diagnostics["passing_flags"]`` marks, row for row of the
-    dense spectrum, the accepted eigenvalues, and
-    ``diagnostics["candidates_tested"]`` lists every candidate; both are
-    empty when the contraction bound settles the verdict.
-    ``diagnostics["eigensolve_s"]`` and ``diagnostics["contraction_s"]``
-    are the wall times of the dense solve (0.0 when skipped) and of the
-    contraction bound.
+    both.
     """
     pre = filter_equation_residual(filt)
     # Written so that a NaN residual fails closed.
@@ -609,34 +633,21 @@ def classify_purity(
     start = time.perf_counter()
     contraction = contraction_certificate(filt, tol_eig=tol_eig)
     contraction_s = time.perf_counter() - start
-    diagnostics = {
-        "passing_flags": np.zeros(0, dtype=bool),
-        "candidates_tested": [],
-        "sharpened_to_exact": 0,
-        "anomalies": [],
-        "decay_probe": decay_probe(
-            filt, _unit(VecField.ones(filt.chain, filt.grid)), 6
-        ),
-        "eigensolve_s": 0.0,
-        "contraction_s": contraction_s,
-    }
+    probe = decay_probe(filt, _unit(VecField.ones(filt.chain, filt.grid)), 6)
     if contraction is not None:
-        diagnostics["dimension"] = len(_fine_coordinates(filt))
-        return PurityVerdict(PURE_CERTIFIED, (), filt.grid, contraction, diagnostics)
+        dimension = len(_fine_coordinates(filt))
+        return PurityVerdict(
+            PURE_CERTIFIED, (), filt.grid, dimension, probe, contraction_s, contraction
+        )
 
     spectrum = transfer_spectrum(
         filt, tol_eig=tol_eig, tol_res=tol_res, tol_norm=tol_norm
     )
-    flags = spectrum.passing_flags
-    tested = [
-        {"eigenvalue": p.eigenvalue, "residual": p.residual, "passed": bool(flags[k])}
-        for k, p in spectrum.candidates
-    ]
     anomalies: list[str] = []
     pairs: list[EigenPair] = []
     sharpened = 0
     for row, pair in spectrum.candidates:
-        if not flags[row]:
+        if not spectrum.passing_flags[row]:
             continue
         if not pair.unit_norm_ok:
             anomalies.append(
@@ -662,22 +673,18 @@ def classify_purity(
     else:
         status = PURE_AT_RESOLUTION
 
-    diagnostics.update(
-        dimension=spectrum.fine_dimension,
-        passing_flags=flags,
-        candidates_tested=tested,
-        sharpened_to_exact=sharpened,
-        anomalies=anomalies,
-        eigensolve_s=spectrum.eigensolve_s,
-    )
+    martingale_max_dev = None
     if pairs:
         f = pairs[0].fld
-        n_max = _max_martingale_order(f.grid)
-        seq = martingale_sequence(f, f, filt.scale, n_max)
-        diagnostics["martingale_max_dev"] = [
+        seq = martingale_sequence(f, f, filt.scale, _max_martingale_order(f.grid))
+        martingale_max_dev = [
             float(np.abs(x.samples - f.norm() ** 2).max()) for x in seq
         ]
-    return PurityVerdict(status, tuple(pairs), filt.grid, None, diagnostics)
+    return PurityVerdict(
+        status, tuple(pairs), filt.grid, spectrum.fine_dimension, probe, contraction_s,
+        spectrum=spectrum, sharpened_to_exact=sharpened, anomalies=tuple(anomalies),
+        martingale_max_dev=martingale_max_dev,
+    )
 
 
 def martingale_sequence(

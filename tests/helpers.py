@@ -51,6 +51,32 @@ def planted_filter(
     return filt, VecField(chain, grid.coarser(), f[None])
 
 
+def planted_unitary_filter(
+    rng: np.random.Generator, scale: int, depth: int, lam: complex
+) -> tuple[FilterMatrix, tuple[VecField, VecField]]:
+    """A non-pure two-channel filter with a known eigenspace, and its basis.
+
+    W is a random unitary step field on the coarse grid, the Q of a QR
+    factorization of a complex Gaussian per cell, and the filter has
+    H^T(s) = lam W(s // N) W(s mod M/N)^*, so that, as for
+    ``planted_filter``, every column w_k of W satisfies S_H w_k = lam w_k
+    exactly.  The chain is the two-member full circle; every sample
+    matrix is unitary, so each coset sum is N I.  Returns the filter and
+    the two columns of W, orthonormal fields of unit norm.
+    """
+    grid = GridSpec(scale, 1, depth)
+    m = grid.cells
+    mp = m // scale
+    gauss = rng.standard_normal((mp, 2, 2)) + 1j * rng.standard_normal((mp, 2, 2))
+    w = np.linalg.qr(gauss)[0]
+    s = np.arange(m)
+    transposed = lam * np.einsum("sik,sjk->sij", w[s // scale], np.conj(w[s % mp]))
+    chain = SigmaChain.full_circle(2)
+    filt = FilterMatrix(scale, chain, grid, transposed.transpose(2, 1, 0))
+    columns = tuple(VecField(chain, grid.coarser(), w[:, :, k].T) for k in range(2))
+    return filt, columns
+
+
 def random_phase_copy(filt: FilterMatrix, rng: np.random.Generator) -> FilterMatrix:
     """Multiply every sample by an independent unit phase.
 

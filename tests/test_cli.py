@@ -434,3 +434,50 @@ class TestSpectrum:
         out = tmp_path / "classify.json"
         args = ["classify", str(bundle), "--tol-norm", "1e-6", "--out", str(out)]
         assert main(args) == EXIT_NOT_PURE
+
+
+class TestNumericFlags:
+    # Each once failed open: classify on the constant filter with
+    # --tol-res nan, --tol-eig nan or --tol-eig -1 exited 4 with
+    # pure_at_resolution, and verify with --trials -3 --nmax -2 exited 0
+    # having checked nothing; verify --seed -1 ended in a traceback and
+    # exit 1, the code of a failed verification.
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("verify", "--tol", "nan"),
+            ("verify", "--tol", "-1e-10"),
+            ("verify", "--trials", "-3"),
+            ("verify", "--trials", "0"),
+            ("verify", "--nmax", "-2"),
+            ("verify", "--seed", "-1"),
+            ("classify", "--tol-eig", "nan"),
+            ("classify", "--tol-eig", "-1"),
+            ("classify", "--tol-res", "nan"),
+            ("classify", "--tol-norm", "inf"),
+            ("classify", "--verify-tol", "-inf"),
+            ("spectrum", "--tol-eig", "inf"),
+            ("spectrum", "--tol-res", "-1"),
+            ("spectrum", "--verify-tol", "nan"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        bundle = generate(tmp_path, "constant")
+        out = tmp_path / "report.out"
+        assert main([command, str(bundle), flag, value, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err
+        assert not out.exists()
+
+    def test_boundary_values_are_accepted(self, tmp_path):
+        bundle = generate(tmp_path, "constant")
+        out = tmp_path / "report.json"
+        args = ["verify", str(bundle), "--trials", "1", "--nmax", "0", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        report = report_of(out)
+        assert report["generalized_equation"] == []
+        assert report["isometry"]["trials"] == 1
+        args = ["classify", str(bundle), "--tol-norm", "0", "--out", str(out)]
+        assert main(args) == EXIT_NOT_PURE
+        assert report_of(out)["tolerances"]["tol_norm"] == "0.0"

@@ -21,7 +21,9 @@ from gmrafilters import (
     ruelle_apply,
 )
 
-from helpers import random_scalar_filter
+from helpers import planted_filter, planted_unitary_filter, random_scalar_filter
+
+PLANTED_LAMBDA = np.exp(2j * np.pi * 0.3)
 
 
 def tower_stages(filt, depth):
@@ -146,3 +148,31 @@ class TestIntersectionReport:
             rep = intersection_report(filt)
             assert "No dimension" in rep.dimension_caution
             assert "infinite dimensional" in rep.dimension_caution
+
+
+class TestConcreteModel:
+    """The sequence-space model is narrated only for the pair (1, chi)."""
+
+    @pytest.mark.parametrize("scale", [2, 3])
+    def test_constant_filter_gets_the_model(self, scale):
+        rep = intersection_report(make_constant(scale=scale))
+        assert rep.verdict.status == NOT_PURE_CERTIFIED
+        assert "square-summable" in rep.narrative
+        assert f"power of {scale};" in rep.narrative
+        assert "unit mass" in rep.narrative
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: planted_filter(rng, 2, 4, PLANTED_LAMBDA)[0],
+            # Eigenvalue 1, but a field of varying phase.
+            lambda rng: planted_filter(rng, 2, 4, 1.0)[0],
+            lambda rng: planted_unitary_filter(rng, 2, 3, PLANTED_LAMBDA)[0],
+        ],
+        ids=["planted", "planted_lambda_1", "planted_two_channel"],
+    )
+    def test_other_non_pure_filters_do_not(self, build):
+        rep = intersection_report(build(np.random.default_rng(0)))
+        assert rep.verdict.status == NOT_PURE_CERTIFIED
+        assert "square-summable" not in rep.narrative
+        assert "unit mass" not in rep.narrative

@@ -47,6 +47,7 @@ from gmrafilters.ruelle import (
 from helpers import (
     near_constant_filter,
     planted_filter,
+    planted_unitary_filter,
     random_phase_copy,
     random_scalar_filter,
     with_sample,
@@ -327,9 +328,10 @@ class TestClassification:
         filt = FilterMatrix(2, SigmaChain.full_circle(2), grid, samples)
         verdict = classify_purity(filt, **tols)
         assert verdict.status == NOT_PURE_CERTIFIED
-        tested = verdict.diagnostics["candidates_tested"]
-        assert [c["passed"] for c in tested] == [True, True]
-        assert max(c["residual"] for c in tested) <= 1e-12
+        flags = verdict.spectrum.passing_flags
+        tested = verdict.spectrum.candidates
+        assert [bool(flags[row]) for row, _ in tested] == [True, True]
+        assert max(p.residual for _, p in tested) <= 1e-12
         assert len(verdict.eigenpairs) == 2
         fields = [p.fld for p in verdict.eigenpairs]
         gram = np.array([[f.inner(g) for g in fields] for f in fields])
@@ -342,7 +344,7 @@ class TestClassification:
         assert pair.residual == 0.0
         assert pair.unit_norm_dev == 0.0
         assert np.all(pair.fld.values == 1.0)
-        assert verdict.diagnostics["sharpened_to_exact"] == 1
+        assert verdict.sharpened_to_exact == 1
 
     def test_sharpening_leaves_distant_fields_alone(self):
         # h = e^{2 pi i 0.3} is valid (|h|^2 + |h|^2 = 2) and has the
@@ -355,7 +357,7 @@ class TestClassification:
         assert verdict.status == NOT_PURE_CERTIFIED
         assert len(verdict.eigenpairs) == 1
         assert abs(verdict.eigenpairs[0].eigenvalue - lam) <= 1e-12
-        assert verdict.diagnostics["sharpened_to_exact"] == 0
+        assert verdict.sharpened_to_exact == 0
 
     @pytest.mark.parametrize("depth", [4, 5, 6])
     def test_haar_verdict_is_stable_across_resolutions(self, depth):
@@ -374,12 +376,12 @@ class TestClassification:
         assert cert is not None
         verdict = classify_purity(filt, certificate=cert)
         assert verdict.status == PURE_CERTIFIED
-        assert not verdict.diagnostics["anomalies"]
+        assert not verdict.anomalies
 
     def test_contradictory_evidence_is_inconclusive(self):
         verdict = classify_purity(make_constant(), certificate=object())
         assert verdict.status == "inconclusive"
-        assert verdict.diagnostics["anomalies"]
+        assert verdict.anomalies
 
     def test_diagnostics_carry_the_spectrum_and_flags(self):
         filt = make_constant(depth=3)
@@ -397,15 +399,14 @@ class TestClassification:
         assert pair.residual <= 1e-12
         assert pair.unit_norm_ok
         verdict = classify_purity(filt)
-        diag = verdict.diagnostics
-        assert "spectrum" not in diag
-        assert diag["dimension"] == 8
-        assert np.array_equal(diag["passing_flags"], spectrum.passing_flags)
-        assert diag["candidates_tested"][0]["passed"]
+        assert set(verdict.diagnostics) == {"passing_flags", "candidates_tested"}
+        assert verdict.dimension == 8
+        assert np.array_equal(verdict.spectrum.passing_flags, spectrum.passing_flags)
+        assert verdict.spectrum.passing_flags[verdict.spectrum.candidates[0][0]]
 
     def test_constant_eigenvector_martingale_is_flat(self):
         verdict = classify_purity(make_constant())
-        devs = verdict.diagnostics["martingale_max_dev"]
+        devs = verdict.martingale_max_dev
         assert len(devs) >= 1
         assert max(devs) <= 1e-12
 
@@ -476,11 +477,10 @@ class TestContraction:
         assert verdict.contraction is not None
         assert verdict.contraction.bound * (1 + verdict.contraction.allowance) < 1
         assert verdict.contraction.rho_bound < 1 - TOL_EIG
-        diag = verdict.diagnostics
-        assert len(diag["passing_flags"]) == 0
-        assert diag["candidates_tested"] == []
-        assert diag["eigensolve_s"] == 0.0
-        assert diag["dimension"] == int(np.array(filt.sigma_masks()).sum())
+        assert verdict.spectrum is None
+        assert len(verdict.diagnostics["passing_flags"]) == 0
+        assert len(verdict.diagnostics["candidates_tested"]) == 0
+        assert verdict.dimension == int(np.array(filt.sigma_masks()).sum())
 
     @pytest.mark.parametrize(
         "make",
@@ -646,8 +646,29 @@ class TestPlantedFilters:
         phase = pair.fld.inner(expected)
         phase /= abs(phase)
         assert np.abs(pair.fld.values - phase * expected.values).max() <= 1e-12
-        assert "martingale_max_dev" in verdict.diagnostics
+        assert verdict.martingale_max_dev is not None
         assert search_certificate(filt) is None
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("scale", [2, 3])
+    def test_planted_two_channel_eigenspace_is_found(self, scale, depth, seed):
+        rng = np.random.default_rng(seed)
+        filt, columns = planted_unitary_filter(rng, scale, depth, PLANTED_LAMBDA)
+        assert filter_equation_residual(filt).max_abs_residual <= 1e-12
+        assert contraction_certificate(filt) is None
+        assert search_certificate(filt) is None
+        verdict = classify_purity(filt)
+        assert verdict.status == NOT_PURE_CERTIFIED
+        assert len(verdict.eigenpairs) == 2
+        for pair in verdict.eigenpairs:
+            assert abs(pair.eigenvalue - PLANTED_LAMBDA) <= 1e-12
+        fields = [p.fld for p in verdict.eigenpairs]
+        gram = np.array([[f.inner(g) for g in fields] for f in fields])
+        assert np.abs(gram - np.eye(2)).max() <= 1e-12
+        for f in fields:
+            projection = sum(f.inner(w) * w.values for w in columns)
+            assert np.abs(f.values - projection).max() <= 1e-12
 
     @pytest.mark.parametrize("depth", [2, 3])
     @pytest.mark.parametrize("scale", [3, 4])
@@ -660,7 +681,7 @@ class TestPlantedFilters:
         assert pair.eigenvalue == 1.0 + 0.0j
         assert pair.residual == 0.0
         assert np.all(pair.fld.values == 1.0)
-        assert verdict.diagnostics["sharpened_to_exact"] == 1
+        assert verdict.sharpened_to_exact == 1
         assert search_certificate(filt) is None
 
 

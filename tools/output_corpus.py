@@ -6,18 +6,22 @@ Usage::
 
 SRC is a checkout of this repository (the package is imported from
 SRC/src) and OUT a directory to create.  For every job of the corpus the
-script runs ``generate``, ``verify``, ``classify`` and ``spectrum`` in
-this process through ``gmrafilters.cli.main`` and writes, under OUT/<job>/,
-the bundle, the verify and classify reports without their ``timings``
-and ``bundle`` keys (both vary from run to run), and the spectrum CSV;
-OUT/exit_codes.txt lists every exit code.  BLAS is held to one thread
-before numpy is imported, because the spectrum's last bits depend on the
-thread count.  Running the script on two checkouts and comparing with
+script writes a bundle, with ``generate`` or, for the filters no
+generator makes, with ``emit_bundle`` from a seeded builder in this
+script's own checkout's ``tests/helpers.py`` (so one copy of the script
+runs on any two checkouts).  It then runs ``verify``, ``classify`` and
+``spectrum`` in this process through ``gmrafilters.cli.main`` and
+writes, under OUT/<job>/, the bundle, the verify and classify reports
+without their ``timings`` and ``bundle`` keys (both vary from run to
+run), and the spectrum CSV; OUT/exit_codes.txt lists every exit code.
+BLAS is held to one thread before numpy is imported, because the
+spectrum's last bits depend on the thread count.  Running the script on two checkouts and comparing with
 ``diff -r`` shows whether a change keeps every output byte for byte.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import sys
@@ -41,6 +45,23 @@ JOBS = [
     ("journe_step_half_turn", ["journe_step", "--half-turn-phases"]),
     ("journe_half_turn", ["journe", "--half-turn-phases"]),
     ("journe_delta_0.05", ["journe", "--delta", "0.05"]),
+]
+
+PLANTED_LAMBDA = cmath.exp(2j * cmath.pi * 0.3)
+BUILT_SEED = 0
+
+# (job name, builder of the filter from the tests/helpers module and a
+# generator seeded with BUILT_SEED).  They reach what no generator does:
+# an accepted eigenvalue other than 1, an accepted eigenvalue 1 that is
+# not sharpened, two pairs for one eigenvalue, and pure_at_resolution.
+BUILT_JOBS = [
+    ("planted_scale_3", lambda h, rng: h.planted_filter(rng, 3, 3, PLANTED_LAMBDA)[0]),
+    ("planted_lambda_1", lambda h, rng: h.planted_filter(rng, 2, 4, 1.0)[0]),
+    (
+        "planted_two_channel",
+        lambda h, rng: h.planted_unitary_filter(rng, 2, 3, PLANTED_LAMBDA)[0],
+    ),
+    ("near_constant", lambda h, rng: h.near_constant_filter(rng)),
 ]
 
 
@@ -67,18 +88,28 @@ def main(argv: list[str]) -> int:
     if Path(cli.__file__).resolve().parent != src / "gmrafilters":
         print(f"gmrafilters imported from {cli.__file__}, not {src}", file=sys.stderr)
         return 2
+    import numpy as np
+
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+    import helpers
+
     out.mkdir(parents=True, exist_ok=False)
     codes = []
-    for name, gen_args in JOBS:
+    for name, source in JOBS + BUILT_JOBS:
         job = out / name
         job.mkdir()
         bundle = str(job / "bundle.json")
         steps = [
-            ("generate", ["generate", *gen_args, "--out", bundle]),
             ("verify", ["verify", bundle, "--out", str(job / "verify.json")]),
             ("classify", ["classify", bundle, "--out", str(job / "classify.json")]),
             ("spectrum", ["spectrum", bundle, "--out", str(job / "spectrum.csv")]),
         ]
+        if callable(source):
+            filt = source(helpers, np.random.default_rng(BUILT_SEED))
+            provenance = {"job": name, "seed": BUILT_SEED}
+            Path(bundle).write_text(cli.emit_bundle(filt, provenance), encoding="utf-8")
+        else:
+            steps.insert(0, ("generate", ["generate", *source, "--out", bundle]))
         for step, cmd in steps:
             codes.append(f"{name} {step} {cli.main(cmd)}")
         for report in ("verify.json", "classify.json"):
