@@ -6,8 +6,8 @@ grids, realizes the associated averaging operator and its adjoint on step
 fields, and decides between the two sides of the purity dichotomy: decay
 of all averages against a shared modulus-one eigenvector, backed either
 way by checkable evidence (a direct eigenpair re-test, an expansion
-certificate on a region around 0, or a contraction bound on the
-transfer matrix).
+certificate on a region around 0, or a spectrum of the filter at the
+fixed point 0 that stays off the unit circle).
 """
 
 from .bundleio import (
@@ -59,15 +59,14 @@ from .ruelle import (
     NOT_PURE_CERTIFIED,
     PURE_AT_RESOLUTION,
     PURE_CERTIFIED,
-    Contraction,
     EigenPair,
+    FixedCell,
     PurityVerdict,
     TransferMatrix,
     TransferSpectrum,
     VecField,
     assemble_transfer_matrix,
     classify_purity,
-    contraction_certificate,
     decay_probe,
     isometry_residual,
     martingale_sequence,
@@ -85,10 +84,10 @@ __all__ = [
     "BundleFormatError",
     "Certificate",
     "CertificateFailure",
-    "Contraction",
     "DimensionCapError",
     "EigenPair",
     "FilterMatrix",
+    "FixedCell",
     "GmraFilterError",
     "GridAlignmentError",
     "GridSpec",
@@ -115,7 +114,6 @@ __all__ = [
     "certificate_eps",
     "check_certificate",
     "classify_purity",
-    "contraction_certificate",
     "decay_probe",
     "derive_journe",
     "emit_bundle",

@@ -229,7 +229,7 @@ def cmd_classify(args) -> int:
         verify_tol=args.verify_tol,
     )
     verdict = rep.verdict
-    spectrum = verdict.spectrum
+    cell = verdict.fixed_cell
     cert = rep.certificate
     report = {
         "command": "classify",
@@ -260,19 +260,16 @@ def cmd_classify(args) -> int:
                 {
                     "eigenvalue": complex_pair(p.eigenvalue),
                     "residual": float_str(p.residual),
-                    "passed": bool(spectrum.passing_flags[row]),
+                    "passed": bool(cell.passing_flags[row]),
                 }
-                for row, p in (() if spectrum is None else spectrum.candidates)
+                for row, p in cell.candidates
             ],
             "anomalies": list(verdict.anomalies),
             "decay_probe": [float_str(x) for x in verdict.decay_probe],
-            "contraction": None
-            if verdict.contraction is None
-            else {
-                "steps": verdict.contraction.steps,
-                "bound": float_str(verdict.contraction.bound),
-                "allowance": float_str(verdict.contraction.allowance),
-                "rho_bound": float_str(verdict.contraction.rho_bound),
+            "fixed_cell": {
+                "eigenvalues": [complex_pair(z) for z in cell.eigenvalues.tolist()],
+                "margin": float_str(cell.margin),
+                "allowance": float_str(cell.allowance),
             },
         },
         "certificate": None
@@ -293,8 +290,7 @@ def cmd_classify(args) -> int:
         },
         "provenance": provenance,
         "timings": {
-            "contraction_s": verdict.contraction_s,
-            "eigensolve_s": 0.0 if spectrum is None else spectrum.eigensolve_s,
+            "fixed_cell_s": verdict.fixed_cell_s,
             "total_s": time.perf_counter() - t0,
         },
     }

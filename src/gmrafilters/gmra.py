@@ -9,7 +9,7 @@ a modulus-one eigenvector, so the tower itself never has to be built.
 ``intersection_report`` runs the certificate search and the purity
 classification and phrases their outcome in those terms; a pure verdict
 is backed by the block certificate when the search finds one, and
-otherwise by the contraction bound on the transfer matrix.  It
+otherwise by the spectrum of the filter at the fixed point 0.  It
 deliberately reports no numeric dimension for the intersection: whenever
 that space is nonzero in the ambient model it is infinite dimensional,
 and a rank count at any single resolution sees only a finite shadow, so
@@ -71,8 +71,8 @@ def intersection_report(
     what the run established for each side and whether the two findings
     are consistent.  A ``pure_certified`` verdict is narrated through the
     block certificate when the search found one, and otherwise through
-    the verdict's contraction bound; a non-pure one adds a concrete model
-    when ``classify_purity`` sharpened a pair to (1, chi).
+    the verdict's cell 0 spectrum; a non-pure one adds a concrete model
+    when an accepted pair is exactly (1, chi).
     """
     certificate = search_certificate(filt)
     verdict = classify_purity(
@@ -97,7 +97,7 @@ def intersection_report(
             "averaging, so a nonzero field is shared by every level of the "
             "tower and the common intersection is nontrivial."
         ]
-        if verdict.sharpened_to_exact:
+        if verdict.closed_form_pairs:
             n = filt.scale
             lines.append(
                 "A concrete model fits this case.  Take square-summable "
@@ -130,20 +130,17 @@ def intersection_report(
                 "intersection is zero."
             )
         else:
-            bound = verdict.contraction
-            assert bound is not None
+            cell = verdict.fixed_cell
             narrative = (
-                "The contraction bound settles the dichotomy on the side of "
-                "purity.  With every weight of the coarse transfer matrix "
-                "replaced by its modulus, the power k = "
-                f"{bound.steps} has norm at most {bound.bound:.6g}, below 1 "
-                f"by more than the rounding allowance {bound.allowance:.3g}, "
-                "so every eigenvalue of the transfer matrix has modulus at "
-                f"most {bound.rho_bound:.6g}.  Any modulus-one eigenvector would "
-                "be a step field on the coarse grid and an eigenvector of "
-                "that matrix, so none exists, iterated adjoint averaging "
-                "drains every field, and the tower's common intersection is "
-                "zero."
+                "The filter's value at the fixed point 0 settles the dichotomy "
+                "on the side of purity.  Every eigenvalue of H(0)^T lies at "
+                f"least {cell.margin:.6g} from the unit circle, more than the "
+                "eigenvalue tolerance plus the rounding allowance "
+                f"{cell.allowance:.3g}.  Any modulus-one eigenvector would be a "
+                "step field on the coarse grid whose value at cell 0 is an "
+                "eigenvector of H(0)^T for the same eigenvalue, so none exists, "
+                "iterated adjoint averaging drains every field, and the tower's "
+                "common intersection is zero."
             )
     elif status == PURE_AT_RESOLUTION:
         table = {
@@ -153,9 +150,10 @@ def intersection_report(
         }
         narrative = (
             "No modulus-one eigenvector passed the direct re-test at this "
-            "resolution, but neither an expansion certificate nor a "
-            "contraction bound was found, so the dichotomy stays open.  The "
-            "evidence is consistent with purity without proving it."
+            "resolution, but no expansion certificate was found and the "
+            "spectrum of H(0)^T does not stay clear of the unit circle, so "
+            "the dichotomy stays open.  The evidence is consistent with "
+            "purity without proving it."
         )
     else:
         assert status == INCONCLUSIVE

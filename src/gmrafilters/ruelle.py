@@ -13,26 +13,22 @@ and the central dichotomy is spectral: S_H fails to be a pure isometry
 precisely when it has an eigenvector of modulus-one eigenvalue, and any
 such eigenvector has pointwise norm one almost everywhere.  For a filter
 constant on the cells of grid M, every such eigenvector is a step field
-on the coarse grid M/N, so the matrix K = adjoint o include on the
-coarse step space sees every unimodular eigenvalue of the operator, and
-rho(K) < 1 proves purity outright.
+f on the coarse grid M/N, and S_H f = lam f reads, fine cell by fine
+cell, H(s)^T f(s mod M/N) = lam f(s // N).  Fine cell 0 is the
+dilation's fixed point: there the relation is H(0)^T f(0) = lam f(0),
+and every other coarse cell follows from f(0), so lam is an eigenvalue
+of the c x c matrix H(0)^T (the cocycle picture of Bratteli and
+Jorgensen, Wavelets through a Looking Glass, 2002).
 
-``contraction_certificate`` bounds rho(K) first, with no matrix: it
-applies |H| through the same fiber rule as ``transfer_apply`` and
-``ruelle_apply`` (the finite transfer-operator criterion of Lawton,
-J. Math. Phys. 32, 1991).  Only a filter that bound cannot settle pays
-for the dense path, ``transfer_spectrum``: K, 1/N the size of
-include o adjoint on the fine space (AB and BA share their nonzero
-spectrum), is solved eigenvalues only, in real arithmetic when K is
-real; eigenvectors are taken, from one SVD per distinct eigenvalue, only
-for the eigenvalues near the unit circle, the only ones the dichotomy
-can use.  Those are re-tested directly against the eigenvector
-relation, and every verdict, a typed ``PurityVerdict``, records the
-resolution it was reached at and the one piece of evidence that decided.
+``classify_purity`` decides at that cell (see ``FixedCell``) and builds
+no matrix of the operator.  ``transfer_spectrum``, the dense path of the
+``spectrum`` command, solves the quotient matrix K = adjoint o include
+on the coarse step space instead.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -48,9 +44,9 @@ from .torus import GridSpec, SigmaChain
 __all__ = [
     "VecField",
     "TransferMatrix",
-    "Contraction",
     "TransferSpectrum",
     "EigenPair",
+    "FixedCell",
     "PurityVerdict",
     "PURE_CERTIFIED",
     "PURE_AT_RESOLUTION",
@@ -60,7 +56,6 @@ __all__ = [
     "transfer_apply",
     "isometry_residual",
     "assemble_transfer_matrix",
-    "contraction_certificate",
     "transfer_spectrum",
     "classify_purity",
     "martingale_sequence",
@@ -83,8 +78,6 @@ VERIFY_TOL = 1e-10
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "GMRAFILTERS_DIM_CAP"
 
-# The most powers of |K| the contraction bound tries before it gives up.
-CONTRACTION_MAX_STEPS = 64
 # Unit roundoff of float64, the u of the rounding allowance.
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 # The highest kernel order the martingale diagnostic checks.
@@ -185,20 +178,6 @@ def _pull(samples: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.einsum("ijt,it->jt", samples, values[:, np.arange(m) % values.shape[1]])
 
 
-def _fiber_mean(samples: np.ndarray, scale: int, values: np.ndarray) -> np.ndarray:
-    """Coarse values (1/N) sum over the fiber of samples[i, j] values[j]."""
-    c = samples.shape[0]
-    mp = samples.shape[2] // scale
-    return (
-        np.einsum(
-            "ijkt,jkt->it",
-            samples.reshape(c, c, scale, mp),
-            values.reshape(c, scale, mp),
-        )
-        / scale
-    )
-
-
 def ruelle_apply(filt: FilterMatrix, f: VecField) -> VecField:
     """Apply the operator: (S_H f)_j(x) = sum_i H_{i,j}(x) f_i(x^N).
 
@@ -216,7 +195,10 @@ def transfer_apply(filt: FilterMatrix, g: VecField) -> VecField:
     """Apply the adjoint: average conj(H) against g over each dilation fiber."""
     if g.grid != filt.grid:
         raise ResolutionError("input field must live on the filter's fine grid")
-    out = _fiber_mean(np.conj(filt.samples), filt.scale, g.values)
+    c, n = filt.count, filt.scale
+    mp = filt.cells // n
+    conj = np.conj(filt.samples).reshape(c, c, n, mp)
+    out = np.einsum("ijkt,jkt->it", conj, g.values.reshape(c, n, mp)) / n
     return VecField(filt.chain, filt.coarse_grid(), out)
 
 
@@ -239,12 +221,10 @@ class TransferMatrix:
 
     The basis is a (dimension, 2) array of (component i, coarse cell u)
     rows, lexicographic, holding the cells of the coarse grid whose block
-    of N fine cells meets sigma_i; ``grid`` is that coarse grid.  K is the
-    quotient of the fine matrix "apply the adjoint, then include" on the
-    ``fine_dimension`` coordinates of the fine step space: the two are BA
-    and AB for the same pair of maps, so they share their nonzero
-    spectrum, det(lam I - AB) = lam^(n - m) det(lam I - BA), and the fine
-    spectrum is K's followed by ``fine_dimension - dimension`` zeros.
+    of N fine cells meets sigma_i; ``grid`` is that coarse grid.  K and
+    the fine matrix "apply the adjoint, then include" are BA and AB for
+    the same pair of maps, so the fine spectrum is K's followed by
+    ``fine_dimension - dimension`` zeros.
     """
 
     matrix: np.ndarray
@@ -256,11 +236,6 @@ class TransferMatrix:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-
-def _fine_coordinates(filt: FilterMatrix) -> np.ndarray:
-    """The (component i, fine cell) rows of the fine step space: sigma_i's cells."""
-    return np.argwhere(np.array(filt.sigma_masks()))
 
 
 def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
@@ -275,7 +250,8 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     step space.
     """
     cap = _dim_cap()
-    fine = _fine_coordinates(filt)
+    # The (component i, fine cell) rows of the fine step space: sigma_i's cells.
+    fine = np.argwhere(np.array(filt.sigma_masks()))
     if len(fine) > cap:
         raise DimensionCapError(
             f"transfer matrix dimension {len(fine)} exceeds cap {cap}"
@@ -300,76 +276,6 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     )
 
 
-# Contraction, TransferSpectrum and PurityVerdict are named tuples, not
-# dataclasses: every CLI call imports this module, and a named tuple
-# class costs a fraction of a dataclass's creation time.
-class Contraction(NamedTuple):
-    """A matrix-free proof that rho(K) < 1 - tol_eig, and so that S_H is pure.
-
-    At power k = ``steps``, ``bound`` is the computed
-    sqrt(||A^k||_1 ||A^k||_inf) for the entrywise majorant A >= |K|, and
-    ``allowance`` = (k (c N + 3) + 2) u bounds its relative rounding
-    error, with u the unit roundoff.  ``rho_bound`` is
-    (bound (1 + allowance))^(1/k), an upper bound on rho(K), and it lies
-    below 1 - tol_eig: no eigenvalue of K is close enough to the unit
-    circle for the dense path to test it.
-    """
-
-    steps: int
-    bound: float
-    allowance: float
-    rho_bound: float
-
-
-def contraction_certificate(
-    filt: FilterMatrix, tol_eig: float = TOL_EIG
-) -> Optional[Contraction]:
-    """Prove rho(K) < 1 - tol_eig from |H| alone, or return None.
-
-    A is K with every weight conj(H_{i,j}(s))/N replaced by its modulus,
-    so |K^k| <= |K|^k <= A^k entrywise and rho(K)^k <= ||K^k||_2 <=
-    sqrt(||A^k||_1 ||A^k||_inf).  The row sums A^k 1 and the column sums
-    (A^T)^k 1 are iterated with no matrix built: A x is the fiber mean of
-    |H| against x refined, as in ``transfer_apply``, and A^T y the block
-    mean of |H| pulled back against y, as in ``ruelle_apply``.  They run
-    over the whole coarse step space, which holds K's basis; under the
-    support rule the other coordinates carry zeros, and where it fails
-    the extra entries can only raise the bound.
-
-    Each application takes the moduli (within one ulp, 2u), then sums c N
-    nonnegative products and divides once, so k of them carry a relative
-    error below k (c N + 3) u (Higham 2002, ch. 3); the product of the
-    two maxima and its square root add less than 2u.  The least
-    k <= ``CONTRACTION_MAX_STEPS`` with bound (1 + allowance) <
-    (1 - tol_eig)^k is returned, so a filter whose bound is only
-    barely below 1 is left to the dense path, which would count an
-    eigenvalue that close to the circle as a candidate.  A filter with a
-    non-finite sample, or a tol_eig outside [0, 1), is never certified.
-    """
-    # Written so that a NaN tolerance is never certified.
-    if not (0.0 <= tol_eig < 1.0) or not np.isfinite(filt.samples).all():
-        return None
-    n = filt.scale
-    c = filt.count
-    modulus = np.abs(filt.samples)
-    rows = cols = np.ones((c, filt.cells // n))
-    for k in range(1, CONTRACTION_MAX_STEPS + 1):
-        last = rows, cols
-        rows = _fiber_mean(modulus, n, np.repeat(rows, n, axis=1))
-        cols = _pull(modulus, cols).reshape(c, -1, n).sum(axis=2) / n
-        bound = float(np.sqrt(rows.max() * cols.max()))
-        allowance = (k * (c * n + 3) + 2) * UNIT_ROUNDOFF
-        # Written so that a NaN bound is never certified.
-        if bound * (1.0 + allowance) < (1.0 - tol_eig) ** k:
-            rho_bound = (bound * (1.0 + allowance)) ** (1.0 / k)
-            return Contraction(k, bound, allowance, rho_bound)
-        if np.array_equal(rows, last[0]) and np.array_equal(cols, last[1]):
-            # A fixed point, as for unimodular |H|: every later power
-            # gives this bound again, with a larger allowance.
-            return None
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class EigenPair:
     """A certified eigenpair of the operator itself (not the adjoint)."""
@@ -381,47 +287,46 @@ class EigenPair:
     unit_norm_ok: bool
 
 
-def _candidate_vectors(
-    matrix: np.ndarray, eigenvalues: np.ndarray, candidates: list, tol_res: float
-) -> dict:
-    """Null vectors of K - lam I for the candidates, one SVD per cluster.
+def _candidate_rows(eigenvalues: np.ndarray, tol_eig: float) -> np.ndarray:
+    """The rows of the eigenvalues within ``tol_eig`` of the unit circle."""
+    return np.nonzero(np.abs(np.abs(eigenvalues) - 1.0) <= tol_eig)[0]
 
-    Candidates, given in spectrum order, join the first cluster whose
-    leading eigenvalue lies within ``tol_res`` of theirs, so only
-    eigenvalues that agree to the acceptance tolerance share an SVD.  A
-    cluster of m members takes one SVD of K - lam I at its leading lam
-    (real when K and lam are real), and its members in order get the
-    conjugated right singular vectors of the m smallest singular values,
-    smallest first: the leader gets its own null vector, and a repeated
-    eigenvalue, semisimple as every unimodular eigenvalue of the
-    contraction K is, gets an orthonormal basis of its null space.
-    Returns the vectors keyed by candidate, in the order given.
+
+def _by_modulus(eigenvalues: np.ndarray) -> np.ndarray:
+    """Descending modulus, real part, imaginary part; exact ties keep their order."""
+    z = eigenvalues.astype(np.complex128)
+    return z[np.lexsort((-z.imag, -z.real, -np.abs(z)))]
+
+
+def _clusters(eigenvalues: np.ndarray, rows: np.ndarray, tol_res: float) -> list:
+    """Group candidate rows, in order: a row joins the first cluster whose
+    leading eigenvalue lies within ``tol_res`` of its own, so only
+    eigenvalues that agree to the acceptance tolerance share an eigenspace.
     """
     clusters: list[list[int]] = []
-    for k in candidates:
+    for k in rows.tolist():
         for cluster in clusters:
             if abs(eigenvalues[k] - eigenvalues[cluster[0]]) <= tol_res:
                 cluster.append(k)
                 break
         else:
             clusters.append([k])
-    vectors = {}
-    for cluster in clusters:
-        lam = eigenvalues[cluster[0]]
-        shift = lam.real if lam.imag == 0 else lam
-        vh = np.linalg.svd(matrix - shift * np.eye(len(matrix)))[2]
-        vectors.update(zip(cluster, np.conj(vh[::-1][: len(cluster)])))
-    return {k: vectors[k] for k in candidates}
+    return clusters
 
 
-def _field_from_eigvec(tm: TransferMatrix, vec: np.ndarray) -> VecField:
-    """Read an eigenvector of K as a coarse field, canonically scaled."""
-    values = np.zeros((tm.chain.count, tm.grid.cells), dtype=np.complex128)
-    values[tm.basis[:, 0], tm.basis[:, 1]] = vec
+def _null_vectors(matrix: np.ndarray, lam: complex, count: int) -> np.ndarray:
+    """Rows v with (matrix - lam I) v smallest: ``count`` right singular vectors."""
+    shift = lam.real if lam.imag == 0 else lam
+    vh = np.linalg.svd(matrix - shift * np.eye(len(matrix)))[2]
+    return np.conj(vh[::-1][:count])
+
+
+def _canonical_field(chain: SigmaChain, grid: GridSpec, values: np.ndarray) -> VecField:
+    """A field with its largest entry real and positive, at unit norm."""
     pval = values.flat[int(np.argmax(np.abs(values)))]
     if pval != 0:
-        values *= np.conj(pval) / abs(pval)
-    return _unit(VecField(tm.chain, tm.grid, values))
+        values = values * (np.conj(pval) / abs(pval))
+    return _unit(VecField.masked(chain, grid, values))
 
 
 def _unit(f: VecField) -> VecField:
@@ -430,25 +335,28 @@ def _unit(f: VecField) -> VecField:
     return f.scaled(1.0 / nrm) if nrm > 0 else f
 
 
-def _retest(filt: FilterMatrix, f: VecField, lam: complex) -> tuple[float, float]:
+def _retest(
+    filt: FilterMatrix, f: VecField, lam: complex, tol_norm: float
+) -> EigenPair:
     """Re-test a coarse field directly against S_H f = lam f.
 
-    Returns the quadrature residual ||S_H f - lam f|| and the largest
-    deviation of ||f(cell)|| from one over the cells of sigma_1, where an
-    eigenvector of a non-pure operator must have unit pointwise norm.
+    The pair records the quadrature residual ||S_H f - lam f|| and the
+    largest deviation of ||f(cell)|| from one over the cells of sigma_1,
+    where an eigenvector of a non-pure operator must have unit pointwise
+    norm, judged against ``tol_norm``.
     """
-    image = ruelle_apply(filt, f)
+    image = _pull(filt.samples, f.values)
     residual = float(
-        np.sqrt(
-            np.sum(np.abs(image.values - lam * f.refine().values) ** 2)
-            / filt.cells
-        )
+        np.sqrt(np.sum(np.abs(image - lam * f.refine().values) ** 2) / filt.cells)
     )
     norms = f.pointwise_norms()[filt.chain.positive_set().cell_mask(f.grid)]
     dev = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
-    return residual, dev
+    return EigenPair(lam, f, residual, dev, dev <= tol_norm)
 
 
+# TransferSpectrum, FixedCell and PurityVerdict are named tuples, not
+# dataclasses: every CLI call imports this module, and a named tuple
+# class costs a fraction of a dataclass's creation time.
 class TransferSpectrum(NamedTuple):
     """The dense spectrum of K and the re-test of its unit-circle candidates.
 
@@ -460,15 +368,13 @@ class TransferSpectrum(NamedTuple):
     eigenvalue, the eigenvector read as a unit coarse field, and
     ``_retest``'s residual and unit-norm deviation, judged against
     ``tol_norm``.  ``passing_flags`` marks, row for row, the eigenvalues
-    whose candidate passed.  ``eigensolve_s`` is the wall time of the
-    eigenvalue solve plus the candidate SVDs.
+    whose candidate passed.
     """
 
     eigenvalues: np.ndarray
     passing_flags: np.ndarray
     candidates: tuple[tuple[int, EigenPair], ...]
     fine_dimension: int
-    eigensolve_s: float
 
 
 def transfer_spectrum(
@@ -479,28 +385,19 @@ def transfer_spectrum(
 ) -> TransferSpectrum:
     """Solve K densely and re-test its eigenvalues near the unit circle.
 
-    The eigenvalues of the quotient matrix K of
-    ``assemble_transfer_matrix`` are solved without eigenvectors, in real
-    arithmetic when K has no imaginary part; every eigenvalue of K within
-    ``tol_eig`` of the unit circle is a candidate.  Only the candidates
-    get eigenvectors: each distinct candidate eigenvalue takes one SVD of
-    K - lambda I, and candidates within ``tol_res`` of each other share
-    it, its smallest right singular vectors giving a repeated eigenvalue
-    orthonormal fields (see ``_candidate_vectors``).  A candidate passes
-    only if the conjugate eigenvalue relation for the operator itself
-    holds directly: with the eigenvector as a coarse field f, the
-    residual ||S_H f - conj(lambda) f|| must fall below ``tol_res`` after
-    normalization.  Each candidate's pair records whether its field has
-    unit pointwise norm to within ``tol_norm``; that does not decide
-    passing.  The dimension cap of ``assemble_transfer_matrix`` applies.
+    K (from ``assemble_transfer_matrix``, whose dimension cap applies) is
+    solved eigenvalues only, in real arithmetic when it is real; every
+    eigenvalue within ``tol_eig`` of the unit circle is a candidate.  Each
+    cluster of candidates (see ``_clusters``) takes one SVD of
+    K - lambda I at its leader, and its members in order get the right
+    singular vectors of the smallest singular values, so a repeated
+    eigenvalue, semisimple on the circle, gets orthonormal fields.  A
+    candidate passes only if its eigenvector, as a coarse field f, has
+    ||S_H f - conj(lambda) f|| within ``tol_res``.
     """
     tm = assemble_transfer_matrix(filt)
     matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
-    start = time.perf_counter()
-    solved = np.linalg.eigvals(matrix).astype(np.complex128)
-    eigensolve_s = time.perf_counter() - start
-    # A stable sort, so exact ties keep the solver's order.
-    solved = solved[np.lexsort((-solved.imag, -solved.real, -np.abs(solved)))]
+    solved = _by_modulus(np.linalg.eigvals(matrix))
     # The fine spectrum: K's eigenvalues, then the zeros only the fine
     # space carries, which sort after every nonzero eigenvalue and after
     # K's own zeros.  They have no eigenvector here and are never
@@ -508,32 +405,180 @@ def transfer_spectrum(
     eigenvalues = np.concatenate(
         [solved, np.zeros(tm.fine_dimension - tm.dimension, dtype=solved.dtype)]
     )
-    candidates = np.nonzero(np.abs(np.abs(solved) - 1.0) <= tol_eig)[0]
     passing_flags = np.zeros(len(eigenvalues), dtype=bool)
-    start = time.perf_counter()
-    vectors = _candidate_vectors(matrix, solved, candidates.tolist(), tol_res)
-    eigensolve_s += time.perf_counter() - start
+    vectors = {}
+    for cluster in _clusters(solved, _candidate_rows(solved, tol_eig), tol_res):
+        found = _null_vectors(matrix, solved[cluster[0]], len(cluster))
+        vectors.update(zip(cluster, found))
 
     tested = []
-    for k, vec in vectors.items():
-        f = _field_from_eigvec(tm, vec)
-        lam = np.conj(complex(solved[k]))
-        residual, dev = _retest(filt, f, lam)
-        passing_flags[k] = residual <= tol_res
-        tested.append((k, EigenPair(lam, f, residual, dev, dev <= tol_norm)))
+    for k in sorted(vectors):
+        values = np.zeros((tm.chain.count, tm.grid.cells), dtype=np.complex128)
+        values[tm.basis[:, 0], tm.basis[:, 1]] = vectors[k]
+        f = _canonical_field(tm.chain, tm.grid, values)
+        pair = _retest(filt, f, np.conj(complex(solved[k])), tol_norm)
+        passing_flags[k] = pair.residual <= tol_res
+        tested.append((k, pair))
     return TransferSpectrum(
-        eigenvalues, passing_flags, tuple(tested), tm.fine_dimension, eigensolve_s
+        eigenvalues, passing_flags, tuple(tested), tm.fine_dimension
     )
+
+
+class FixedCell(NamedTuple):
+    """The purity analysis at fine cell 0, the fixed point of the dilation.
+
+    ``eigenvalues`` (spec H(0)^T, ordered as in ``TransferSpectrum``),
+    ``margin`` and ``allowance`` are those of ``_cell_zero_spectrum``.
+    ``candidates`` pairs each eigenvalue within tol_eig of the circle, by
+    row, with the re-tested pair of the field propagated from it, and
+    ``passing_flags`` marks the rows whose candidate passed.
+    """
+
+    eigenvalues: np.ndarray
+    margin: float
+    allowance: float
+    candidates: tuple[tuple[int, EigenPair], ...]
+    passing_flags: np.ndarray
+
+
+def _cell_zero_spectrum(h0: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """spec H(0)^T, its margin min |1 - |mu|| from the circle, and r.
+
+    r bounds each eigenvalue's rounding error.  For c = 1 the eigenvalue is
+    the sample H(0) itself and only |mu| is rounded: r = 2u, u the unit
+    roundoff.  For c >= 2, ``np.linalg.eig`` solves H(0)^T + E exactly with
+    ||E||_2 <= p(c) u ||H(0)||_F, p(c) = c^2 standing for the QR
+    algorithm's modest growth factor, so by Bauer-Fike
+    r = cond_2(V) p(c) u ||H(0)||_F, V the computed eigenvectors.  r is
+    infinite for a non-finite H(0), or when V is singular to working
+    precision (cond_2(V) p(c) u >= 1), as for a defective H(0)^T.
+    """
+    c = len(h0)
+    if not np.isfinite(h0).all():
+        eigenvalues, allowance = np.full(c, complex(math.nan, math.nan)), math.inf
+    elif c == 1:
+        eigenvalues, allowance = h0[0], 2.0 * UNIT_ROUNDOFF
+    else:
+        eigenvalues, vectors = np.linalg.eig(h0.T)
+        spread = float(np.linalg.cond(vectors)) * c * c * UNIT_ROUNDOFF
+        # Written so that a NaN condition number gives an infinite r.
+        allowance = spread * float(np.linalg.norm(h0)) if spread < 1.0 else math.inf
+    eigenvalues = _by_modulus(eigenvalues)
+    margin = float(np.abs(1.0 - np.abs(eigenvalues)).min())
+    return eigenvalues, margin, allowance
+
+
+def _rules_out_the_circle(margin: float, allowance: float, tol_eig: float) -> bool:
+    """Whether spec H(0)^T lies farther than tol_eig + r off the circle.
+
+    A NaN margin or tolerance, a negative tolerance and an infinite r
+    never certify.
+    """
+    return bool(tol_eig >= 0.0 and margin > tol_eig + allowance)
+
+
+def _propagation_schedule(scale: int, cells: int) -> list[np.ndarray]:
+    """The fine cells that carry coarse cell 0 to every other, level by level.
+
+    Fine cell s carries coarse cell s mod M/N to s // N; each level holds
+    one such fine cell for every coarse cell first reached from the level
+    before.  All are reached: each coarse cell has N fine cells in and N
+    out, and the block u N ... u N + N - 1 all lead to u, so the graph is
+    connected and, being balanced, strongly connected.
+    """
+    mp = cells // scale
+    known = np.zeros(mp, dtype=bool)
+    known[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    levels = []
+    while frontier.size:
+        s = (frontier[:, None] + mp * np.arange(scale)).ravel()
+        s = s[~known[s // scale]]
+        targets, first = np.unique(s // scale, return_index=True)
+        known[targets] = True
+        levels.append(s[first])
+        frontier = targets
+    return levels
+
+
+def _propagate(
+    samples: np.ndarray, scale: int, levels: list, start: np.ndarray, lam: complex
+) -> np.ndarray:
+    """Coarse fields (m, c, M/N) from their cell 0 values ``start`` (m, c).
+
+    Each level of ``_propagation_schedule`` sets f(s // N) =
+    H(s)^T f(s mod M/N) / lam, the eigenvector relation at fine cell s.
+    """
+    c, _, cells = samples.shape
+    mp = cells // scale
+    values = np.zeros((len(start), c, mp), dtype=np.complex128)
+    values[:, :, 0] = start
+    for s in levels:
+        values[:, :, s // scale] = (
+            np.einsum("ijs,kis->kjs", samples[:, :, s], values[:, :, s % mp]) / lam
+        )
+    return values
+
+
+def _fixed_cell(
+    filt: FilterMatrix, tol_eig: float, tol_res: float, tol_norm: float
+) -> FixedCell:
+    """Find every eigenpair of the operator from its eigenvalue at cell 0.
+
+    The candidates, eigenvalues of H(0)^T within ``tol_eig`` of the
+    circle, are clustered by ``_clusters``.  A cluster of m members at
+    leader mu takes the m smallest singular vectors of H(0)^T - mu I as
+    cell 0 values.  With m >= 2 each is propagated, its M c equation
+    residuals and its values outside the supports are stacked as one
+    column, and the stack's right singular vectors, smallest first, mix
+    the cell 0 values into the members' own.  Each member's field is
+    propagated with its own eigenvalue, scaled as the dense path's, and
+    passes when ``_retest`` finds a residual within ``tol_res``.
+    """
+    samples = filt.samples
+    eigenvalues, margin, allowance = _cell_zero_spectrum(samples[:, :, 0])
+    passing_flags = np.zeros(len(eigenvalues), dtype=bool)
+    tested = []
+    clusters = _clusters(eigenvalues, _candidate_rows(eigenvalues, tol_eig), tol_res)
+    if clusters:
+        n = filt.scale
+        levels = _propagation_schedule(n, filt.cells)
+        coarse = filt.coarse_grid()
+        outside = ~np.array(filt.sigma_masks(coarse))
+    for cluster in clusters:
+        lead = complex(eigenvalues[cluster[0]])
+        start = _null_vectors(samples[:, :, 0].T, lead, len(cluster))
+        if len(cluster) > 1:
+            columns = []
+            for f in _propagate(samples, n, levels, start, lead):
+                residual = _pull(samples, f) - lead * f.repeat(n, 1)
+                columns.append(np.concatenate([residual.ravel(), f[outside]]))
+            vh = np.linalg.svd(np.stack(columns, axis=1), full_matrices=False)[2]
+            start = np.conj(vh[::-1]) @ start
+        for k, cell_zero in zip(cluster, start):
+            lam = complex(eigenvalues[k])
+            # A zero lam, a candidate only for tol_eig >= 1, propagates to
+            # a non-finite field, whose NaN residual fails the re-test.
+            with np.errstate(all="ignore"):
+                values = _propagate(samples, n, levels, cell_zero[None], lam)[0]
+                f = _canonical_field(filt.chain, coarse, values)
+                pair = _retest(filt, f, lam, tol_norm)
+            passing_flags[k] = pair.residual <= tol_res
+            tested.append((k, pair))
+    return FixedCell(eigenvalues, margin, allowance, tuple(tested), passing_flags)
 
 
 class PurityVerdict(NamedTuple):
     """A purity verdict and its evidence, each piece recorded once.
 
-    Exactly one of ``contraction`` and ``spectrum`` is set, by whichever
-    decided; ``dimension`` is the fine step space's.  ``decay_probe``
-    holds the norms of six adjoint averagings of the unit constant field
-    and ``martingale_max_dev`` (None with no accepted pair) the largest
-    deviation from ||f||^2 of each martingale order for the first pair.
+    ``fixed_cell`` is the cell 0 analysis that decided, ``fixed_cell_s``
+    its wall time, and ``dimension`` the fine step space's.
+    ``closed_form_pairs`` counts the accepted pairs equal bit for bit to
+    (1, chi), chi the unit field constant on every support.
+    ``decay_probe`` holds the norms of six adjoint averagings of the unit
+    constant field and ``martingale_max_dev`` (None with no accepted pair)
+    the largest deviation from ||f||^2 of each martingale order for the
+    first pair.
     """
 
     status: str
@@ -541,48 +586,21 @@ class PurityVerdict(NamedTuple):
     resolution: GridSpec
     dimension: int
     decay_probe: list[float]
-    contraction_s: float
-    contraction: Optional[Contraction] = None
-    spectrum: Optional[TransferSpectrum] = None
-    sharpened_to_exact: int = 0
+    fixed_cell: FixedCell
+    fixed_cell_s: float
+    closed_form_pairs: int = 0
     anomalies: tuple[str, ...] = ()
     martingale_max_dev: Optional[list[float]] = None
 
     @property
     def diagnostics(self) -> MappingProxyType:
-        """Read-only ``passing_flags`` and ``candidates_tested`` of ``spectrum``.
+        """Read-only ``passing_flags`` and ``candidates_tested`` of ``fixed_cell``.
 
-        Both are empty when the bound decided.  The only readers are
-        ``clibench/spans.py::_count_classify`` and criterion 04 of
-        ``tests/test_acceptance.py``.
+        The only readers are ``clibench/spans.py::_count_classify`` and
+        criterion 04 of ``tests/test_acceptance.py``.
         """
-        flags, tested = np.zeros(0, dtype=bool), ()
-        if self.spectrum is not None:
-            flags, tested = self.spectrum.passing_flags, self.spectrum.candidates
+        flags, tested = self.fixed_cell.passing_flags, self.fixed_cell.candidates
         return MappingProxyType({"passing_flags": flags, "candidates_tested": tested})
-
-
-def _sharpened_exact_pair(
-    filt: FilterMatrix, pair: EigenPair, tol_eig: float, tol_norm: float
-) -> Optional[EigenPair]:
-    """Trade a numerically accepted pair for its exact canonical form.
-
-    An accepted eigenvalue within ``tol_eig`` of 1 whose field sits
-    within ``tol_norm`` of the normalized indicator field suggests the
-    closed-form pair (1, chi).  That candidate is rebuilt in exact
-    arithmetic and re-tested by direct substitution; it replaces the
-    numeric pair only when its own residual is at least as small, so the
-    swap can never weaken the evidence.
-    """
-    if abs(pair.eigenvalue - 1.0) > tol_eig:
-        return None
-    exact = _unit(VecField.ones(filt.chain, filt.coarse_grid()))
-    if np.abs(pair.fld.values - exact.values).max() > tol_norm:
-        return None
-    residual, dev = _retest(filt, exact, 1.0)
-    if residual > pair.residual:
-        return None
-    return EigenPair(1.0 + 0.0j, exact, residual, dev, dev <= tol_norm)
 
 
 def _max_martingale_order(grid: GridSpec) -> int:
@@ -601,27 +619,16 @@ def classify_purity(
 ) -> PurityVerdict:
     """Decide whether the operator of a verified filter is a pure isometry.
 
-    ``contraction_certificate`` runs first.  When it proves rho(K) < 1
-    the verdict is ``pure_certified`` at once, with the proof in
-    ``verdict.contraction`` and ``verdict.spectrum`` None: no matrix is
-    built, no eigenvalue solved and the dimension cap never consulted.
-    Otherwise ``transfer_spectrum`` solves K densely and re-tests its
-    unit-circle candidates, and the verdict keeps that spectrum.  An
-    accepted pair lying within tolerance of the closed form (1, chi) is
-    re-tested in exact arithmetic and replaced by that form when the
-    substitution does at least as well, which is what makes the flagship
-    non-pure example come out exact rather than merely small; such pairs
-    are counted in ``sharpened_to_exact``.  Accepted pairs are then
-    checked against the structural consequence that ||f(cell)|| = 1
-    wherever the multiplicity is positive; a failure there does not
-    revoke the pair but is recorded in ``anomalies``.
-
-    Any accepted pair yields ``not_pure_certified``.  With none, the
-    verdict is ``pure_at_resolution``, upgraded to ``pure_certified``
-    when the caller supplies a block certificate.  A certificate together
-    with an accepted pair is contradictory and comes back
-    ``inconclusive`` with an anomaly, since sound inputs cannot produce
-    both.
+    The decision is taken at fine cell 0 by ``_fixed_cell``, with no
+    matrix of the operator and no dimension cap.  Any accepted pair yields
+    ``not_pure_certified``; an accepted field whose ||f(cell)|| is not 1
+    wherever the multiplicity is positive is recorded in ``anomalies``.
+    With no pair the verdict is ``pure_certified`` when
+    ``_rules_out_the_circle`` holds or the caller supplies a block
+    certificate, and ``pure_at_resolution`` otherwise: a candidate whose
+    field fails the re-test, or an eigenvalue within the allowance of
+    tol_eig.  A certificate together with an accepted pair is
+    contradictory and comes back ``inconclusive`` with an anomaly.
     """
     pre = filter_equation_residual(filt)
     # Written so that a NaN residual fails closed.
@@ -631,33 +638,19 @@ def classify_purity(
             f"residual {pre.max_abs_residual:.3e} exceeds {verify_tol:.3e}"
         )
     start = time.perf_counter()
-    contraction = contraction_certificate(filt, tol_eig=tol_eig)
-    contraction_s = time.perf_counter() - start
+    cell = _fixed_cell(filt, tol_eig, tol_res, tol_norm)
+    fixed_cell_s = time.perf_counter() - start
     probe = decay_probe(filt, _unit(VecField.ones(filt.chain, filt.grid)), 6)
-    if contraction is not None:
-        dimension = len(_fine_coordinates(filt))
-        return PurityVerdict(
-            PURE_CERTIFIED, (), filt.grid, dimension, probe, contraction_s, contraction
-        )
-
-    spectrum = transfer_spectrum(
-        filt, tol_eig=tol_eig, tol_res=tol_res, tol_norm=tol_norm
-    )
     anomalies: list[str] = []
     pairs: list[EigenPair] = []
-    sharpened = 0
-    for row, pair in spectrum.candidates:
-        if not spectrum.passing_flags[row]:
+    for row, pair in cell.candidates:
+        if not cell.passing_flags[row]:
             continue
         if not pair.unit_norm_ok:
             anomalies.append(
                 f"accepted eigenpair violates the unit-norm law "
                 f"(deviation {pair.unit_norm_dev:.3e})"
             )
-        exact_pair = _sharpened_exact_pair(filt, pair, tol_eig, tol_norm)
-        if exact_pair is not None:
-            pair = exact_pair
-            sharpened += 1
         pairs.append(pair)
 
     if pairs and certificate is not None:
@@ -668,21 +661,29 @@ def classify_purity(
         )
     elif pairs:
         status = NOT_PURE_CERTIFIED
-    elif certificate is not None:
+    elif certificate is not None or _rules_out_the_circle(
+        cell.margin, cell.allowance, tol_eig
+    ):
         status = PURE_CERTIFIED
     else:
         status = PURE_AT_RESOLUTION
 
+    closed_form = 0
     martingale_max_dev = None
     if pairs:
+        chi = _unit(VecField.ones(filt.chain, filt.coarse_grid())).values
+        closed_form = sum(
+            p.eigenvalue == 1.0 and np.array_equal(p.fld.values, chi) for p in pairs
+        )
         f = pairs[0].fld
         seq = martingale_sequence(f, f, filt.scale, _max_martingale_order(f.grid))
         martingale_max_dev = [
             float(np.abs(x.samples - f.norm() ** 2).max()) for x in seq
         ]
+    dimension = sum(int(mask.sum()) for mask in filt.sigma_masks())
     return PurityVerdict(
-        status, tuple(pairs), filt.grid, spectrum.fine_dimension, probe, contraction_s,
-        spectrum=spectrum, sharpened_to_exact=sharpened, anomalies=tuple(anomalies),
+        status, tuple(pairs), filt.grid, dimension, probe, cell, fixed_cell_s,
+        closed_form_pairs=closed_form, anomalies=tuple(anomalies),
         martingale_max_dev=martingale_max_dev,
     )
 

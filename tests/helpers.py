@@ -102,13 +102,15 @@ def member(s: IntervalSet, x: Fraction) -> bool:
 def near_constant_filter(
     rng: np.random.Generator, depth: int = 4, eps: float = 1e-3
 ) -> FilterMatrix:
-    """A pure scalar filter that the contraction bound cannot certify.
+    """A pure scalar filter that no norm bound on the powers of |K| certifies.
 
     On each coset pair the samples are sqrt(2) cos(pi/4 + eps) e^(i a) and
     sqrt(2) sin(pi/4 + eps) e^(i b) with random phases, so |K| has row
     sums cos(eps) but column sums up to cos(eps) + sin(eps) > 1, and the
     norm bound on its powers stays above 1 although the phases make rho(K)
-    well below 1.
+    well below 1.  |H(0)| is about 1 - eps, so for eps > 0 the fixed cell
+    certifies the filter; with eps = 0 every sample is unimodular, H(0)
+    sits on the circle, and the verdict stays open.
     """
     grid = GridSpec(2, 1, depth)
     m = grid.cells

@@ -216,7 +216,7 @@ class TestClassify:
         caution = report["intersection"]["dimension_caution"]
         assert "No dimension" in caution
         timings = report["timings"]
-        assert 0.0 <= timings["eigensolve_s"] <= timings["total_s"]
+        assert 0.0 <= timings["fixed_cell_s"] <= timings["total_s"]
 
     def test_journe_family_is_certified_pure(self, tmp_path):
         bundle = generate(tmp_path, "journe", "--delta", "0.1")
@@ -258,33 +258,32 @@ class TestClassify:
     def test_malformed_dimension_cap_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch
     ):
-        # classify reaches the cap only on a filter the contraction bound
-        # leaves open, such as the constant one; spectrum always does.
-        bundles = {
-            "classify": generate(tmp_path, "constant"),
-            "spectrum": generate(tmp_path, "haar"),
-        }
+        # The cap binds spectrum only: classify builds no matrix, even for
+        # the constant filter, whose eigenpair it finds at the fixed cell.
+        bundle = generate(tmp_path, "constant")
+        out = tmp_path / "classify.json"
         capsys.readouterr()
         for cap, message in [
             ("abc", "GMRAFILTERS_DIM_CAP must be an integer, got 'abc'"),
             ("8", "transfer matrix dimension 16 exceeds cap 8"),
         ]:
             monkeypatch.setenv("GMRAFILTERS_DIM_CAP", cap)
-            for command, bundle in bundles.items():
-                assert main([command, str(bundle)]) == EXIT_USAGE
-                captured = capsys.readouterr()
-                assert captured.out == ""
-                assert captured.err.splitlines() == [f"gmrafilters: {message}"]
+            assert main(["spectrum", str(bundle)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"gmrafilters: {message}"]
+            assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_NOT_PURE
+            assert capsys.readouterr().err == ""
 
-    def test_cap_binds_classify_only_when_the_bound_fails(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        bundle = generate(tmp_path, "haar", "--depth", "8")
+    @pytest.mark.parametrize(
+        "name, code", [("haar", EXIT_OK), ("constant", EXIT_NOT_PURE)]
+    )
+    def test_cap_binds_spectrum_only(self, tmp_path, capsys, monkeypatch, name, code):
+        bundle = generate(tmp_path, name, "--depth", "8")
         monkeypatch.setenv("GMRAFILTERS_DIM_CAP", "64")
         out = tmp_path / "classify.json"
-        assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_OK
+        assert main(["classify", str(bundle), "--out", str(out)]) == code
         report = report_of(out)
-        assert report["status"] == "pure_certified"
         assert report["purity"]["dimension"] == 256
         capsys.readouterr()
         assert main(["spectrum", str(bundle)]) == EXIT_USAGE
@@ -294,28 +293,61 @@ class TestClassify:
             "gmrafilters: transfer matrix dimension 256 exceeds cap 64"
         ]
 
+    def test_constant_past_the_dense_cap_is_certified_non_pure(self, tmp_path, capsys):
+        bundle = generate(tmp_path, "constant", "--depth", "13")
+        out = tmp_path / "classify.json"
+        assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_NOT_PURE
+        report = report_of(out)
+        assert report["status"] == "not_pure_certified"
+        assert report["purity"]["dimension"] == 8192
+        (pair,) = report["purity"]["eigenpairs"]
+        assert pair["eigenvalue"] == ["1.0", "0.0"]
+        assert pair["residual"] == "0.0"
+        field = pair["field"]["component_0"]
+        assert len(field) == 4096
+        assert all(z == ["1.0", "0.0"] for z in field)
+        assert "square-summable" in report["intersection"]["narrative"]
+        capsys.readouterr()
+        assert main(["spectrum", str(bundle)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "gmrafilters: transfer matrix dimension 8192 exceeds cap 4096"
+        ]
+
     def test_report_carries_the_contraction_and_no_spectrum(self, tmp_path):
+        # The contraction rho(K) < 1 is carried as its proof at the fixed
+        # cell: the spectrum of H(0)^T, its margin and its allowance.
         bundle = generate(tmp_path, "haar")
         out = tmp_path / "classify.json"
         assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_OK
         report = report_of(out)
         assert "spectrum" not in report
-        assert report["purity"]["contraction"] == {
-            "steps": 5,
-            "bound": "0.8980579543201338",
-            "allowance": "2.9976021664879227e-15",
-            "rho_bound": "0.9787254303024158",
+        assert report["purity"]["fixed_cell"] == {
+            "eigenvalues": [["1.414213562373095", "0.0"]],
+            "margin": "0.4142135623730949",
+            "allowance": "2.220446049250313e-16",
         }
         assert report["purity"]["candidates_tested"] == []
         assert len(report["purity"]["decay_probe"]) == 7
         timings = report["timings"]
-        assert timings["eigensolve_s"] == 0.0
-        assert 0.0 < timings["contraction_s"] <= timings["total_s"]
+        assert set(timings) == {"fixed_cell_s", "total_s"}
+        assert 0.0 < timings["fixed_cell_s"] <= timings["total_s"]
         bundle = generate(tmp_path, "constant")
         assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_NOT_PURE
-        assert report_of(out)["purity"]["contraction"] is None
+        report = report_of(out)
+        assert report["purity"]["fixed_cell"] == {
+            "eigenvalues": [["1.0", "0.0"]],
+            "margin": "0.0",
+            "allowance": "2.220446049250313e-16",
+        }
+        assert report["purity"]["candidates_tested"] == [
+            {"eigenvalue": ["1.0", "0.0"], "residual": "0.0", "passed": True}
+        ]
 
     def test_random_filter_is_certified_by_the_contraction_bound(self, tmp_path):
+        # No block certificate: the fixed cell bounds the spectrum of K
+        # inside the unit circle on its own.
         rng = np.random.default_rng(0)
         filt = random_scalar_filter(rng, depth=4)
         bundle = tmp_path / "random.json"
@@ -325,28 +357,49 @@ class TestClassify:
         report = report_of(out)
         assert report["status"] == "pure_certified"
         assert report["certificate"] is None
-        contraction = report["purity"]["contraction"]
-        assert contraction["steps"] == 5
-        assert float(contraction["bound"]) == pytest.approx(0.903, abs=1e-3)
+        cell = report["purity"]["fixed_cell"]
+        assert float(cell["margin"]) == pytest.approx(0.0779, abs=1e-4)
+        assert cell["allowance"] == "2.220446049250313e-16"
         table = report["intersection"]["equivalence"]
         assert table["modulus_one_eigenvector"] == "ruled_out"
         assert table["tail_intersection_nontrivial"] == "no"
-        assert "contraction bound" in report["intersection"]["narrative"]
+        assert "fixed point 0" in report["intersection"]["narrative"]
 
     def test_uncertified_filter_is_left_undecided(self, tmp_path):
+        # Unimodular samples put H(0) on the unit circle, and its field
+        # fails the re-test.
         rng = np.random.default_rng(0)
-        filt = near_constant_filter(rng, depth=4, eps=1e-3)
-        bundle = tmp_path / "near_constant.json"
+        filt = near_constant_filter(rng, depth=4, eps=0.0)
+        bundle = tmp_path / "unimodular.json"
         bundle.write_text(emit_bundle(filt), encoding="utf-8")
         out = tmp_path / "classify.json"
         assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_UNDECIDED
         report = report_of(out)
         assert report["status"] == "pure_at_resolution"
         assert report["certificate"] is None
-        assert report["purity"]["contraction"] is None
+        assert float(report["purity"]["fixed_cell"]["margin"]) <= 1e-8
+        assert [c["passed"] for c in report["purity"]["candidates_tested"]] == [False]
         table = report["intersection"]["equivalence"]
         assert table["modulus_one_eigenvector"] == "none_found"
         assert table["tail_intersection_nontrivial"] == "undetermined"
+
+    def test_near_constant_filter_is_certified_at_the_fixed_cell(self, tmp_path):
+        rng = np.random.default_rng(0)
+        filt = near_constant_filter(rng, depth=4, eps=1e-3)
+        bundle = tmp_path / "near_constant.json"
+        bundle.write_text(emit_bundle(filt), encoding="utf-8")
+        out = tmp_path / "classify.json"
+        assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_OK
+        report = report_of(out)
+        assert report["status"] == "pure_certified"
+        assert report["certificate"] is None
+        assert float(report["purity"]["fixed_cell"]["margin"]) == pytest.approx(
+            1e-3, rel=1e-3
+        )
+        assert report["purity"]["candidates_tested"] == []
+        table = report["intersection"]["equivalence"]
+        assert table["modulus_one_eigenvector"] == "ruled_out"
+        assert table["tail_intersection_nontrivial"] == "no"
 
     def test_planted_non_pure_filter_is_certified_non_pure(self, tmp_path):
         # Samples of modulus 1 + 2^-52 around 0 would give this filter a

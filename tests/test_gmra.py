@@ -21,6 +21,8 @@ from gmrafilters import (
     ruelle_apply,
 )
 
+from gmrafilters.ruelle import TOL_EIG
+
 from helpers import planted_filter, planted_unitary_filter, random_scalar_filter
 
 PLANTED_LAMBDA = np.exp(2j * np.pi * 0.3)
@@ -126,15 +128,17 @@ class TestIntersectionReport:
         rep = intersection_report(filt)
         assert rep.certificate is None
         assert rep.verdict.status == PURE_CERTIFIED
-        bound = rep.verdict.contraction
-        assert bound is not None
+        # rho(K) < 1 proved at the fixed cell, with no block certificate
+        cell = rep.verdict.fixed_cell
+        assert cell.margin > TOL_EIG + cell.allowance
         assert rep.equivalence == {
             "tail_intersection_nontrivial": "no",
             "modulus_one_eigenvector": "ruled_out",
             "consistent": True,
         }
-        assert "contraction bound" in rep.narrative
-        assert f"{bound.rho_bound:.6g}" in rep.narrative
+        assert "fixed point 0" in rep.narrative
+        assert f"{cell.margin:.6g}" in rep.narrative
+        assert f"{cell.allowance:.3g}" in rep.narrative
         assert "zero" in rep.narrative
 
     def test_journe_family_intersection_is_trivial(self):

@@ -21,7 +21,6 @@ from gmrafilters import (
     certificate_eps,
     check_certificate,
     classify_purity,
-    contraction_certificate,
     derive_journe,
     filter_equation_residual,
     make_journe_step,
@@ -33,6 +32,7 @@ from gmrafilters import (
 )
 
 from gmrafilters.lowpass import MARGIN_ALLOWANCE, _block_norms
+from gmrafilters.ruelle import TOL_EIG, _rules_out_the_circle
 
 from helpers import (
     planted_filter,
@@ -317,8 +317,9 @@ class TestSearchCertificate:
                     filt, _ = planted_filter(rng, scale, depth, lam)
                     if search_certificate(filt) is not None:
                         certified.append((scale, depth, seed, "block"))
-                    if contraction_certificate(filt) is not None:
-                        certified.append((scale, depth, seed, "contraction"))
+                    cell = classify_purity(filt).fixed_cell
+                    if _rules_out_the_circle(cell.margin, cell.allowance, TOL_EIG):
+                        certified.append((scale, depth, seed, "fixed_cell"))
         assert certified == []
 
     def test_one_by_one_blocks_take_the_exact_modulus(self, monkeypatch):
@@ -425,7 +426,10 @@ class TestSoundness:
             cert = search_certificate(filt)
             verdict = classify_purity(filt, certificate=cert)
             assert verdict.status != "inconclusive", f"trial {k}"
-            if cert is not None or verdict.contraction is not None:
+            cell = verdict.fixed_cell
+            if cert is not None or _rules_out_the_circle(
+                cell.margin, cell.allowance, TOL_EIG
+            ):
                 assert verdict.status == PURE_CERTIFIED, f"trial {k}"
             else:
                 assert verdict.status in (

@@ -1,6 +1,7 @@
 """The averaging operator, its adjoint, and the purity classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from gmrafilters import (
     VecField,
     assemble_transfer_matrix,
     classify_purity,
-    contraction_certificate,
     decay_probe,
     derive_journe,
     filter_equation_residual,
@@ -37,11 +37,14 @@ from gmrafilters import (
 )
 from gmrafilters.filters import FilterMatrix
 from gmrafilters.ruelle import (
-    CONTRACTION_MAX_STEPS,
     DIM_CAP_ENV,
     TOL_EIG,
     UNIT_ROUNDOFF,
     VERIFY_TOL,
+    _candidate_rows,
+    _cell_zero_spectrum,
+    _propagation_schedule,
+    _rules_out_the_circle,
 )
 
 from helpers import (
@@ -328,8 +331,8 @@ class TestClassification:
         filt = FilterMatrix(2, SigmaChain.full_circle(2), grid, samples)
         verdict = classify_purity(filt, **tols)
         assert verdict.status == NOT_PURE_CERTIFIED
-        flags = verdict.spectrum.passing_flags
-        tested = verdict.spectrum.candidates
+        flags = verdict.fixed_cell.passing_flags
+        tested = verdict.fixed_cell.candidates
         assert [bool(flags[row]) for row, _ in tested] == [True, True]
         assert max(p.residual for _, p in tested) <= 1e-12
         assert len(verdict.eigenpairs) == 2
@@ -344,12 +347,12 @@ class TestClassification:
         assert pair.residual == 0.0
         assert pair.unit_norm_dev == 0.0
         assert np.all(pair.fld.values == 1.0)
-        assert verdict.sharpened_to_exact == 1
+        assert verdict.closed_form_pairs == 1
 
     def test_sharpening_leaves_distant_fields_alone(self):
         # h = e^{2 pi i 0.3} is valid (|h|^2 + |h|^2 = 2) and has the
         # constant field as an eigenvector for an eigenvalue far from 1,
-        # so the pair is accepted but not replaced by the closed form.
+        # so the pair is accepted but is not the closed form.
         lam = np.exp(2j * np.pi * 0.3)
         base = make_constant()
         filt = FilterMatrix(base.scale, base.chain, base.grid, base.samples * lam)
@@ -357,16 +360,16 @@ class TestClassification:
         assert verdict.status == NOT_PURE_CERTIFIED
         assert len(verdict.eigenpairs) == 1
         assert abs(verdict.eigenpairs[0].eigenvalue - lam) <= 1e-12
-        assert verdict.sharpened_to_exact == 0
+        assert verdict.closed_form_pairs == 0
 
     @pytest.mark.parametrize("depth", [4, 5, 6])
     def test_haar_verdict_is_stable_across_resolutions(self, depth):
-        # No block certificate is passed in: the contraction bound alone
+        # No block certificate is passed in: the fixed cell alone
         # certifies haar at every depth.
         filt = make_haar(depth=depth)
         verdict = classify_purity(filt)
         assert verdict.status == PURE_CERTIFIED
-        assert verdict.contraction is not None
+        assert off_the_circle(verdict.fixed_cell)
         assert not verdict.eigenpairs
         assert verdict.resolution == filt.grid
 
@@ -400,9 +403,13 @@ class TestClassification:
         assert pair.unit_norm_ok
         verdict = classify_purity(filt)
         assert set(verdict.diagnostics) == {"passing_flags", "candidates_tested"}
+        assert verdict.diagnostics["passing_flags"] is verdict.fixed_cell.passing_flags
+        assert verdict.diagnostics["candidates_tested"] is verdict.fixed_cell.candidates
         assert verdict.dimension == 8
-        assert np.array_equal(verdict.spectrum.passing_flags, spectrum.passing_flags)
-        assert verdict.spectrum.passing_flags[verdict.spectrum.candidates[0][0]]
+        cell = verdict.fixed_cell
+        assert cell.eigenvalues.tolist() == [1.0]
+        assert cell.passing_flags.tolist() == [True]
+        assert cell.passing_flags[cell.candidates[0][0]]
 
     def test_constant_eigenvector_martingale_is_flat(self):
         verdict = classify_purity(make_constant())
@@ -432,9 +439,28 @@ def unimodular_eigenvalues(filt):
     return near[np.lexsort((near.imag, near.real))]
 
 
+def dense_radius(filt):
+    return np.abs(np.linalg.eigvals(assemble_transfer_matrix(filt).matrix)).max()
+
+
+def seeded(seed):
+    return np.random.default_rng(seed)
+
+
+def off_the_circle(cell, tol_eig=TOL_EIG):
+    """Whether a cell 0 record proves purity at ``tol_eig``."""
+    return _rules_out_the_circle(cell.margin, cell.allowance, tol_eig)
+
+
+def cell_zero(h0t):
+    """spectrum, margin and allowance of a c x c matrix given as H(0)^T."""
+    return _cell_zero_spectrum(np.array(h0t, dtype=np.complex128).T)
+
+
 # Every bundled generator at its default depth and at the depths the
-# benchmark runs, and the random filters the contraction bound settles.
-CERTIFIED_BY_CONTRACTION = [
+# benchmark runs, and random scalar filters: all pure, and all decided
+# at the fixed cell.
+CERTIFIED_AT_THE_FIXED_CELL = [
     ("haar", lambda: make_haar()),
     ("haar_10", lambda: make_haar(depth=10)),
     ("haar_16", lambda: make_haar(depth=16)),
@@ -457,56 +483,41 @@ CERTIFIED_BY_CONTRACTION = [
 ]
 
 
+def refuse_the_dense_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense path ran")
+
+    monkeypatch.setattr("gmrafilters.ruelle.assemble_transfer_matrix", refuse)
+    monkeypatch.setattr("gmrafilters.ruelle.transfer_spectrum", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    return refuse
+
+
 class TestContraction:
+    """rho(K) < 1, the contraction that makes S_H pure, proved at cell 0."""
+
     @pytest.mark.parametrize(
         "name, build",
-        CERTIFIED_BY_CONTRACTION,
-        ids=[n for n, _ in CERTIFIED_BY_CONTRACTION],
+        CERTIFIED_AT_THE_FIXED_CELL,
+        ids=[n for n, _ in CERTIFIED_AT_THE_FIXED_CELL],
     )
     def test_certified_filters_build_no_matrix(self, name, build, monkeypatch):
         filt = build()
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the dense path ran")
-
-        monkeypatch.setattr("gmrafilters.ruelle.assemble_transfer_matrix", refuse)
-        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        refuse = refuse_the_dense_path(monkeypatch)
         monkeypatch.setattr(np.linalg, "svd", refuse)
         verdict = classify_purity(filt)
         assert verdict.status == PURE_CERTIFIED
-        assert verdict.contraction is not None
-        assert verdict.contraction.bound * (1 + verdict.contraction.allowance) < 1
-        assert verdict.contraction.rho_bound < 1 - TOL_EIG
-        assert verdict.spectrum is None
-        assert len(verdict.diagnostics["passing_flags"]) == 0
+        cell = verdict.fixed_cell
+        assert cell.margin > TOL_EIG + cell.allowance
+        assert cell.candidates == ()
+        assert len(cell.eigenvalues) == filt.count
+        assert not np.any(verdict.diagnostics["passing_flags"])
         assert len(verdict.diagnostics["candidates_tested"]) == 0
         assert verdict.dimension == int(np.array(filt.sigma_masks()).sum())
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            make_haar,
-            make_shannon,
-            make_journe_step,
-            journe_filter,
-            journe_step_phase_copy,
-        ],
-    )
-    def test_bound_matches_the_dense_majorant(self, make):
-        filt = make()
-        found = contraction_certificate(filt)
-        assert found is not None
-        assert found.bound == pytest.approx(
-            dense_majorant_bound(filt, found.steps), rel=1e-13
-        )
-        assert found.allowance == (
-            found.steps * (filt.count * filt.scale + 3) + 2
-        ) * UNIT_ROUNDOFF
-        if found.steps > 1:
-            # the least power: one step fewer does not certify
-            assert dense_majorant_bound(filt, found.steps - 1) >= 1 - 1e-12
-
     def test_rho_bound_covers_the_spectrum(self):
+        # Every filter certified at cell 0 has a dense K whose spectral
+        # radius stays below 1 - tol_eig.
         rng = np.random.default_rng(21)
         filters = [
             build(depth)
@@ -519,16 +530,14 @@ class TestContraction:
         filters += [random_phase_copy(make_journe_step(), rng) for _ in range(4)]
         certified = 0
         for filt in filters:
-            found = contraction_certificate(filt)
-            if found is None:
+            if classify_purity(filt).status != PURE_CERTIFIED:
                 continue
             certified += 1
-            rho = np.abs(np.linalg.eigvals(assemble_transfer_matrix(filt).matrix)).max()
-            assert rho <= found.rho_bound < 1 - TOL_EIG
+            assert dense_radius(filt) < 1 - TOL_EIG
         assert certified == len(filters)
 
     def test_unimodular_spectrum_is_the_same_after_refinement(self):
-        # The lemma behind the certificate: every modulus-one eigenvector
+        # The lemma behind the fixed cell: every modulus-one eigenvector
         # is a step field on the coarse grid, so refining the filter adds
         # no unimodular eigenvalue to K and loses none.
         rng = np.random.default_rng(8)
@@ -550,35 +559,103 @@ class TestContraction:
         assert seen >= 5
 
     def test_rounding_allowance_refuses_a_bound_just_below_one(self):
-        # |H| is lo or hi on a pattern that puts one of each in every row
-        # and every column of |K|, so A 1 = A^T 1 = (lo + hi)/2 exactly:
-        # 1 - 5u, between 1 - allowance and 1 - allowance/2 at one step
-        # (k (c N + 3) + 2 = 7).  The bound is below 1, but not by more
-        # than rounding could explain, even with no tolerance margin.
+        # |H(0)| one ulp below 1 is u off the circle, inside the allowance
+        # 2u of a scalar H(0), so even tol_eig = 0 does not certify it;
+        # eight ulps below, it does.
+        below = 1.0 - UNIT_ROUNDOFF
+        _, margin, allowance = cell_zero([[below]])
+        assert (margin, allowance) == (UNIT_ROUNDOFF, 2 * UNIT_ROUNDOFF)
+        assert not _rules_out_the_circle(margin, allowance, 0.0)
+        _, margin, allowance = cell_zero([[1.0 - 8 * UNIT_ROUNDOFF]])
+        assert _rules_out_the_circle(margin, allowance, 0.0)
+        _, margin, allowance = cell_zero([[below, 0.0], [0.0, 0.5]])
+        assert margin == UNIT_ROUNDOFF < allowance
+        assert not _rules_out_the_circle(margin, allowance, 0.0)
+        # A valid filter with that H(0): pure_at_resolution at tol_eig = 0.
         grid = GridSpec(2, 1, 4)
-        cell = np.arange(grid.cells)
-        lo, hi = 1 - 2.0**-20, 1 + 2.0**-20 - 10 * UNIT_ROUNDOFF
-        pattern = (cell % 2 == 0) == (cell < grid.cells // 2)
-        samples = np.where(pattern, lo, hi).astype(np.complex128)
+        half = grid.cells // 2
+        samples = np.full(grid.cells, below, dtype=np.complex128)
+        samples[half:] = math.sqrt(2.0 - below**2)
         filt = FilterMatrix(2, SigmaChain.full_circle(1), grid, samples[None, None])
-        assert filter_equation_residual(filt).max_abs_residual <= 1e-10
-        allowance = 7 * UNIT_ROUNDOFF
-        bound = dense_majorant_bound(filt, 1)
-        assert bound == 1 - 5 * UNIT_ROUNDOFF
-        assert allowance / 2 < 1 - bound < allowance
-        assert contraction_certificate(filt, tol_eig=0.0) is None
-        assert contraction_certificate(filt) is None
-        assert classify_purity(filt).contraction is None
+        assert filter_equation_residual(filt).max_abs_residual <= VERIFY_TOL
+        verdict = classify_purity(filt, tol_eig=0.0)
+        assert verdict.status == PURE_AT_RESOLUTION
+        assert verdict.fixed_cell.candidates == ()
 
+    @pytest.mark.parametrize("tol_eig", [-1e-8, 1.0, 2.0, float("nan")])
+    def test_tolerance_outside_the_unit_interval_is_never_certified(self, tol_eig):
+        # From tol_eig = 1 on, journe_step's eigenvalue 0 is a candidate too:
+        # its field cannot be propagated and fails quietly.
+        for filt in (make_haar(), make_journe_step()):
+            assert not off_the_circle(classify_purity(filt).fixed_cell, tol_eig)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verdict = classify_purity(filt, tol_eig=tol_eig)
+            assert verdict.status == PURE_AT_RESOLUTION
+            assert not np.any(verdict.fixed_cell.passing_flags)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), complex(0, float("nan"))]
+    )
+    @pytest.mark.parametrize("make", [make_haar, make_journe_step])
+    def test_non_finite_sample_is_never_certified(self, make, value):
+        bad = with_sample(make(), 0, 0, 0, value)
+        eigenvalues, margin, allowance = _cell_zero_spectrum(bad.samples[:, :, 0])
+        assert allowance == math.inf
+        assert len(_candidate_rows(eigenvalues, TOL_EIG)) == 0
+        assert not _rules_out_the_circle(margin, allowance, TOL_EIG)
+        # classify refuses the filter before it reaches cell 0
+        with pytest.raises(ParameterError):
+            classify_purity(bad)
+
+    def test_non_pure_filters_are_not_certified(self):
+        filters = [make_constant(), make_constant(depth=3, scale=3)]
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for scale in (2, 3, 4):
+                filters.append(planted_filter(rng, scale, 3, PLANTED_LAMBDA)[0])
+        for filt in filters:
+            verdict = classify_purity(filt)
+            assert verdict.fixed_cell.margin <= TOL_EIG
+            assert not off_the_circle(verdict.fixed_cell)
+            assert verdict.status == NOT_PURE_CERTIFIED
+
+    def test_the_undecided_filter_defeats_the_bound_but_not_the_spectrum(self):
+        # Unimodular samples: |K| has every row and column sum 1, H(0) is
+        # on the circle, and its propagated field fails the re-test, so
+        # the verdict stays open although rho(K) is well below 1.
+        filt = near_constant_filter(np.random.default_rng(0), eps=0.0)
+        assert dense_majorant_bound(filt, 64) >= 1 - 1e-12
+        assert dense_radius(filt) < 0.9
+        verdict = classify_purity(filt, certificate=search_certificate(filt))
+        assert verdict.status == PURE_AT_RESOLUTION
+        cell = verdict.fixed_cell
+        assert cell.margin <= TOL_EIG
+        assert [bool(cell.passing_flags[row]) for row, _ in cell.candidates] == [False]
+
+    def test_near_constant_filter_is_certified_at_the_fixed_cell(self):
+        # |H(0)| = sqrt(2) cos(pi/4 + 1e-3), about 1e-3 inside the circle:
+        # no norm bound on the powers of |K| drops below 1, but the fixed
+        # cell proves purity, and the dense radius agrees.
+        filt = near_constant_filter(np.random.default_rng(0))
+        assert dense_majorant_bound(filt, 64) > 1
+        assert dense_radius(filt) < 0.9
+        verdict = classify_purity(filt, certificate=search_certificate(filt))
+        assert verdict.status == PURE_CERTIFIED
+        assert verdict.fixed_cell.margin == pytest.approx(1e-3, rel=1e-3)
+        assert verdict.fixed_cell.candidates == ()
+
+
+class TestFixedCell:
     @pytest.mark.parametrize("seed", [0, 4])
     @pytest.mark.parametrize("scale", [2, 3, 4])
-    def test_bound_within_tol_eig_of_one_is_left_to_the_dense_path(
+    def test_eigenvalue_within_tol_eig_of_one_is_accepted_at_the_fixed_cell(
         self, scale, seed
     ):
         # Scaling a planted non-pure filter by 1 - 1e-11 keeps it within
         # the verification gate and makes every row and column sum of |K|
-        # 1 - 1e-11: a bound below 1, but the planted eigenvalue is within
-        # tol_eig of the circle, so the dense path, not the bound, decides.
+        # 1 - 1e-11, but the planted eigenvalue is within tol_eig of the
+        # circle, and its field passes the re-test.
         filt, _ = planted_filter(
             np.random.default_rng(seed), scale, 3, PLANTED_LAMBDA
         )
@@ -587,43 +664,220 @@ class TestContraction:
         )
         assert filter_equation_residual(shrunk).max_abs_residual <= VERIFY_TOL
         assert dense_majorant_bound(shrunk, 1) < 1
-        assert contraction_certificate(shrunk, tol_eig=0.0) is not None
-        assert contraction_certificate(shrunk) is None
         verdict = classify_purity(shrunk)
         assert verdict.status == NOT_PURE_CERTIFIED
-        assert verdict.contraction is None
+        assert not off_the_circle(verdict.fixed_cell)
         assert abs(verdict.eigenpairs[0].eigenvalue - PLANTED_LAMBDA) <= 1e-10
         assert transfer_spectrum(shrunk).passing_flags.sum() == 1
 
-    @pytest.mark.parametrize("tol_eig", [-1e-8, 1.0, 2.0, float("nan")])
-    def test_tolerance_outside_the_unit_interval_is_never_certified(self, tol_eig):
-        assert contraction_certificate(make_haar(), tol_eig=tol_eig) is None
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_scalar_candidate_band(self, sign):
+        phase = np.exp(0.7j)
+        eigenvalues, margin, allowance = cell_zero([[(1 + sign * TOL_EIG / 2) * phase]])
+        assert _candidate_rows(eigenvalues, TOL_EIG).tolist() == [0]
+        assert not _rules_out_the_circle(margin, allowance, TOL_EIG)
+        eigenvalues, margin, allowance = cell_zero([[(1 + sign * 2 * TOL_EIG) * phase]])
+        assert _candidate_rows(eigenvalues, TOL_EIG).tolist() == []
+        assert _rules_out_the_circle(margin, allowance, TOL_EIG)
+
+    def test_ill_conditioned_eigenvalues_in_the_band_are_not_certified(self):
+        # Two eigenvalues 2 tol_eig outside the circle and 1e-10 apart:
+        # with an off-diagonal 1, the eigenvectors are nearly parallel and
+        # the Bauer-Fike allowance swallows the margin; diagonal, it does
+        # not.
+        a = 1 + 2 * TOL_EIG
+        eigenvalues, margin, allowance = cell_zero([[a, 1.0], [0.0, a + 1e-10]])
+        assert _candidate_rows(eigenvalues, TOL_EIG).tolist() == []
+        assert TOL_EIG < margin <= TOL_EIG + allowance
+        assert not _rules_out_the_circle(margin, allowance, TOL_EIG)
+        _, margin, allowance = cell_zero([[a, 0.0], [0.0, a + 1e-10]])
+        assert allowance < 1e-15
+        assert _rules_out_the_circle(margin, allowance, TOL_EIG)
+
+    def test_defective_matrix_has_an_infinite_allowance(self):
+        _, margin, allowance = cell_zero([[1.5, 1.0], [0.0, 1.5]])
+        assert margin == 0.5
+        assert allowance == math.inf
+        assert not _rules_out_the_circle(margin, allowance, TOL_EIG)
 
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), complex(0, float("nan"))]
+        "scale, base", [(2, 1), (2, 7), (2, 56), (3, 1), (3, 4), (4, 1), (4, 28)]
     )
-    @pytest.mark.parametrize("make", [make_haar, make_journe_step])
-    def test_non_finite_sample_is_never_certified(self, make, value):
-        bad = with_sample(make(), 0, 0, 1, value)
-        assert contraction_certificate(bad) is None
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_propagation_reaches_every_coarse_cell(self, scale, base, depth):
+        grid = GridSpec(scale, base, depth)
+        levels = _propagation_schedule(scale, grid.cells)
+        coarse_cells = grid.cells // scale
+        reached = np.concatenate([[0]] + [s // scale for s in levels])
+        assert sorted(reached.tolist()) == list(range(coarse_cells))
+        # at most ceil(log_N(M/N)) + 1 levels carry a cell
+        assert sum(s.size > 0 for s in levels) <= math.ceil(
+            math.log(coarse_cells, scale) - 1e-9
+        ) + 1
 
-    def test_non_pure_filters_are_not_certified(self):
-        assert contraction_certificate(make_constant()) is None
-        assert contraction_certificate(make_constant(depth=3, scale=3)) is None
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            for scale in (2, 3, 4):
-                filt, _ = planted_filter(rng, scale, 3, PLANTED_LAMBDA)
-                assert contraction_certificate(filt) is None
+    @pytest.mark.parametrize(
+        "name, build, status",
+        [
+            ("constant", make_constant, NOT_PURE_CERTIFIED),
+            ("constant_n3", lambda: make_constant(3, scale=3), NOT_PURE_CERTIFIED),
+            (
+                "planted",
+                lambda: planted_filter(seeded(0), 3, 3, PLANTED_LAMBDA)[0],
+                NOT_PURE_CERTIFIED,
+            ),
+            (
+                "planted_two_channel",
+                lambda: planted_unitary_filter(seeded(0), 2, 3, PLANTED_LAMBDA)[0],
+                NOT_PURE_CERTIFIED,
+            ),
+            (
+                "near_constant",
+                lambda: near_constant_filter(seeded(0)),
+                PURE_CERTIFIED,
+            ),
+            (
+                "unimodular",
+                lambda: near_constant_filter(seeded(0), eps=0.0),
+                PURE_AT_RESOLUTION,
+            ),
+        ],
+    )
+    def test_classify_never_takes_the_dense_path(
+        self, name, build, status, monkeypatch
+    ):
+        # The other generators: see test_certified_filters_build_no_matrix.
+        filt = build()
+        refuse_the_dense_path(monkeypatch)
+        assert classify_purity(filt).status == status
 
-    def test_the_undecided_filter_defeats_the_bound_but_not_the_spectrum(self):
-        filt = near_constant_filter(np.random.default_rng(0))
-        assert contraction_certificate(filt) is None
-        assert dense_majorant_bound(filt, CONTRACTION_MAX_STEPS) > 1
-        rho = np.abs(np.linalg.eigvals(assemble_transfer_matrix(filt).matrix)).max()
-        assert rho < 0.9
-        verdict = classify_purity(filt, certificate=search_certificate(filt))
-        assert verdict.status == PURE_AT_RESOLUTION
+    @pytest.mark.parametrize("depth", [13, 16])
+    def test_decided_past_the_dense_cap(self, depth):
+        verdict = classify_purity(make_constant(depth=depth))
+        assert verdict.status == NOT_PURE_CERTIFIED
+        pair = verdict.eigenpairs[0]
+        assert pair.eigenvalue == 1.0 + 0.0j
+        assert pair.residual == 0.0
+        assert np.all(pair.fld.values == 1.0)
+        assert verdict.closed_form_pairs == 1
+        with pytest.raises(DimensionCapError):
+            transfer_spectrum(make_constant(depth=depth))
+
+
+def identity_two_channel():
+    grid = GridSpec(2, 1, 4)
+    samples = np.zeros((2, 2, grid.cells), dtype=np.complex128)
+    samples[0, 0] = samples[1, 1] = 1.0
+    return FilterMatrix(2, SigmaChain.full_circle(2), grid, samples)
+
+
+def oracle_cases():
+    """Every case below the dense cap, as (name, builder) pairs."""
+    cases = []
+    for depth in (2, 4, 6):
+        cases += [
+            (f"haar_{depth}", lambda d=depth: make_haar(depth=d)),
+            (f"shannon_{depth}", lambda d=depth: make_shannon(depth=d)),
+            (f"constant_{depth}", lambda d=depth: make_constant(depth=d)),
+        ]
+    for depth in (1, 2, 3):
+        cases += [
+            (f"journe_step_{depth}", lambda d=depth: make_journe_step(depth=d)),
+            (f"journe_{depth}", lambda d=depth: journe_at(d)),
+        ]
+    for n in (3, 4):
+        for d in (2, 3):
+            cases.append((f"constant_n{n}_{d}", lambda n=n, d=d: make_constant(d, n)))
+    for n in (2, 3, 4):
+        for d in (2, 3, 4):
+            for k in (0, 1):
+                cases.append(
+                    (
+                        f"planted_n{n}_{d}_seed{k}",
+                        lambda n=n, d=d, k=k: planted_filter(
+                            seeded(k), n, d, PLANTED_LAMBDA
+                        )[0],
+                    )
+                )
+    cases.append(
+        ("planted_lambda_1", lambda: planted_filter(seeded(0), 2, 4, 1.0)[0])
+    )
+    for n in (2, 3):
+        for d in (2, 3):
+            cases.append(
+                (
+                    f"planted_two_channel_n{n}_{d}",
+                    lambda n=n, d=d: planted_unitary_filter(
+                        seeded(0), n, d, PLANTED_LAMBDA
+                    )[0],
+                )
+            )
+    cases.append(("identity_two_channel", identity_two_channel))
+    for k in (0, 1):
+        cases += [
+            (f"near_constant_{k}", lambda k=k: near_constant_filter(seeded(k))),
+            (f"unimodular_{k}", lambda k=k: near_constant_filter(seeded(k), eps=0.0)),
+            (
+                f"journe_step_phase_copy_{k}",
+                lambda k=k: random_phase_copy(make_journe_step(), seeded(k)),
+            ),
+            (
+                f"journe_phase_copy_{k}",
+                lambda k=k: random_phase_copy(journe_at(2), seeded(k)),
+            ),
+            (f"random_scalar_{k}", lambda k=k: random_scalar_filter(seeded(k), 5)),
+        ]
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+def span_gap(fields, others):
+    """The largest distance of a field from the span of ``others``."""
+    return max(
+        np.abs(f.values - sum(f.inner(g) * g.values for g in others)).max()
+        for f in fields
+    )
+
+
+class TestDenseOracle:
+    """The cell 0 decision against the dense spectrum of K, below the cap."""
+
+    @pytest.mark.parametrize(
+        "name, build", ORACLE_CASES, ids=[n for n, _ in ORACLE_CASES]
+    )
+    def test_fixed_cell_agrees_with_the_dense_path(self, name, build):
+        filt = build()
+        verdict = classify_purity(filt)
+        dense = transfer_spectrum(filt)
+        accepted = list(verdict.eigenpairs)
+        # the dense pairs carry conj(lambda) for K's eigenvalue lambda
+        reference = [p for row, p in dense.candidates if dense.passing_flags[row]]
+        assert len(accepted) == len(reference)
+        for pair in accepted:
+            mine = [p for p in accepted if abs(p.eigenvalue - pair.eigenvalue) <= 1e-9]
+            theirs = [
+                q for q in reference if abs(q.eigenvalue - pair.eigenvalue) <= 1e-9
+            ]
+            assert len(mine) == len(theirs)
+            for p in mine:
+                assert min(abs(p.eigenvalue - q.eigenvalue) for q in theirs) <= 1e-12
+            if len(mine) == 1:
+                f, g = mine[0].fld, theirs[0].fld
+                phase = g.inner(f)
+                phase /= abs(phase)
+                assert np.abs(f.values * phase - g.values).max() <= 1e-12
+            else:
+                assert span_gap([p.fld for p in mine], [q.fld for q in theirs]) <= 1e-12
+                assert span_gap([q.fld for q in theirs], [p.fld for p in mine]) <= 1e-12
+        dense_status = NOT_PURE_CERTIFIED if reference else PURE_AT_RESOLUTION
+        if verdict.status != dense_status:
+            # an upgrade, only when H(0)^T stays more than tol_eig off the circle
+            assert verdict.status == PURE_CERTIFIED
+            assert dense_status == PURE_AT_RESOLUTION
+            assert verdict.fixed_cell.margin > TOL_EIG
+        if search_certificate(filt) is not None:
+            assert off_the_circle(verdict.fixed_cell)
 
 
 class TestPlantedFilters:
@@ -656,10 +910,10 @@ class TestPlantedFilters:
         rng = np.random.default_rng(seed)
         filt, columns = planted_unitary_filter(rng, scale, depth, PLANTED_LAMBDA)
         assert filter_equation_residual(filt).max_abs_residual <= 1e-12
-        assert contraction_certificate(filt) is None
         assert search_certificate(filt) is None
         verdict = classify_purity(filt)
         assert verdict.status == NOT_PURE_CERTIFIED
+        assert not off_the_circle(verdict.fixed_cell)
         assert len(verdict.eigenpairs) == 2
         for pair in verdict.eigenpairs:
             assert abs(pair.eigenvalue - PLANTED_LAMBDA) <= 1e-12
@@ -681,7 +935,7 @@ class TestPlantedFilters:
         assert pair.eigenvalue == 1.0 + 0.0j
         assert pair.residual == 0.0
         assert np.all(pair.fld.values == 1.0)
-        assert verdict.sharpened_to_exact == 1
+        assert verdict.closed_form_pairs == 1
         assert search_certificate(filt) is None
 
 

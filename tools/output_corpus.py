@@ -45,6 +45,8 @@ JOBS = [
     ("journe_step_half_turn", ["journe_step", "--half-turn-phases"]),
     ("journe_half_turn", ["journe", "--half-turn-phases"]),
     ("journe_delta_0.05", ["journe", "--delta", "0.05"]),
+    # Past the dense cap: classify decides, spectrum exits 2.
+    ("constant_13", ["constant", "--depth", "13"]),
 ]
 
 PLANTED_LAMBDA = cmath.exp(2j * cmath.pi * 0.3)
@@ -52,8 +54,9 @@ BUILT_SEED = 0
 
 # (job name, builder of the filter from the tests/helpers module and a
 # generator seeded with BUILT_SEED).  They reach what no generator does:
-# an accepted eigenvalue other than 1, an accepted eigenvalue 1 that is
-# not sharpened, two pairs for one eigenvalue, and pure_at_resolution.
+# an accepted eigenvalue other than 1, an accepted eigenvalue 1 whose
+# field is not the constant one, two pairs for one eigenvalue, a pure
+# verdict decided at cell 0 by a margin of 1e-3, and pure_at_resolution.
 BUILT_JOBS = [
     ("planted_scale_3", lambda h, rng: h.planted_filter(rng, 3, 3, PLANTED_LAMBDA)[0]),
     ("planted_lambda_1", lambda h, rng: h.planted_filter(rng, 2, 4, 1.0)[0]),
@@ -62,6 +65,7 @@ BUILT_JOBS = [
         lambda h, rng: h.planted_unitary_filter(rng, 2, 3, PLANTED_LAMBDA)[0],
     ),
     ("near_constant", lambda h, rng: h.near_constant_filter(rng)),
+    ("unimodular", lambda h, rng: h.near_constant_filter(rng, eps=0.0)),
 ]
 
 
