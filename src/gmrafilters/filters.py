@@ -433,32 +433,25 @@ def journe_profile(params: JourneParams) -> np.ndarray:
 
     which is what makes the coset identity of the assembled filter close
     to rounding at every cell.  Samples are taken at cell left endpoints.
+
+    Each piece starts at b = p M, an integer (``JourneParams`` checks it), so
+    x < p is t < b and a ramp argument is the int quotient (t - b_a)/(b_b - b_a),
+    correctly rounded like float(Fraction).  ``_transition`` (libm exp) and
+    the complement's x ** 2 (libm pow) stay scalar: array forms may round apart.
     """
-    grid = params.grid
-    m = grid.cells
-    half = m // 2
+    m = params.grid.cells
     r = float(params.r)
-    p1, p2, p3, p4, p5, p6, phalf = params.breakpoints()[:7]
-    q0 = SQRT2 * math.sqrt(1.0 - r * r)
+    b1, b2, b3, b4, b5, b6, half = (int(p * m) for p in params.breakpoints()[:7])
+
+    def ramp(a: int, b: int) -> np.ndarray:
+        return np.array([_transition((t - a) / (b - a)) for t in range(a, b)])
     q = np.zeros(m)
-    for t in range(half):
-        x = Fraction(t, m)
-        if x < p1:
-            q[t] = q0 * (1.0 - _transition(float(x / p1)))
-        elif x < p2:
-            q[t] = 0.0
-        elif x < p3:
-            q[t] = SQRT2 * _transition(float((x - p2) / (p3 - p2)))
-        elif x < p4:
-            q[t] = SQRT2
-        elif x < p5:
-            q[t] = SQRT2 * (1.0 - _transition(float((x - p4) / (p5 - p4))))
-        elif x < p6:
-            q[t] = 0.0
-        else:
-            q[t] = SQRT2 * r * _transition(float((x - p6) / (phalf - p6)))
-    for t in range(half, m):
-        q[t] = math.sqrt(max(0.0, 2.0 - q[t - half] ** 2))
+    q[:b1] = SQRT2 * math.sqrt(1.0 - r * r) * (1.0 - ramp(0, b1))
+    q[b2:b3] = SQRT2 * ramp(b2, b3)
+    q[b3:b4] = SQRT2
+    q[b4:b5] = SQRT2 * (1.0 - ramp(b4, b5))
+    q[b6:half] = SQRT2 * r * ramp(b6, half)
+    q[half:] = [math.sqrt(max(0.0, 2.0 - x**2)) for x in q[:half].tolist()]
     return q
 
 

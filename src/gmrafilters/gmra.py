@@ -91,9 +91,11 @@ def intersection_report(
             "consistent": True,
         }
         lam = verdict.eigenpairs[0].eigenvalue
+        # Adding 0.0 prints a part that rounds to -0 as +0.000000.
+        real, imag = (round(x, 6) + 0.0 for x in (lam.real, lam.imag))
         lines = [
             "An eigenvector with a modulus-one eigenvalue "
-            f"({lam.real:+.6f}{lam.imag:+.6f}i) survives the adjoint "
+            f"({real:+.6f}{imag:+.6f}i) survives the adjoint "
             "averaging, so a nonzero field is shared by every level of the "
             "tower and the common intersection is nontrivial."
         ]

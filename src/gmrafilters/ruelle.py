@@ -80,6 +80,9 @@ DIM_CAP_ENV = "GMRAFILTERS_DIM_CAP"
 
 # Unit roundoff of float64, the u of the rounding allowance.
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+# Moduli this close to the largest, relatively, tie for the phase reference:
+# on a unimodular field they differ in the last bits, which must not choose.
+_PHASE_RTOL = 1e-8
 # The highest kernel order the martingale diagnostic checks.
 MARTINGALE_MAX_ORDER = 3
 
@@ -322,8 +325,9 @@ def _null_vectors(matrix: np.ndarray, lam: complex, count: int) -> np.ndarray:
 
 
 def _canonical_field(chain: SigmaChain, grid: GridSpec, values: np.ndarray) -> VecField:
-    """A field with its largest entry real and positive, at unit norm."""
-    pval = values.flat[int(np.argmax(np.abs(values)))]
+    """A field with its first near-largest entry real and positive, at unit norm."""
+    mod = np.abs(values)
+    pval = values.flat[int(np.argmax(mod >= (1.0 - _PHASE_RTOL) * mod.max()))]
     if pval != 0:
         values = values * (np.conj(pval) / abs(pval))
     return _unit(VecField.masked(chain, grid, values))

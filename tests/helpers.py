@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from gmrafilters import FilterMatrix, GridSpec, IntervalSet, SigmaChain, VecField
+from gmrafilters import (
+    FilterMatrix,
+    GridSpec,
+    IntervalSet,
+    JourneParams,
+    SigmaChain,
+    VecField,
+)
+from gmrafilters.filters import _transition
 
 SQRT2 = math.sqrt(2.0)
 
@@ -121,3 +129,37 @@ def near_constant_filter(
     samples[0, 0, :mp] = SQRT2 * math.cos(math.pi / 4 + eps) * np.exp(1j * a)
     samples[0, 0, mp:] = SQRT2 * math.sin(math.pi / 4 + eps) * np.exp(1j * b)
     return FilterMatrix(2, SigmaChain.full_circle(1), grid, samples)
+
+
+def journe_profile_reference(params: JourneParams) -> np.ndarray:
+    """The smooth Journe profile sampled cell by cell with exact rationals.
+
+    Each cell's left endpoint x = t/M is compared with the breakpoints as
+    a ``Fraction`` and each ramp argument is the float of an exact
+    quotient, so this is the oracle for the bytes of ``journe_profile``.
+    """
+    m = params.grid.cells
+    half = m // 2
+    r = float(params.r)
+    p1, p2, p3, p4, p5, p6, phalf = params.breakpoints()[:7]
+    q0 = SQRT2 * math.sqrt(1.0 - r * r)
+    q = np.zeros(m)
+    for t in range(half):
+        x = Fraction(t, m)
+        if x < p1:
+            q[t] = q0 * (1.0 - _transition(float(x / p1)))
+        elif x < p2:
+            q[t] = 0.0
+        elif x < p3:
+            q[t] = SQRT2 * _transition(float((x - p2) / (p3 - p2)))
+        elif x < p4:
+            q[t] = SQRT2
+        elif x < p5:
+            q[t] = SQRT2 * (1.0 - _transition(float((x - p4) / (p5 - p4))))
+        elif x < p6:
+            q[t] = 0.0
+        else:
+            q[t] = SQRT2 * r * _transition(float((x - p6) / (phalf - p6)))
+    for t in range(half, m):
+        q[t] = math.sqrt(max(0.0, 2.0 - q[t - half] ** 2))
+    return q

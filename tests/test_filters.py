@@ -31,7 +31,13 @@ from gmrafilters import (
 )
 from gmrafilters.filters import _journe_sets
 
-from helpers import member, random_phase_copy, random_scalar_filter, with_sample
+from helpers import (
+    journe_profile_reference,
+    member,
+    random_phase_copy,
+    random_scalar_filter,
+    with_sample,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -232,6 +238,14 @@ class TestJourneGeometry:
         assert filter_equation_residual(flipped).max_abs_residual <= 2e-15
 
 
+# derive_journe(0.1).r and derive_journe(0.05).r, then three round values.
+PROFILE_RS = [0.003125, 0.0015625, 0.05, 0.1, 0.3]
+PROFILE_CASES = [(r, depth) for depth in range(1, 9) for r in PROFILE_RS] + [
+    (0.003125, 10),
+    (0.1, 10),
+]
+
+
 class TestJourneFamily:
     def test_profile_anchors(self):
         params = JourneParams(r=0.05)
@@ -269,6 +283,15 @@ class TestJourneFamily:
         filt = make_journe_family(params, half_turn_phases=flip)
         assert filter_equation_residual(filt).max_abs_residual <= 2e-15
         assert support_violations(filt).clean()
+
+    @pytest.mark.parametrize("r, depth", PROFILE_CASES)
+    def test_profile_matches_the_rational_reference_bit_for_bit(self, r, depth):
+        # Among others, r = 0.1 from depth 5 up and r = 0.003125 at depth 10
+        # reach cells where an array square q * q differs from scalar x ** 2.
+        params = JourneParams(r=r, grid=GridSpec(2, 56, depth))
+        q = journe_profile(params)
+        assert q.dtype == np.float64
+        assert q.tobytes() == journe_profile_reference(params).tobytes()
 
     def test_assembled_entries_follow_the_band_layout(self):
         params = JourneParams(r=0.05)

@@ -141,6 +141,14 @@ class TestIntersectionReport:
         assert f"{cell.allowance:.3g}" in rep.narrative
         assert "zero" in rep.narrative
 
+    def test_eigenvalue_one_minus_zero_i_prints_a_plus_zero(self):
+        # H(0) = f(0)/f(0) is computed as 1 - 0j.
+        filt = planted_filter(np.random.default_rng(0), 2, 4, 1.0)[0]
+        rep = intersection_report(filt)
+        assert rep.verdict.status == NOT_PURE_CERTIFIED
+        assert "(+1.000000+0.000000i)" in rep.narrative
+        assert "-0.000000" not in rep.narrative
+
     def test_journe_family_intersection_is_trivial(self):
         filt = make_journe_family(derive_journe(0.1).params)
         rep = intersection_report(filt)

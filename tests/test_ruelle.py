@@ -41,6 +41,7 @@ from gmrafilters.ruelle import (
     TOL_EIG,
     UNIT_ROUNDOFF,
     VERIFY_TOL,
+    _canonical_field,
     _candidate_rows,
     _cell_zero_spectrum,
     _propagation_schedule,
@@ -113,6 +114,34 @@ class TestVecField:
         a = random_vecfield(filt.chain, filt.grid, np.random.default_rng(7))
         b = random_vecfield(filt.chain, filt.grid, np.random.default_rng(7))
         assert np.array_equal(a.values, b.values)
+
+
+class TestCanonicalField:
+    def _unimodular(self, cells):
+        # Powers of i have modulus exactly 1, so every entry ties.
+        quarter_turns = np.random.default_rng(5).integers(0, 4, cells)
+        return (1j ** quarter_turns).reshape(1, cells)
+
+    @pytest.mark.parametrize("entry", [0, 3, 7])
+    def test_last_bit_of_one_modulus_does_not_move_the_phase(self, entry):
+        grid = GridSpec(2, 1, 3)
+        chain = SigmaChain.full_circle(1)
+        values = self._unimodular(grid.cells)
+        bumped = values.copy()
+        bumped[0, entry] *= 1 + 2.0**-52
+        assert np.abs(bumped).argmax() == entry
+        plain = _canonical_field(chain, grid, values).values
+        moved = _canonical_field(chain, grid, bumped).values
+        # The first entry leads: real and positive at the cell-averaged unit norm.
+        assert plain[0, 0] == 1.0
+        assert np.abs(moved - plain).max() <= 1e-15
+
+    def test_a_unique_largest_entry_leads(self):
+        grid = GridSpec(2, 1, 3)
+        values = self._unimodular(grid.cells)
+        values[0, 5] *= 2.0
+        f = _canonical_field(SigmaChain.full_circle(1), grid, values).values
+        assert f[0, 5].imag == 0.0 and f[0, 5].real > 0
 
 
 class TestOperator:

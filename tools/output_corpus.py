@@ -47,6 +47,10 @@ JOBS = [
     ("journe_delta_0.05", ["journe", "--delta", "0.05"]),
     # Past the dense cap: classify decides, spectrum exits 2.
     ("constant_13", ["constant", "--depth", "13"]),
+    # Depth 10 reaches profile cells where an array square would round the
+    # last bit apart from the scalar x ** 2 (see filters.journe_profile).
+    ("journe_10", ["journe", "--depth", "10"]),
+    ("journe_delta_0.05_10", ["journe", "--delta", "0.05", "--depth", "10"]),
 ]
 
 PLANTED_LAMBDA = cmath.exp(2j * cmath.pi * 0.3)
