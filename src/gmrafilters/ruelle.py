@@ -23,7 +23,8 @@ Jorgensen, Wavelets through a Looking Glass, 2002).
 ``classify_purity`` decides at that cell (see ``FixedCell``) and builds
 no matrix of the operator.  ``transfer_spectrum``, the dense path of the
 ``spectrum`` command, solves the quotient matrix K = adjoint o include
-on the coarse step space instead.
+on the coarse step space instead, for the coarsest filter that refines
+to the given one.
 """
 
 from __future__ import annotations
@@ -227,7 +228,9 @@ class TransferMatrix:
     of N fine cells meets sigma_i; ``grid`` is that coarse grid.  K and
     the fine matrix "apply the adjoint, then include" are BA and AB for
     the same pair of maps, so the fine spectrum is K's followed by
-    ``fine_dimension - dimension`` zeros.
+    ``fine_dimension - dimension`` zeros.  ``transfer_spectrum`` assembles
+    K for the coarsest filter that refines to the one it is given, so
+    these dimensions are that filter's.
     """
 
     matrix: np.ndarray
@@ -250,7 +253,7 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     s // N, the block it refines.  Weights landing on one entry are summed,
     which happens when the coarse grid has fewer than N cells.  The cap,
     read from ``GMRAFILTERS_DIM_CAP``, applies to the dimension of the fine
-    step space.
+    step space of ``filt``.
     """
     cap = _dim_cap()
     # The (component i, fine cell) rows of the fine step space: sigma_i's cells.
@@ -364,15 +367,16 @@ def _retest(
 class TransferSpectrum(NamedTuple):
     """The dense spectrum of K and the re-test of its unit-circle candidates.
 
-    ``eigenvalues`` is the fine spectrum: K's eigenvalues by descending
-    modulus, then real part, then imaginary part, followed by the
-    ``fine_dimension - dimension`` zeros only the fine step space carries.
-    ``candidates`` pairs each eigenvalue of K near the unit circle, by its
-    row, with its re-tested pair for the operator: the conjugate
-    eigenvalue, the eigenvector read as a unit coarse field, and
-    ``_retest``'s residual and unit-norm deviation, judged against
-    ``tol_norm``.  ``passing_flags`` marks, row for row, the eigenvalues
-    whose candidate passed.
+    ``eigenvalues`` is the fine spectrum, one row per coordinate of the
+    fine step space (``fine_dimension``): the eigenvalues of the K that was
+    solved by descending modulus, then real part, then imaginary part,
+    followed by exact zeros, one for every coordinate the fine step space
+    adds to that K's.  ``candidates`` pairs each eigenvalue of K near the
+    unit circle, by its row, with its re-tested pair for the operator: the
+    conjugate eigenvalue, the eigenvector read as a unit coarse field of
+    the given filter, and ``_retest``'s residual and unit-norm deviation
+    against that filter, judged against ``tol_norm``.  ``passing_flags``
+    marks, row for row, the eigenvalues whose candidate passed.
     """
 
     eigenvalues: np.ndarray
@@ -381,11 +385,66 @@ class TransferSpectrum(NamedTuple):
     fine_dimension: int
 
 
+def _coarsest(filt: FilterMatrix) -> tuple[FilterMatrix, int]:
+    """The coarsest filter whose ``refine``s give ``filt``, and how many levels.
+
+    A level down is taken while every block of N samples repeats bit for
+    bit, the coarser filter keeps depth >= 1, and the support chain aligns
+    with that filter's own coarse grid.  The raw bytes keep -0.0 beside
+    0.0 from repeating, and the values a NaN block.
+    """
+    n, c, levels = filt.scale, filt.count, 0
+    while filt.grid.depth >= 2 and filt.chain.aligned(filt.grid.coarser().coarser()):
+        mp = filt.cells // n
+        blocks = np.ascontiguousarray(filt.samples).reshape(c, c, mp, n)
+        raw = blocks.view(np.uint64).reshape(c, c, mp, n, 2)
+        if not ((raw == raw[:, :, :, :1]).all() and (blocks == blocks[..., :1]).all()):
+            break
+        filt = FilterMatrix(n, filt.chain, filt.grid.coarser(), filt.samples[:, :, ::n])
+        levels += 1
+    return filt, levels
+
+
 def transfer_spectrum(
     filt: FilterMatrix,
     tol_eig: float = TOL_EIG,
     tol_res: float = TOL_RES,
     tol_norm: float = TOL_NORM,
+) -> TransferSpectrum:
+    """The fine spectrum of the filter, solved on the coarsest grid it repeats on.
+
+    A filter that is the ``refine`` of a coarser one (see ``_coarsest``)
+    has the coarser filter's K spectrum plus zeros: its detail part is
+    nilpotent, by (I - E_{L/N}) S_H* = S_H* (I - E_L).  So
+    ``_dense_spectrum`` solves the coarsest filter, whose dimension is the
+    one the cap binds, and the fine spectrum is padded with exact zeros
+    up to this filter's ``fine_dimension``; solving the fine K instead
+    would smear those zeros, a Jordan block of size k to about u^(1/k).
+    Each candidate's field is repeated onto this filter's coarse grid and
+    re-tested against this filter, so ``passing_flags`` is decided at its
+    own resolution.
+    """
+    coarse, levels = _coarsest(filt)
+    spectrum = _dense_spectrum(coarse, tol_eig, tol_res, tol_norm)
+    if not levels:
+        return spectrum
+    block = filt.scale**levels
+    fine_dimension = spectrum.fine_dimension * block
+    eigenvalues = np.zeros(fine_dimension, dtype=spectrum.eigenvalues.dtype)
+    eigenvalues[: len(spectrum.eigenvalues)] = spectrum.eigenvalues
+    passing_flags = np.zeros(fine_dimension, dtype=bool)
+    tested = []
+    for k, pair in spectrum.candidates:
+        values = np.repeat(pair.fld.values, block, axis=1)
+        f = VecField(filt.chain, filt.coarse_grid(), values)
+        pair = _retest(filt, f, pair.eigenvalue, tol_norm)
+        passing_flags[k] = pair.residual <= tol_res
+        tested.append((k, pair))
+    return TransferSpectrum(eigenvalues, passing_flags, tuple(tested), fine_dimension)
+
+
+def _dense_spectrum(
+    filt: FilterMatrix, tol_eig: float, tol_res: float, tol_norm: float
 ) -> TransferSpectrum:
     """Solve K densely and re-test its eigenvalues near the unit circle.
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from gmrafilters import (
     DimensionCapError,
     GridSpec,
+    IntervalSet,
     NOT_PURE_CERTIFIED,
     PURE_AT_RESOLUTION,
     PURE_CERTIFIED,
@@ -39,11 +41,15 @@ from gmrafilters.filters import FilterMatrix
 from gmrafilters.ruelle import (
     DIM_CAP_ENV,
     TOL_EIG,
+    TOL_NORM,
+    TOL_RES,
     UNIT_ROUNDOFF,
     VERIFY_TOL,
     _canonical_field,
     _candidate_rows,
     _cell_zero_spectrum,
+    _coarsest,
+    _dense_spectrum,
     _propagation_schedule,
     _rules_out_the_circle,
 )
@@ -788,8 +794,21 @@ class TestFixedCell:
         assert pair.residual == 0.0
         assert np.all(pair.fld.values == 1.0)
         assert verdict.closed_form_pairs == 1
+        # spectrum solves the depth-1 filter that refines to this one and
+        # re-tests the same pair here; haar, which does not coarsen, is
+        # still refused by the cap.
+        spectrum = transfer_spectrum(make_constant(depth=depth))
+        assert spectrum.fine_dimension == 2**depth
+        assert spectrum.eigenvalues[0] == 1.0
+        assert not spectrum.eigenvalues[1:].any()
+        ((row, dense_pair),) = spectrum.candidates
+        assert row == 0
+        assert np.flatnonzero(spectrum.passing_flags).tolist() == [0]
+        assert dense_pair.eigenvalue == 1.0
+        assert dense_pair.residual == 0.0
+        assert np.array_equal(dense_pair.fld.values, pair.fld.values)
         with pytest.raises(DimensionCapError):
-            transfer_spectrum(make_constant(depth=depth))
+            transfer_spectrum(make_haar(depth=depth))
 
 
 def identity_two_channel():
@@ -907,6 +926,120 @@ class TestDenseOracle:
             assert verdict.fixed_cell.margin > TOL_EIG
         if search_certificate(filt) is not None:
             assert off_the_circle(verdict.fixed_cell)
+
+
+def coarsening_levels(name, filt):
+    """Constant, shannon, journe_step and H = I are ``refine``s of their
+    depth-1 filters; no other oracle case repeats on a coarser grid."""
+    refined = ("constant", "shannon", "journe_step_", "identity_two_channel")
+    if name.startswith(refined) and "phase_copy" not in name:
+        return filt.grid.depth - 1
+    return 0
+
+
+COARSENING_CASES = [
+    (name, build)
+    for name, build in ORACLE_CASES
+    if coarsening_levels(name, build()) > 0
+] + [("constant_10", lambda: make_constant(depth=10))]
+
+# A bound on the moduli the full-grid solve gives the zeros of constant
+# 10's K, whose nilpotent part's Jordan blocks smear 0 to about u^(1/k):
+# measured 0.01291 with one BLAS thread and 0.01298 with two.
+DENSE_SMEAR = 0.015
+
+
+def repeated(samples, scale, depth, chain=None):
+    """A filter whose samples, given on a coarser grid, are repeated to ``depth``."""
+    chain = chain if chain is not None else SigmaChain.full_circle(len(samples))
+    grid = GridSpec(scale, 1, depth)
+    values = np.repeat(samples, grid.cells // samples.shape[2], axis=2)
+    return FilterMatrix(scale, chain, grid, values)
+
+
+class TestCoarsest:
+    """``transfer_spectrum`` on the coarsest grid against the full-grid solve."""
+
+    @pytest.mark.parametrize(
+        "name, build", ORACLE_CASES, ids=[n for n, _ in ORACLE_CASES]
+    )
+    def test_levels(self, name, build):
+        filt = build()
+        coarse, levels = _coarsest(filt)
+        assert levels == coarsening_levels(name, filt)
+        if not levels:
+            assert coarse is filt
+            return
+        assert coarse.grid.depth == 1
+        again = coarse
+        for _ in range(levels):
+            again = refine(again)
+        assert again.grid == filt.grid
+        assert np.array_equal(again.samples, filt.samples)
+
+    @pytest.mark.parametrize(
+        "name, build", COARSENING_CASES, ids=[n for n, _ in COARSENING_CASES]
+    )
+    def test_agrees_with_the_full_grid_solve(self, name, build):
+        filt = build()
+        coarse = transfer_spectrum(filt)
+        dense = _dense_spectrum(filt, TOL_EIG, TOL_RES, TOL_NORM)
+        assert coarse.fine_dimension == dense.fine_dimension
+        assert len(coarse.eigenvalues) == len(dense.eigenvalues)
+        nonzero = coarse.eigenvalues != 0
+        assert nonzero.any()
+        assert np.abs(coarse.eigenvalues - dense.eigenvalues)[nonzero].max() <= 1e-12
+        assert np.abs(dense.eigenvalues[~nonzero]).max() < DENSE_SMEAR
+        assert np.array_equal(coarse.passing_flags, dense.passing_flags)
+        assert [k for k, _ in coarse.candidates] == [k for k, _ in dense.candidates]
+        for (_, p), (_, q) in zip(coarse.candidates, dense.candidates):
+            assert p.fld.grid == filt.coarse_grid()
+            assert abs(p.eigenvalue - q.eigenvalue) <= 1e-12
+            assert p.residual <= TOL_RES
+
+    def test_constant_10_loses_its_smeared_cluster(self):
+        dense = _dense_spectrum(make_constant(depth=10), TOL_EIG, TOL_RES, TOL_NORM)
+        smeared = np.abs(dense.eigenvalues[1:])
+        assert 0.01 < smeared.max() < DENSE_SMEAR
+        assert np.count_nonzero(smeared) == 511
+        coarse = transfer_spectrum(make_constant(depth=10))
+        assert coarse.eigenvalues[0] == 1.0
+        assert not coarse.eigenvalues[1:].any()
+
+    def test_signed_zero_in_a_block_does_not_repeat(self):
+        filt = make_shannon(depth=3)
+        zero = int(np.flatnonzero(filt.samples[0, 0] == 0)[0])
+        assert zero % 2 == 0 and filt.samples[0, 0, zero + 1] == 0
+        signed = with_sample(filt, 0, 0, zero + 1, complex(-0.0, 0.0))
+        assert _coarsest(filt)[1] == 2
+        assert _coarsest(signed)[1] == 0
+        # equal as values, so a float comparison would have coarsened it
+        assert np.array_equal(signed.samples, filt.samples)
+
+    def test_nan_block_does_not_repeat(self):
+        filt = repeated(np.full((1, 1, 2), complex(math.nan, 0.0)), 2, 3)
+        # every sample has the same bytes: one NaN real part, one zero
+        assert np.unique(filt.samples.view(np.uint64)).size == 2
+        assert _coarsest(filt) == (filt, 0)
+
+    def test_chain_that_does_not_align_with_the_next_grid(self):
+        half = IntervalSet.from_arcs([(0, Fraction(1, 2))])
+        chain = SigmaChain.of([IntervalSet.full(), half])
+        samples = np.zeros((2, 2, 2), dtype=np.complex128)
+        samples[0, 0] = samples[1, 1] = 1.0
+        filt = repeated(samples, 2, 4, chain)
+        # the depth-2 filter's coarse grid has 2 cells, which sigma_2 aligns
+        # with; depth 1 would need the 1-cell grid
+        coarse, levels = _coarsest(filt)
+        assert (levels, coarse.grid.depth) == (2, 2)
+        assert _coarsest(repeated(samples, 2, 4))[1] == 3
+
+    @pytest.mark.parametrize("scale", [2, 3, 4])
+    def test_depth_one_floor(self, scale):
+        filt = make_constant(depth=1, scale=scale)
+        assert _coarsest(filt) == (filt, 0)
+        coarse, levels = _coarsest(make_constant(depth=5, scale=scale))
+        assert (levels, coarse.grid) == (4, filt.grid)
 
 
 class TestPlantedFilters:

@@ -45,8 +45,12 @@ JOBS = [
     ("journe_step_half_turn", ["journe_step", "--half-turn-phases"]),
     ("journe_half_turn", ["journe", "--half-turn-phases"]),
     ("journe_delta_0.05", ["journe", "--delta", "0.05"]),
-    # Past the dense cap: classify decides, spectrum exits 2.
+    # Past the dense cap at its own grid: classify decides, and spectrum
+    # solves the coarsest grid the filter repeats on and exits 0.
     ("constant_13", ["constant", "--depth", "13"]),
+    ("journe_step_8", ["journe_step", "--depth", "8"]),
+    # Past the dense cap with no coarser grid: spectrum exits 2.
+    ("haar_13", ["haar", "--depth", "13"]),
     # Depth 10 reaches profile cells where an array square would round the
     # last bit apart from the scalar x ** 2 (see filters.journe_profile).
     ("journe_10", ["journe", "--depth", "10"]),
