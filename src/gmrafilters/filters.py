@@ -194,10 +194,12 @@ def generalized_filter_residual(filt: FilterMatrix, order: int) -> ResidualRepor
     transposed = np.ascontiguousarray(np.transpose(filt.samples, (2, 1, 0)))
     indices = np.arange(m)
     prod = transposed[indices]
-    for k in range(1, order):
-        prod = prod @ transposed[(indices * n**k) % m]
-    gram = np.einsum("tij,tik->jkt", prod, np.conj(prod))
-    lhs = gram.reshape(filt.count, filt.count, block, mq).mean(axis=2)
+    # A non-finite sample leaves non-finite residuals, without warnings.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, order):
+            prod = prod @ transposed[(indices * n**k) % m]
+        gram = np.einsum("tij,tik->jkt", prod, np.conj(prod))
+        lhs = gram.reshape(filt.count, filt.count, block, mq).mean(axis=2)
     rhs = np.zeros((filt.count, filt.count, mq))
     masks = filt.sigma_masks(target_grid)
     for j in range(filt.count):

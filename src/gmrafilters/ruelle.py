@@ -24,7 +24,8 @@ Jorgensen, Wavelets through a Looking Glass, 2002).
 no matrix of the operator.  ``transfer_spectrum``, the dense path of the
 ``spectrum`` command, solves the quotient matrix K = adjoint o include
 on the coarse step space instead, for the coarsest filter that refines
-to the given one.
+to the given one, and re-tests each candidate once, against the given
+filter.
 """
 
 from __future__ import annotations
@@ -209,14 +210,17 @@ def transfer_apply(filt: FilterMatrix, g: VecField) -> VecField:
 def isometry_residual(
     filt: FilterMatrix, trials: int = 20, seed: int = 0
 ) -> float:
-    """Worst deviation of ||S_H f||^2 from ||f||^2 over random probes."""
+    """Worst deviation of ||S_H f||^2 from ||f||^2 over random probes.
+
+    A NaN deviation makes the worst NaN, so a gate ``<= tol`` fails it.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
     coarse = filt.coarse_grid()
+    deviations = []
     for _ in range(trials):
         f = random_vecfield(filt.chain, coarse, rng)
-        worst = max(worst, abs(ruelle_apply(filt, f).norm() ** 2 - f.norm() ** 2))
-    return worst
+        deviations.append(abs(ruelle_apply(filt, f).norm() ** 2 - f.norm() ** 2))
+    return float(np.max(deviations, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,20 +228,16 @@ class TransferMatrix:
     """Dense matrix K of "include, then apply the adjoint" on a coarse space.
 
     The basis is a (dimension, 2) array of (component i, coarse cell u)
-    rows, lexicographic, holding the cells of the coarse grid whose block
-    of N fine cells meets sigma_i; ``grid`` is that coarse grid.  K and
-    the fine matrix "apply the adjoint, then include" are BA and AB for
-    the same pair of maps, so the fine spectrum is K's followed by
-    ``fine_dimension - dimension`` zeros.  ``transfer_spectrum`` assembles
-    K for the coarsest filter that refines to the one it is given, so
-    these dimensions are that filter's.
+    rows, lexicographic, holding the cells of the filter's coarse grid
+    whose block of N fine cells meets sigma_i.  K and the fine matrix
+    "apply the adjoint, then include" are BA and AB for the same pair of
+    maps, so the fine spectrum is K's followed by
+    ``fine_dimension - dimension`` zeros.
     """
 
     matrix: np.ndarray
     basis: np.ndarray
     fine_dimension: int
-    chain: SigmaChain
-    grid: GridSpec
 
     @property
     def dimension(self) -> int:
@@ -277,9 +277,7 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     keep = rows >= 0
     matrix = np.zeros((len(basis), len(basis)), dtype=np.complex128)
     np.add.at(matrix, (rows[keep], cols[keep]), weights[keep])
-    return TransferMatrix(
-        matrix, basis, len(fine), filt.chain, filt.coarse_grid()
-    )
+    return TransferMatrix(matrix, basis, len(fine))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,21 +366,20 @@ class TransferSpectrum(NamedTuple):
     """The dense spectrum of K and the re-test of its unit-circle candidates.
 
     ``eigenvalues`` is the fine spectrum, one row per coordinate of the
-    fine step space (``fine_dimension``): the eigenvalues of the K that was
+    given filter's fine step space: the eigenvalues of the K that was
     solved by descending modulus, then real part, then imaginary part,
     followed by exact zeros, one for every coordinate the fine step space
     adds to that K's.  ``candidates`` pairs each eigenvalue of K near the
     unit circle, by its row, with its re-tested pair for the operator: the
     conjugate eigenvalue, the eigenvector read as a unit coarse field of
     the given filter, and ``_retest``'s residual and unit-norm deviation
-    against that filter, judged against ``tol_norm``.  ``passing_flags``
+    against that filter, judged against ``TOL_NORM``.  ``passing_flags``
     marks, row for row, the eigenvalues whose candidate passed.
     """
 
     eigenvalues: np.ndarray
     passing_flags: np.ndarray
     candidates: tuple[tuple[int, EigenPair], ...]
-    fine_dimension: int
 
 
 def _coarsest(filt: FilterMatrix) -> tuple[FilterMatrix, int]:
@@ -406,85 +403,55 @@ def _coarsest(filt: FilterMatrix) -> tuple[FilterMatrix, int]:
 
 
 def transfer_spectrum(
-    filt: FilterMatrix,
-    tol_eig: float = TOL_EIG,
-    tol_res: float = TOL_RES,
-    tol_norm: float = TOL_NORM,
+    filt: FilterMatrix, tol_eig: float = TOL_EIG, tol_res: float = TOL_RES
 ) -> TransferSpectrum:
     """The fine spectrum of the filter, solved on the coarsest grid it repeats on.
 
     A filter that is the ``refine`` of a coarser one (see ``_coarsest``)
     has the coarser filter's K spectrum plus zeros: its detail part is
-    nilpotent, by (I - E_{L/N}) S_H* = S_H* (I - E_L).  So
-    ``_dense_spectrum`` solves the coarsest filter, whose dimension is the
-    one the cap binds, and the fine spectrum is padded with exact zeros
-    up to this filter's ``fine_dimension``; solving the fine K instead
-    would smear those zeros, a Jordan block of size k to about u^(1/k).
-    Each candidate's field is repeated onto this filter's coarse grid and
-    re-tested against this filter, so ``passing_flags`` is decided at its
-    own resolution.
-    """
-    coarse, levels = _coarsest(filt)
-    spectrum = _dense_spectrum(coarse, tol_eig, tol_res, tol_norm)
-    if not levels:
-        return spectrum
-    block = filt.scale**levels
-    fine_dimension = spectrum.fine_dimension * block
-    eigenvalues = np.zeros(fine_dimension, dtype=spectrum.eigenvalues.dtype)
-    eigenvalues[: len(spectrum.eigenvalues)] = spectrum.eigenvalues
-    passing_flags = np.zeros(fine_dimension, dtype=bool)
-    tested = []
-    for k, pair in spectrum.candidates:
-        values = np.repeat(pair.fld.values, block, axis=1)
-        f = VecField(filt.chain, filt.coarse_grid(), values)
-        pair = _retest(filt, f, pair.eigenvalue, tol_norm)
-        passing_flags[k] = pair.residual <= tol_res
-        tested.append((k, pair))
-    return TransferSpectrum(eigenvalues, passing_flags, tuple(tested), fine_dimension)
-
-
-def _dense_spectrum(
-    filt: FilterMatrix, tol_eig: float, tol_res: float, tol_norm: float
-) -> TransferSpectrum:
-    """Solve K densely and re-test its eigenvalues near the unit circle.
-
-    K (from ``assemble_transfer_matrix``, whose dimension cap applies) is
-    solved eigenvalues only, in real arithmetic when it is real; every
+    nilpotent, by (I - E_{L/N}) S_H* = S_H* (I - E_L).  So K (from
+    ``assemble_transfer_matrix``, whose cap binds the coarsest filter's
+    dimension) is solved there, eigenvalues only, in real arithmetic when
+    it is real, and the fine spectrum is padded with exact zeros up to
+    this filter's own fine dimension; solving the fine K instead would
+    smear those zeros, a Jordan block of size k to about u^(1/k).  Every
     eigenvalue within ``tol_eig`` of the unit circle is a candidate.  Each
     cluster of candidates (see ``_clusters``) takes one SVD of
     K - lambda I at its leader, and its members in order get the right
     singular vectors of the smallest singular values, so a repeated
-    eigenvalue, semisimple on the circle, gets orthonormal fields.  A
-    candidate passes only if its eigenvector, as a coarse field f, has
-    ||S_H f - conj(lambda) f|| within ``tol_res``.
+    eigenvalue, semisimple on the circle, gets orthonormal fields.  Each
+    field is repeated onto this filter's coarse grid and re-tested once,
+    against this filter: a candidate passes only if
+    ||S_H f - conj(lambda) f|| is within ``tol_res``.
     """
-    tm = assemble_transfer_matrix(filt)
+    coarse, levels = _coarsest(filt)
+    tm = assemble_transfer_matrix(coarse)
     matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
     solved = _by_modulus(np.linalg.eigvals(matrix))
+    block = filt.scale**levels
     # The fine spectrum: K's eigenvalues, then the zeros only the fine
     # space carries, which sort after every nonzero eigenvalue and after
     # K's own zeros.  They have no eigenvector here and are never
     # re-tested; zero could not pass, as ||S_H f|| = ||f|| = 1.
-    eigenvalues = np.concatenate(
-        [solved, np.zeros(tm.fine_dimension - tm.dimension, dtype=solved.dtype)]
-    )
+    eigenvalues = np.zeros(tm.fine_dimension * block, dtype=solved.dtype)
+    eigenvalues[: len(solved)] = solved
     passing_flags = np.zeros(len(eigenvalues), dtype=bool)
     vectors = {}
     for cluster in _clusters(solved, _candidate_rows(solved, tol_eig), tol_res):
         found = _null_vectors(matrix, solved[cluster[0]], len(cluster))
         vectors.update(zip(cluster, found))
 
+    grid = coarse.coarse_grid()
     tested = []
     for k in sorted(vectors):
-        values = np.zeros((tm.chain.count, tm.grid.cells), dtype=np.complex128)
+        values = np.zeros((filt.count, grid.cells), dtype=np.complex128)
         values[tm.basis[:, 0], tm.basis[:, 1]] = vectors[k]
-        f = _canonical_field(tm.chain, tm.grid, values)
-        pair = _retest(filt, f, np.conj(complex(solved[k])), tol_norm)
+        values = _canonical_field(filt.chain, grid, values).values
+        f = VecField(filt.chain, filt.coarse_grid(), np.repeat(values, block, axis=1))
+        pair = _retest(filt, f, np.conj(complex(solved[k])), TOL_NORM)
         passing_flags[k] = pair.residual <= tol_res
         tested.append((k, pair))
-    return TransferSpectrum(
-        eigenvalues, passing_flags, tuple(tested), tm.fine_dimension
-    )
+    return TransferSpectrum(eigenvalues, passing_flags, tuple(tested))
 
 
 class FixedCell(NamedTuple):

@@ -163,3 +163,12 @@ def journe_profile_reference(params: JourneParams) -> np.ndarray:
     for t in range(half, m):
         q[t] = math.sqrt(max(0.0, 2.0 - q[t - half] ** 2))
     return q
+
+
+def identity_two_channel() -> FilterMatrix:
+    """H = I with c = 2 at depth 4: eigenvalue 1 on the two-dimensional space
+    of constant fields."""
+    grid = GridSpec(2, 1, 4)
+    samples = np.zeros((2, 2, grid.cells), dtype=np.complex128)
+    samples[0, 0] = samples[1, 1] = 1.0
+    return FilterMatrix(2, SigmaChain.full_circle(2), grid, samples)

@@ -6,10 +6,12 @@ across BLAS thread counts.
 """
 
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +154,37 @@ class TestVerify:
         assert report["ok"] is False
         assert report["filter_equation"]["witness_cell"] == 0
         assert float(report["filter_equation"]["max_residual"]) > 1.0
+
+    @staticmethod
+    def haar_with_sample(tmp_path, value):
+        bundle = generate(tmp_path, "haar")
+        raw = json.loads(bundle.read_text())
+        raw["entries"][0]["samples"][3] = [value, "0.0"]
+        bad = tmp_path / f"haar_{value}.json"
+        bad.write_text(json.dumps(raw))
+        return bad
+
+    def test_nan_sample_reports_a_nan_isometry_deviation(self, tmp_path):
+        bad = self.haar_with_sample(tmp_path, "nan")
+        out = tmp_path / "verify.json"
+        assert main(["verify", str(bad), "--out", str(out)]) == EXIT_VERIFY_FAIL
+        report = report_of(out)
+        assert report["ok"] is False
+        assert report["isometry"]["max_deviation"] == "nan"
+
+    def test_inf_sample_fails_without_warnings(self, tmp_path, capsys):
+        bad = self.haar_with_sample(tmp_path, "inf")
+        out = tmp_path / "verify.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(bad), "--out", str(out)]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().err == ""
+        report = report_of(out)
+        assert report["ok"] is False
+        residuals = [float(g["max_residual"]) for g in report["generalized_equation"]]
+        assert len(residuals) == 3
+        assert not any(math.isfinite(r) for r in residuals)
 
     def test_malformed_json_is_a_usage_error(self, tmp_path):
         bad = tmp_path / "garbled.json"

@@ -37,11 +37,11 @@ from gmrafilters import (
     transfer_apply,
     transfer_spectrum,
 )
+from gmrafilters import ruelle
 from gmrafilters.filters import FilterMatrix
 from gmrafilters.ruelle import (
     DIM_CAP_ENV,
     TOL_EIG,
-    TOL_NORM,
     TOL_RES,
     UNIT_ROUNDOFF,
     VERIFY_TOL,
@@ -49,12 +49,12 @@ from gmrafilters.ruelle import (
     _candidate_rows,
     _cell_zero_spectrum,
     _coarsest,
-    _dense_spectrum,
     _propagation_schedule,
     _rules_out_the_circle,
 )
 
 from helpers import (
+    identity_two_channel,
     near_constant_filter,
     planted_filter,
     planted_unitary_filter,
@@ -182,6 +182,12 @@ class TestOperator:
             filt.scale, filt.chain, filt.grid, filt.samples * SQRT2
         )
         assert isometry_residual(bad, trials=5, seed=0) > 0.1
+
+    def test_isometry_keeps_a_nan_deviation(self):
+        bad = with_sample(make_haar(), 0, 0, 3, complex(math.nan, 0.0))
+        residual = isometry_residual(bad, trials=20, seed=0)
+        assert math.isnan(residual)
+        assert not residual <= 1e-10
 
     @pytest.mark.parametrize("make", [make_haar, make_journe_step, journe_filter])
     def test_adjoint_relation_is_exact(self, make):
@@ -424,7 +430,6 @@ class TestClassification:
     def test_diagnostics_carry_the_spectrum_and_flags(self):
         filt = make_constant(depth=3)
         spectrum = transfer_spectrum(filt)
-        assert spectrum.fine_dimension == 8
         assert len(spectrum.eigenvalues) == 8
         keys = [(-abs(z), -z.real, -z.imag) for z in spectrum.eigenvalues.tolist()]
         assert keys == sorted(keys)
@@ -798,7 +803,7 @@ class TestFixedCell:
         # re-tests the same pair here; haar, which does not coarsen, is
         # still refused by the cap.
         spectrum = transfer_spectrum(make_constant(depth=depth))
-        assert spectrum.fine_dimension == 2**depth
+        assert len(spectrum.eigenvalues) == 2**depth
         assert spectrum.eigenvalues[0] == 1.0
         assert not spectrum.eigenvalues[1:].any()
         ((row, dense_pair),) = spectrum.candidates
@@ -809,13 +814,6 @@ class TestFixedCell:
         assert np.array_equal(dense_pair.fld.values, pair.fld.values)
         with pytest.raises(DimensionCapError):
             transfer_spectrum(make_haar(depth=depth))
-
-
-def identity_two_channel():
-    grid = GridSpec(2, 1, 4)
-    samples = np.zeros((2, 2, grid.cells), dtype=np.complex128)
-    samples[0, 0] = samples[1, 1] = 1.0
-    return FilterMatrix(2, SigmaChain.full_circle(2), grid, samples)
 
 
 def oracle_cases():
@@ -957,6 +955,26 @@ def repeated(samples, scale, depth, chain=None):
     return FilterMatrix(scale, chain, grid, values)
 
 
+def full_grid_spectrum(filt, monkeypatch):
+    """``transfer_spectrum`` with ``_coarsest`` faked to coarsen nothing."""
+    with monkeypatch.context() as patch:
+        patch.setattr("gmrafilters.ruelle._coarsest", lambda f: (f, 0))
+        return transfer_spectrum(filt)
+
+
+def count_retests(monkeypatch):
+    """Wrap ``_retest`` so that each call records the grid of its filter."""
+    grids = []
+    retest = ruelle._retest
+
+    def counted(filt, *args):
+        grids.append(filt.grid)
+        return retest(filt, *args)
+
+    monkeypatch.setattr("gmrafilters.ruelle._retest", counted)
+    return grids
+
+
 class TestCoarsest:
     """``transfer_spectrum`` on the coarsest grid against the full-grid solve."""
 
@@ -980,11 +998,10 @@ class TestCoarsest:
     @pytest.mark.parametrize(
         "name, build", COARSENING_CASES, ids=[n for n, _ in COARSENING_CASES]
     )
-    def test_agrees_with_the_full_grid_solve(self, name, build):
+    def test_agrees_with_the_full_grid_solve(self, name, build, monkeypatch):
         filt = build()
         coarse = transfer_spectrum(filt)
-        dense = _dense_spectrum(filt, TOL_EIG, TOL_RES, TOL_NORM)
-        assert coarse.fine_dimension == dense.fine_dimension
+        dense = full_grid_spectrum(filt, monkeypatch)
         assert len(coarse.eigenvalues) == len(dense.eigenvalues)
         nonzero = coarse.eigenvalues != 0
         assert nonzero.any()
@@ -997,14 +1014,28 @@ class TestCoarsest:
             assert abs(p.eigenvalue - q.eigenvalue) <= 1e-12
             assert p.residual <= TOL_RES
 
-    def test_constant_10_loses_its_smeared_cluster(self):
-        dense = _dense_spectrum(make_constant(depth=10), TOL_EIG, TOL_RES, TOL_NORM)
+    def test_constant_10_loses_its_smeared_cluster(self, monkeypatch):
+        dense = full_grid_spectrum(make_constant(depth=10), monkeypatch)
         smeared = np.abs(dense.eigenvalues[1:])
         assert 0.01 < smeared.max() < DENSE_SMEAR
         assert np.count_nonzero(smeared) == 511
         coarse = transfer_spectrum(make_constant(depth=10))
         assert coarse.eigenvalues[0] == 1.0
         assert not coarse.eigenvalues[1:].any()
+
+    @pytest.mark.parametrize(
+        "build, calls",
+        [(lambda: make_constant(depth=10), 1), (identity_two_channel, 2)],
+        ids=["constant_10", "identity_two_channel"],
+    )
+    def test_each_candidate_is_retested_once_at_its_own_grid(
+        self, build, calls, monkeypatch
+    ):
+        filt = build()
+        grids = count_retests(monkeypatch)
+        spectrum = transfer_spectrum(filt)
+        assert len(spectrum.candidates) == calls
+        assert grids == [filt.grid] * calls
 
     def test_signed_zero_in_a_block_does_not_repeat(self):
         filt = make_shannon(depth=3)

@@ -64,7 +64,8 @@ BUILT_SEED = 0
 # generator seeded with BUILT_SEED).  They reach what no generator does:
 # an accepted eigenvalue other than 1, an accepted eigenvalue 1 whose
 # field is not the constant one, two pairs for one eigenvalue, a pure
-# verdict decided at cell 0 by a margin of 1e-3, and pure_at_resolution.
+# verdict decided at cell 0 by a margin of 1e-3, pure_at_resolution, and
+# a coarsened spectrum that lifts a two-member cluster (H = I, c = 2).
 BUILT_JOBS = [
     ("planted_scale_3", lambda h, rng: h.planted_filter(rng, 3, 3, PLANTED_LAMBDA)[0]),
     ("planted_lambda_1", lambda h, rng: h.planted_filter(rng, 2, 4, 1.0)[0]),
@@ -74,6 +75,7 @@ BUILT_JOBS = [
     ),
     ("near_constant", lambda h, rng: h.near_constant_filter(rng)),
     ("unimodular", lambda h, rng: h.near_constant_filter(rng, eps=0.0)),
+    ("identity_two_channel", lambda h, rng: h.identity_two_channel()),
 ]
 
 
