@@ -168,7 +168,9 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past Python's
+        # digit limit; RecursionError, nesting past the recursion limit.
         raise BundleFormatError(f"bundle is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise BundleFormatError("bundle must be a JSON object")
@@ -247,4 +249,8 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
 
 def load_bundle(path: str) -> tuple[FilterMatrix, dict]:
     with open(path, encoding="utf-8") as fh:
-        return parse_bundle(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BundleFormatError(f"bundle is not UTF-8 text: {exc}") from exc
+    return parse_bundle(text)

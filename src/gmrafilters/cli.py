@@ -265,7 +265,6 @@ def cmd_classify(args) -> int:
                 for row, p in cell.candidates
             ],
             "anomalies": list(verdict.anomalies),
-            "decay_probe": [float_str(x) for x in verdict.decay_probe],
             "fixed_cell": {
                 "eigenvalues": [complex_pair(z) for z in cell.eigenvalues.tolist()],
                 "margin": float_str(cell.margin),

@@ -605,17 +605,14 @@ class PurityVerdict(NamedTuple):
     its wall time, and ``dimension`` the fine step space's.
     ``closed_form_pairs`` counts the accepted pairs equal bit for bit to
     (1, chi), chi the unit field constant on every support.
-    ``decay_probe`` holds the norms of six adjoint averagings of the unit
-    constant field and ``martingale_max_dev`` (None with no accepted pair)
-    the largest deviation from ||f||^2 of each martingale order for the
-    first pair.
+    ``martingale_max_dev`` (None with no accepted pair) is the largest
+    deviation from ||f||^2 of each martingale order for the first pair.
     """
 
     status: str
     eigenpairs: tuple[EigenPair, ...]
     resolution: GridSpec
     dimension: int
-    decay_probe: list[float]
     fixed_cell: FixedCell
     fixed_cell_s: float
     closed_form_pairs: int = 0
@@ -670,7 +667,6 @@ def classify_purity(
     start = time.perf_counter()
     cell = _fixed_cell(filt, tol_eig, tol_res, tol_norm)
     fixed_cell_s = time.perf_counter() - start
-    probe = decay_probe(filt, _unit(VecField.ones(filt.chain, filt.grid)), 6)
     anomalies: list[str] = []
     pairs: list[EigenPair] = []
     for row, pair in cell.candidates:
@@ -712,7 +708,7 @@ def classify_purity(
         ]
     dimension = sum(int(mask.sum()) for mask in filt.sigma_masks())
     return PurityVerdict(
-        status, tuple(pairs), filt.grid, dimension, probe, cell, fixed_cell_s,
+        status, tuple(pairs), filt.grid, dimension, cell, fixed_cell_s,
         closed_form_pairs=closed_form, anomalies=tuple(anomalies),
         martingale_max_dev=martingale_max_dev,
     )
@@ -754,6 +750,8 @@ def decay_probe(filt: FilterMatrix, f: VecField, n_max: int) -> list[float]:
     into the fine grid, so the sequence is defined for every n_max; for a
     filter satisfying the defining identity it is nonincreasing, and for
     a pure operator it decays to zero as the resolution allows.
+    ``classify_purity`` does not call it; it is kept for library callers
+    and for ``clibench/spans.py``.
     """
     if f.grid != filt.grid:
         raise ResolutionError("probe field must live on the filter's fine grid")

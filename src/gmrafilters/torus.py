@@ -25,6 +25,11 @@ RatLike = Union[Fraction, int, str]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# A grid of 2**48 cells already exceeds any machine's memory, which refuses
+# its arrays with MemoryError; a larger grid is refused here, before numpy
+# fails to size its arrays.
+MAX_CELLS_LOG2 = 48
+
 
 def as_rat(value: RatLike) -> Fraction:
     """Coerce ints, strings like ``"3/7"`` and Fractions to Fraction."""
@@ -60,6 +65,13 @@ class GridSpec:
             raise ParameterError(f"grid base must be >= 1, got {self.base}")
         if self.depth < 0:
             raise ParameterError(f"grid depth must be >= 0, got {self.depth}")
+        # scale >= 2, so a depth past the cap's exponent exceeds it without
+        # the cell count being computed.
+        if self.depth > MAX_CELLS_LOG2 or self.cells > 2**MAX_CELLS_LOG2:
+            raise ParameterError(
+                f"grid of {self.base} * {self.scale}**{self.depth} cells "
+                f"exceeds the cap of 2**{MAX_CELLS_LOG2} cells"
+            )
 
     @property
     def cells(self) -> int:

@@ -103,18 +103,21 @@ class TestGenerate:
         assert len(lines) == 1
         assert lines[0].startswith("gmrafilters: ")
 
+    @pytest.mark.parametrize("depth", [40, 60, 64, 100])
     @pytest.mark.parametrize("name", sorted(GENERATOR_DEPTHS))
-    def test_grid_too_large_to_allocate_is_a_usage_error(self, name):
+    def test_grid_too_large_to_allocate_is_a_usage_error(self, name, depth):
         # Depth 40 asks for terabytes.  An address-space limit on the child
         # makes that allocation fail at once whatever the host's overcommit
-        # policy, so the test never touches the memory it asks for.
+        # policy, so the test never touches the memory it asks for.  Deeper
+        # grids, too large for numpy to size, are refused before any array
+        # exists, without printing their cell count.
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))
 
         env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-m", "gmrafilters.cli", "generate", name,
-             "--depth", "40"],
+             "--depth", str(depth)],
             capture_output=True,
             text=True,
             env=env,
@@ -127,6 +130,12 @@ class TestGenerate:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("gmrafilters: ")
+        if depth > 40:
+            base = {"journe": 56, "journe_step": 28, "shannon": 4}.get(name, 1)
+            assert lines[0] == (
+                f"gmrafilters: grid of {base} * 2**{depth} cells "
+                "exceeds the cap of 2**48 cells"
+            )
 
 
 class TestVerify:
@@ -186,25 +195,60 @@ class TestVerify:
         assert len(residuals) == 3
         assert not any(math.isfinite(r) for r in residuals)
 
-    def test_malformed_json_is_a_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"{not json",
+            # not UTF-8
+            b"\xff\xfe{}",
+            # nested past the recursion limit
+            b"[" * 100000 + b"]" * 100000,
+            # an integer past Python's digit limit for int(str)
+            b'{"depth": ' + b"1" * 5000 + b"}",
+        ],
+        ids=["garbled", "not_utf8", "too_deep", "too_many_digits"],
+    )
+    def test_malformed_json_is_a_usage_error(self, tmp_path, capsys, text):
         bad = tmp_path / "garbled.json"
-        bad.write_text("{not json")
-        assert main(["verify", str(bad)]) == EXIT_USAGE
+        bad.write_bytes(text)
+        for command in ("verify", "classify", "spectrum"):
+            capsys.readouterr()
+            assert main([command, str(bad)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("gmrafilters: ")
 
-    def test_oversized_grid_is_refused_before_allocating(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            (
+                45,
+                "gmrafilters: entry (0, 0) carries 16 samples, "
+                "the grid has 35184372088832 cells",
+            ),
+            (
+                20000,
+                "gmrafilters: bundle does not assemble: grid of 1 * 2**20000 "
+                "cells exceeds the cap of 2**48 cells",
+            ),
+        ],
+        ids=["45", "20000"],
+    )
+    def test_oversized_grid_is_refused_before_allocating(
+        self, tmp_path, capsys, depth, message
+    ):
         bundle = generate(tmp_path, "haar")
         raw = json.loads(bundle.read_text())
-        raw["depth"] = 45
+        raw["depth"] = depth
         big = tmp_path / "big.json"
         big.write_text(json.dumps(raw))
         capsys.readouterr()
         assert main(["verify", str(big)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "gmrafilters: entry (0, 0) carries 16 samples, "
-            "the grid has 35184372088832 cells"
-        ]
+        assert captured.err.splitlines() == [message]
 
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == EXIT_USAGE
@@ -404,7 +448,9 @@ class TestClassify:
             "allowance": "2.220446049250313e-16",
         }
         assert report["purity"]["candidates_tested"] == []
-        assert len(report["purity"]["decay_probe"]) == 7
+        keys = {"status", "dimension", "eigenpairs", "candidates_tested",
+                "anomalies", "fixed_cell"}
+        assert set(report["purity"]) == keys
         timings = report["timings"]
         assert set(timings) == {"fixed_cell_s", "total_s"}
         assert 0.0 < timings["fixed_cell_s"] <= timings["total_s"]
@@ -419,6 +465,7 @@ class TestClassify:
         assert report["purity"]["candidates_tested"] == [
             {"eigenvalue": ["1.0", "0.0"], "residual": "0.0", "passed": True}
         ]
+        assert set(report["purity"]) == keys | {"martingale_max_dev"}
 
     def test_random_filter_is_certified_by_the_contraction_bound(self, tmp_path):
         # No block certificate: the fixed cell bounds the spectrum of K

@@ -1166,6 +1166,33 @@ class TestMartingale:
 
 
 class TestDecayProbe:
+    @pytest.mark.parametrize(
+        "build, status, pairs",
+        [
+            (lambda: make_constant(depth=10), NOT_PURE_CERTIFIED, 1),
+            (lambda: make_haar(depth=8), PURE_CERTIFIED, 0),
+            (identity_two_channel, NOT_PURE_CERTIFIED, 2),
+            (
+                lambda: planted_filter(seeded(0), 3, 3, PLANTED_LAMBDA)[0],
+                NOT_PURE_CERTIFIED,
+                1,
+            ),
+        ],
+        ids=["constant_10", "haar_8", "identity_two_channel", "planted"],
+    )
+    def test_classify_runs_no_probe(self, monkeypatch, build, status, pairs):
+        # The verdict is decided at the fixed cell; neither the probe nor
+        # the matrix-free adjoint has a say in it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify_purity applied the adjoint")
+
+        monkeypatch.setattr("gmrafilters.ruelle.decay_probe", refuse)
+        monkeypatch.setattr("gmrafilters.ruelle.transfer_apply", refuse)
+        verdict = classify_purity(build())
+        assert verdict.status == status
+        assert len(verdict.eigenpairs) == pairs
+        assert not hasattr(verdict, "decay_probe")
+
     def _unit_ones(self, filt):
         probe = VecField.ones(filt.chain, filt.grid)
         return probe.scaled(1.0 / probe.norm())

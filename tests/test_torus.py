@@ -137,6 +137,12 @@ class TestGridSpec:
             GridSpec(2, 0, 1)
         with pytest.raises(ParameterError):
             GridSpec(2, 4, -1)
+        # the cell cap, 2**48 cells, refused without computing the count
+        assert GridSpec(2, 1, 48).cells == 2**48
+        for scale, base, depth in [(2, 1, 49), (2, 2**48 + 1, 0), (3, 1, 31),
+                                   (2, 1, 10**4000)]:
+            with pytest.raises(ParameterError, match=r"exceeds the cap of 2\*\*48"):
+                GridSpec(scale, base, depth)
 
 
 class TestSigmaChain:
