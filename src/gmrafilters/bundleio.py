@@ -11,18 +11,21 @@ Both directions work on whole sample arrays.  Emission is text-level:
 the samples are written straight from the array in canonical_json's
 layout and spliced into canonical_json of the rest, so the text equals
 canonical_json of the bundle object with every sample as its
-``[repr(re), repr(im)]`` pair.  Parsing checks an entry's pairs in one
-sweep and decodes all its strings with ``float`` into the float64 view
-of the samples; only a malformed entry is walked sample by sample, to
-name its first bad sample.
+``[repr(re), repr(im)]`` pair.  Parsing decodes each entry while the
+JSON decoder runs: as soon as an object closes, its ``samples`` list of
+``[str, str]`` pairs is checked in one sweep and replaced by an (n, 2)
+float64 array of ``float`` of each string, so only one entry's sample
+strings are alive at a time.  A malformed list is left as it is and
+walked sample by sample afterwards, to name its first bad sample.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -129,26 +132,73 @@ def _parse_float(text: Any, where: str) -> float:
         raise BundleFormatError(f"{where}: bad decimal {text!r}") from exc
 
 
-def _decode_samples(raw: list, out: np.ndarray, entry: str) -> None:
-    """Write one entry's [re, im] decimal strings into ``out``.
+def _decode_entry(obj: dict) -> dict:
+    """JSON object hook: decode a ``samples`` list the moment it closes.
 
-    The real and imaginary parts go through the float64 view, never
-    through complex arithmetic, so -0.0 and infinities keep their bits.
-    Malformed input names its first bad sample.
+    A list of [re, im] decimal strings becomes an (n, 2) float64 array of
+    ``float`` of each string.  Any other list is left for
+    ``_decode_samples`` to name its first bad sample.
     """
-    if all(
+    raw = obj.get("samples")
+    if type(raw) is list and all(
         type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
         for p in raw
     ):
         try:
-            out.view(np.float64)[:] = np.fromiter(
+            obj["samples"] = np.fromiter(
                 map(float, itertools.chain.from_iterable(raw)),
                 dtype=np.float64,
                 count=2 * len(raw),
-            )
-            return
+            ).reshape(-1, 2)
         except ValueError:
             pass
+    return obj
+
+
+def _holds_array(val: Any) -> bool:
+    """Whether a decoded JSON value has an array anywhere inside it."""
+    stack = [val]
+    while stack:
+        val = stack.pop()
+        if isinstance(val, np.ndarray):
+            return True
+        if isinstance(val, dict):
+            stack.extend(val.values())
+        elif isinstance(val, list):
+            stack.extend(val)
+    return False
+
+
+def _loads(text: str, object_hook: Optional[Callable] = None) -> Any:
+    """``json.loads`` with the cyclic GC paused.
+
+    The decoder builds only acyclic lists and dicts, and at deep grids
+    the collector's repeated scans of them cost more than the decode.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past Python's
+        # digit limit; RecursionError, nesting past the recursion limit.
+        raise BundleFormatError(f"bundle is not valid JSON: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode_samples(raw: Any, out: np.ndarray, entry: str) -> None:
+    """Write one entry's samples into ``out``.
+
+    ``raw`` is the array the object hook decoded, written through the
+    float64 view, never through complex arithmetic, so -0.0 and
+    infinities keep their bits; or the list the hook refused, walked to
+    name its first bad sample.
+    """
+    if isinstance(raw, np.ndarray):
+        out.view(np.float64)[:] = raw.ravel()
+        return
     for t, pair in enumerate(raw):
         where = f"{entry} sample {t}"
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -166,12 +216,7 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
     separate step so that a corrupted but well-formed bundle can be
     loaded and then failed with a witness.
     """
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and an integer past Python's
-        # digit limit; RecursionError, nesting past the recursion limit.
-        raise BundleFormatError(f"bundle is not valid JSON: {exc}") from exc
+    obj = _loads(text, object_hook=_decode_entry)
     if not isinstance(obj, dict):
         raise BundleFormatError("bundle must be a JSON object")
     version = _need(obj, "format_version", str)
@@ -208,6 +253,10 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
     provenance = obj.get("provenance", {})
     if not isinstance(provenance, dict):
         raise BundleFormatError("provenance must be an object")
+    if _holds_array(provenance):
+        # The hook decoded a "samples" list inside the provenance, which
+        # must come back as plain JSON values.
+        provenance = _loads(text)["provenance"]
     try:
         grid = GridSpec(scale, base, depth)
         chain = SigmaChain.of(sigmas)
@@ -216,7 +265,7 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
     cells = grid.cells
     # Every sample count is checked before the samples array exists, so a
     # declared grid far larger than the entries carry is refused without
-    # allocating it.
+    # allocating it; each entry's decoded array is sized by its own text.
     checked = {}
     for ei, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -230,7 +279,9 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
             )
         if (i, j) in checked:
             raise BundleFormatError(f"entry ({i}, {j}) appears twice")
-        raw = _need(entry, "samples", list)
+        raw = entry.get("samples")
+        if not isinstance(raw, np.ndarray):
+            raw = _need(entry, "samples", list)
         if len(raw) != cells:
             raise BundleFormatError(
                 f"entry ({i}, {j}) carries {len(raw)} samples, "

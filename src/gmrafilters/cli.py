@@ -227,6 +227,7 @@ def cmd_classify(args) -> int:
         tol_res=args.tol_res,
         tol_norm=args.tol_norm,
         verify_tol=args.verify_tol,
+        residual=eq,
     )
     verdict = rep.verdict
     cell = verdict.fixed_cell

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .filters import FilterMatrix
+from .filters import FilterMatrix, ResidualReport
 from .lowpass import Certificate, search_certificate
 from .ruelle import (
     INCONCLUSIVE,
@@ -62,6 +62,8 @@ def intersection_report(
     tol_res: float = TOL_RES,
     tol_norm: float = TOL_NORM,
     verify_tol: float = VERIFY_TOL,
+    *,
+    residual: Optional[ResidualReport] = None,
 ) -> IntersectionReport:
     """Search for a certificate, classify purity, and narrate the outcome.
 
@@ -72,7 +74,8 @@ def intersection_report(
     are consistent.  A ``pure_certified`` verdict is narrated through the
     block certificate when the search found one, and otherwise through
     the verdict's cell 0 spectrum; a non-pure one adds a concrete model
-    when an accepted pair is exactly (1, chi).
+    when an accepted pair is exactly (1, chi).  ``residual`` is passed on
+    to ``classify_purity``.
     """
     certificate = search_certificate(filt)
     verdict = classify_purity(
@@ -82,6 +85,7 @@ def intersection_report(
         tol_norm=tol_norm,
         verify_tol=verify_tol,
         certificate=certificate,
+        residual=residual,
     )
     status = verdict.status
     if status == NOT_PURE_CERTIFIED:

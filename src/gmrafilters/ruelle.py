@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionCapError, ParameterError, ResolutionError
-from .filters import FilterMatrix, StepFn, filter_equation_residual
+from .filters import FilterMatrix, ResidualReport, StepFn, filter_equation_residual
 from .torus import GridSpec, SigmaChain
 
 __all__ = [
@@ -643,6 +643,8 @@ def classify_purity(
     tol_norm: float = TOL_NORM,
     verify_tol: float = VERIFY_TOL,
     certificate: object = None,
+    *,
+    residual: Optional[ResidualReport] = None,
 ) -> PurityVerdict:
     """Decide whether the operator of a verified filter is a pure isometry.
 
@@ -656,8 +658,11 @@ def classify_purity(
     field fails the re-test, or an eigenvalue within the allowance of
     tol_eig.  A certificate together with an accepted pair is
     contradictory and comes back ``inconclusive`` with an anomaly.
+
+    ``residual`` is the filter's ``filter_equation_residual`` report when
+    the caller already has it; without it the report is computed here.
     """
-    pre = filter_equation_residual(filt)
+    pre = residual if residual is not None else filter_equation_residual(filt)
     # Written so that a NaN residual fails closed.
     if not (pre.max_abs_residual <= verify_tol):
         raise ParameterError(

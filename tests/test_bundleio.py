@@ -1,5 +1,6 @@
 """Bundle text: byte-exact round trips, special float values, the rendering
-emission must equal, per-sample parse errors, and a fuzz of the parser.
+emission must equal, per-sample parse errors, a fuzz of the parser, and
+the parser's memory and GC behaviour.
 
 Emission writes sample text straight from the array and parsing decodes
 whole entries through the float64 view of the samples, so these tests
@@ -8,14 +9,22 @@ hold both against the per-sample forms they replaced: the dict of
 ``complex(float(re), float(im))`` per sample.
 """
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmrafilters import BundleFormatError, FilterMatrix, emit_bundle, parse_bundle
+from gmrafilters import (
+    BundleFormatError,
+    FilterMatrix,
+    bundleio,
+    emit_bundle,
+    parse_bundle,
+)
 from gmrafilters.bundleio import FORMAT_VERSION, KIND, canonical_json, complex_pair
 from gmrafilters.cli import EXIT_OK, EXIT_USAGE, GENERATOR_DEPTHS, main
 from gmrafilters.torus import rat_str
@@ -158,6 +167,64 @@ def test_special_values_decode_bitwise_and_re_emit(tmp_path, args):
     assert np.array_equal(bits(back.samples), bits(expected))
     assert np.array_equal(bits(back.samples), bits(filt.samples))
     assert emit_bundle(back, again) == text
+
+
+@pytest.mark.parametrize(
+    "args", [["journe_step", "--depth", "8"], ["journe", "--depth", "6"]], ids=" ".join
+)
+def test_parse_memory_follows_one_entry(tmp_path, args):
+    """Each entry is decoded as the JSON decoder closes it, so the parse
+    never holds every entry's sample strings at once, as json.loads does."""
+    text = generated_text(tmp_path, args)
+    peaks = []
+    for decode in (json.loads, parse_bundle):
+        tracemalloc.start()
+        try:
+            decode(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 0.5 * peaks[0]
+
+
+def test_samples_in_the_provenance_stay_plain_json(tmp_path):
+    filt, _ = parse_bundle(generated_text(tmp_path, ["journe_step"]))
+    provenance = {"row": 0, "col": 0, "samples": [["1.50", "2"]]}
+    text = emit_bundle(filt, provenance)
+    back, again = parse_bundle(text)
+    assert again == provenance
+    assert type(again["samples"][0][0]) is str
+    expected = reference_decode(json.loads(text), filt.samples.shape)
+    assert np.array_equal(bits(back.samples), bits(expected))
+    assert emit_bundle(back, again) == text
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["bundle", "not JSON"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+def test_gc_state_is_restored(tmp_path, monkeypatch, enabled, valid):
+    text = generated_text(tmp_path, ["journe_step"]) if valid else "{not JSON"
+    hook = bundleio._decode_entry
+    during = []
+
+    def recording(obj):
+        during.append(gc.isenabled())
+        return hook(obj)
+
+    monkeypatch.setattr(bundleio, "_decode_entry", recording)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if valid:
+            parse_bundle(text)
+        else:
+            with pytest.raises(BundleFormatError):
+                parse_bundle(text)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    # The hook runs inside json.loads, so it sees the collector paused.
+    assert not any(during)
+    assert len(during) >= 5 if valid else not during
 
 
 # A malformed pair, the message it must raise, and where each is placed:

@@ -304,6 +304,17 @@ class TestClassify:
         assert report["certificate"]["block_size"] == 1
         assert report["certificate"]["delta"] == "0.41420665701657633"
 
+    def test_gate_residual_is_not_recomputed(self, tmp_path, monkeypatch):
+        bundle = generate(tmp_path, "haar")
+        out = tmp_path / "classify.json"
+
+        def recomputed(filt):
+            raise AssertionError("classify_purity recomputed the residual")
+
+        monkeypatch.setattr("gmrafilters.ruelle.filter_equation_residual", recomputed)
+        assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_OK
+        assert report_of(out)["status"] == "pure_certified"
+
     def test_unverified_bundle_short_circuits(self, tmp_path):
         bundle = generate(tmp_path, "haar")
         raw = json.loads(bundle.read_text())

@@ -339,6 +339,15 @@ class TestClassification:
         with pytest.raises(ParameterError):
             classify_purity(bad)
 
+    def test_a_supplied_residual_is_the_precondition(self):
+        filt = make_constant()
+        bad = FilterMatrix(filt.scale, filt.chain, filt.grid, filt.samples * 1.1)
+        with pytest.raises(ParameterError):
+            classify_purity(filt, residual=filter_equation_residual(bad))
+        # 1.1 * H(0) is off the circle, so the unchecked filter is pure.
+        verdict = classify_purity(bad, residual=filter_equation_residual(filt))
+        assert verdict.status == PURE_CERTIFIED
+
     def test_constant_filter_is_not_pure(self):
         verdict = classify_purity(make_constant())
         assert verdict.status == NOT_PURE_CERTIFIED
