@@ -212,9 +212,9 @@ class SupportReport:
     """Cells where the support rules fail, by category.
 
     ``column`` lists (i, j, cell) with a nonzero sample outside sigma_j;
-    ``dilated_row`` lists those whose dilated cell leaves sigma_i.  The
-    second category is implied by the defining identity, so it is reported
-    for diagnosis rather than checked independently during verification.
+    ``dilated_row`` lists those whose dilated cell leaves sigma_i.  Both
+    are checked: ``clean()`` requires both to be empty, and it is the
+    support half of the gate that verify, classify and spectrum share.
     """
 
     column: tuple[tuple[int, int, int], ...]

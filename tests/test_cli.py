@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gmrafilters import emit_bundle, parse_bundle
+from gmrafilters import emit_bundle, parse_bundle, ruelle
 from gmrafilters.cli import (
     EXIT_NOT_PURE,
     EXIT_OK,
@@ -195,6 +195,34 @@ class TestVerify:
         assert len(residuals) == 3
         assert not any(math.isfinite(r) for r in residuals)
 
+    def test_huge_sample_fails_without_warnings(self, tmp_path, capsys):
+        bad = self.haar_with_sample(tmp_path, "1e200")
+        out = tmp_path / "verify.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(bad), "--out", str(out)]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().err == ""
+        report = report_of(out)
+        assert report["ok"] is False
+        assert report["isometry"]["max_deviation"] == "inf"
+
+    def test_column_violation_is_reported(self, tmp_path, capsys):
+        # Cell 58 of 224 lies outside sigma_2, and its double inside sigma_1.
+        bundle = generate(tmp_path, "journe_step", "--depth", "3")
+        raw = json.loads(bundle.read_text())
+        (entry,) = [e for e in raw["entries"] if (e["row"], e["col"]) == (0, 1)]
+        entry["samples"][58] = ["0.5", "0.0"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "verify.json"
+        capsys.readouterr()
+        assert main(["verify", str(bad), "--out", str(out)]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().err == ""
+        report = report_of(out)
+        assert report["ok"] is False
+        assert report["filter_equation"]["support"]["column_violations"] == [[0, 1, 58]]
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -343,7 +371,7 @@ class TestClassify:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
-    def test_malformed_dimension_cap_is_a_usage_error(
+    def test_exceeded_dimension_cap_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch
     ):
         # The cap binds spectrum only: classify builds no matrix, even for
@@ -354,30 +382,32 @@ class TestClassify:
         constant = generate(tmp_path, "constant")
         out = tmp_path / "classify.json"
         capsys.readouterr()
-        for cap, message in [
-            ("abc", "GMRAFILTERS_DIM_CAP must be an integer, got 'abc'"),
-            ("8", "transfer matrix dimension 16 exceeds cap 8"),
-        ]:
-            monkeypatch.setenv("GMRAFILTERS_DIM_CAP", cap)
-            assert main(["spectrum", str(haar)]) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.splitlines() == [f"gmrafilters: {message}"]
-            assert main(["classify", str(haar), "--out", str(out)]) == EXIT_OK
-            assert main(["classify", str(constant), "--out", str(out)]) == EXIT_NOT_PURE
-            assert capsys.readouterr().err == ""
+        # The cap is the module constant alone; no variable lowers it.
+        monkeypatch.setenv("GMRAFILTERS_DIM_CAP", "8")
+        assert main(["spectrum", str(haar)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1 + 16
+        monkeypatch.setattr(ruelle, "DIM_CAP", 8)
+        assert main(["spectrum", str(haar)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "gmrafilters: transfer matrix dimension 16 exceeds cap 8"
+        ]
+        assert main(["classify", str(haar), "--out", str(out)]) == EXIT_OK
+        assert main(["classify", str(constant), "--out", str(out)]) == EXIT_NOT_PURE
+        assert capsys.readouterr().err == ""
         # The cap is read on every spectrum call, one that coarsens too, and
         # binds the dimension solved: constant's 2 coordinates at depth 1.
-        for cap, message in [
-            ("abc", "GMRAFILTERS_DIM_CAP must be an integer, got 'abc'"),
-            ("1", "transfer matrix dimension 2 exceeds cap 1"),
-        ]:
-            monkeypatch.setenv("GMRAFILTERS_DIM_CAP", cap)
-            assert main(["spectrum", str(constant)]) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.splitlines() == [f"gmrafilters: {message}"]
-        monkeypatch.setenv("GMRAFILTERS_DIM_CAP", "2")
+        monkeypatch.setattr(ruelle, "DIM_CAP", 1)
+        assert main(["spectrum", str(constant)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "gmrafilters: transfer matrix dimension 2 exceeds cap 1"
+        ]
+        monkeypatch.setattr(ruelle, "DIM_CAP", 2)
         assert main(["spectrum", str(constant)]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 1 + 16
 
@@ -392,7 +422,7 @@ class TestClassify:
         self, tmp_path, capsys, monkeypatch, name, code, spectrum_code
     ):
         bundle = generate(tmp_path, name, "--depth", "8")
-        monkeypatch.setenv("GMRAFILTERS_DIM_CAP", "64")
+        monkeypatch.setattr(ruelle, "DIM_CAP", 64)
         out = tmp_path / "classify.json"
         assert main(["classify", str(bundle), "--out", str(out)]) == code
         report = report_of(out)

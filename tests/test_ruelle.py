@@ -40,7 +40,6 @@ from gmrafilters import (
 from gmrafilters import ruelle
 from gmrafilters.filters import FilterMatrix
 from gmrafilters.ruelle import (
-    DIM_CAP_ENV,
     TOL_EIG,
     TOL_RES,
     UNIT_ROUNDOFF,
@@ -189,6 +188,17 @@ class TestOperator:
         assert math.isnan(residual)
         assert not residual <= 1e-10
 
+    @pytest.mark.parametrize(
+        "cell", np.flatnonzero(~make_journe_step(depth=3).sigma_masks()[1]).tolist()
+    )
+    def test_isometry_reports_a_column_violation(self, cell):
+        # A sample of column 2 outside sigma_2 puts mass outside the
+        # supports; the probe measures it instead of refusing the image.
+        bad = with_sample(make_journe_step(depth=3), 0, 1, cell, 0.5)
+        residual = isometry_residual(bad, trials=20, seed=0)
+        assert isinstance(residual, float)
+        assert math.isfinite(residual)
+
     @pytest.mark.parametrize("make", [make_haar, make_journe_step, journe_filter])
     def test_adjoint_relation_is_exact(self, make):
         filt = make()
@@ -290,22 +300,12 @@ class TestTransferMatrix:
 
     def test_dimension_cap(self, monkeypatch):
         # the cap counts the 16 fine coordinates, not the 8 coarse ones
-        for cap in ("8", "15"):
-            monkeypatch.setenv(DIM_CAP_ENV, cap)
+        for cap in (8, 15):
+            monkeypatch.setattr(ruelle, "DIM_CAP", cap)
             with pytest.raises(DimensionCapError):
                 assemble_transfer_matrix(make_haar(depth=4))
-        monkeypatch.setenv(DIM_CAP_ENV, "16")
+        monkeypatch.setattr(ruelle, "DIM_CAP", 16)
         assert assemble_transfer_matrix(make_haar(depth=4)).fine_dimension == 16
-
-    def test_dimension_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv(DIM_CAP_ENV, "8")
-        with pytest.raises(DimensionCapError):
-            assemble_transfer_matrix(make_haar(depth=4))
-        monkeypatch.setenv(DIM_CAP_ENV, "64")
-        assemble_transfer_matrix(make_haar(depth=4))
-        monkeypatch.setenv(DIM_CAP_ENV, "abc")
-        with pytest.raises(ParameterError):
-            assemble_transfer_matrix(make_haar(depth=4))
 
     @pytest.mark.parametrize(
         "make",

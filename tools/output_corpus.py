@@ -60,12 +60,28 @@ JOBS = [
 PLANTED_LAMBDA = cmath.exp(2j * cmath.pi * 0.3)
 BUILT_SEED = 0
 
+
+def _column_violation(h, rng):
+    from gmrafilters import make_journe_step
+
+    # Cell 58 of 224 lies outside sigma_2, and its double inside sigma_1.
+    return h.with_sample(make_journe_step(depth=3), 0, 1, 58, 0.5)
+
+
+def _huge_sample(h, rng):
+    from gmrafilters import make_haar
+
+    return h.with_sample(make_haar(), 0, 0, 3, 1e200)
+
+
 # (job name, builder of the filter from the tests/helpers module and a
 # generator seeded with BUILT_SEED).  They reach what no generator does:
 # an accepted eigenvalue other than 1, an accepted eigenvalue 1 whose
 # field is not the constant one, two pairs for one eigenvalue, a pure
-# verdict decided at cell 0 by a margin of 1e-3, pure_at_resolution, and
-# a coarsened spectrum that lifts a two-member cluster (H = I, c = 2).
+# verdict decided at cell 0 by a margin of 1e-3, pure_at_resolution, a
+# coarsened spectrum that lifts a two-member cluster (H = I, c = 2), and
+# two bundles that fail the verification gate: a sample breaking the
+# column support rule, and a finite sample whose square overflows.
 BUILT_JOBS = [
     ("planted_scale_3", lambda h, rng: h.planted_filter(rng, 3, 3, PLANTED_LAMBDA)[0]),
     ("planted_lambda_1", lambda h, rng: h.planted_filter(rng, 2, 4, 1.0)[0]),
@@ -76,6 +92,8 @@ BUILT_JOBS = [
     ("near_constant", lambda h, rng: h.near_constant_filter(rng)),
     ("unimodular", lambda h, rng: h.near_constant_filter(rng, eps=0.0)),
     ("identity_two_channel", lambda h, rng: h.identity_two_channel()),
+    ("journe_step_column_violation", _column_violation),
+    ("haar_huge_sample", _huge_sample),
 ]
 
 
