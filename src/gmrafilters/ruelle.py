@@ -31,6 +31,8 @@ filter.
 from __future__ import annotations
 
 import math
+import operator
+import random
 import time
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -156,20 +158,42 @@ class VecField:
         return VecField(self.chain, self.grid, self.values * factor)
 
 
-def random_vecfield(
-    chain: SigmaChain, grid: GridSpec, rng: np.random.Generator
-) -> VecField:
-    """I.i.d. samples uniform on the unit disk, masked to the supports."""
-    shape = (chain.count, grid.cells)
-    radius = np.sqrt(rng.random(shape))
-    angle = 2.0 * np.pi * rng.random(shape)
-    return VecField.masked(chain, grid, radius * np.exp(1j * angle))
+def random_vecfield(chain: SigmaChain, grid: GridSpec, rng) -> VecField:
+    """I.i.d. samples uniform on the unit disk, masked to the supports.
+
+    ``rng`` is anything with numpy's ``random(shape)``, returning doubles
+    uniform on [0, 1): a ``numpy.random.Generator``, or the standard
+    library's Mersenne Twister source that ``isometry_residual`` seeds
+    (numpy.random stays unloaded there: its seeding imports OpenSSL
+    through ``secrets``, 5.4 MB and 15 ms per ``verify``).  Radius and
+    angle come from one draw of shape (2, count, cells); for a numpy
+    Generator that gives the same values as two draws of (count, cells).
+    """
+    radius, turns = rng.random((2, chain.count, grid.cells))
+    angle = 2.0 * np.pi * turns
+    return VecField.masked(chain, grid, np.sqrt(radius) * np.exp(1j * angle))
+
+
+class _MersenneUniform:
+    """Doubles on [0, 1) from the standard library's Mersenne Twister:
+    each is one 32-bit little-endian word of ``randbytes`` times 2**-32."""
+
+    def __init__(self, seed: int):
+        self._bits = random.Random(seed)
+
+    def random(self, shape: tuple) -> np.ndarray:
+        words = np.frombuffer(self._bits.randbytes(4 * math.prod(shape)), "<u4")
+        return (words * 2.0**-32).reshape(shape)
 
 
 def _pull(samples: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Fine values sum_i samples[i, j, t] values[i, t mod M/N] of coarse ones."""
-    m = samples.shape[2]
-    return np.einsum("ijt,it->jt", samples, values[:, np.arange(m) % values.shape[1]])
+    """Fine values sum_i samples[i, j, t] values[i, t mod M/N] of coarse ones.
+
+    Cell t mod M/N for t = 0, ..., M - 1 is the coarse row N times over,
+    so the values are tiled rather than gathered through an index array.
+    """
+    tiled = np.tile(values, (1, samples.shape[2] // values.shape[1]))
+    return np.einsum("ijt,it->jt", samples, tiled)
 
 
 def ruelle_apply(filt: FilterMatrix, f: VecField) -> VecField:
@@ -205,8 +229,19 @@ def isometry_residual(
     The image is not checked against the supports (a filter that breaks
     its support rule is reported, not refused), and a huge finite sample
     gives an infinite deviation without a warning.
+
+    The probes are drawn one trial at a time from the standard library's
+    Mersenne Twister seeded with ``seed`` (an integer >= 0 of any size),
+    not from numpy.random: seeding numpy's generators imports OpenSSL
+    through ``secrets``, which costs every ``verify`` process about
+    5.4 MB of peak RSS and 15 ms.  A given seed therefore draws other
+    fields, and gives another deviation in its last bits, than versions
+    that used ``numpy.random.default_rng``.
     """
-    rng = np.random.default_rng(seed)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ParameterError("seed must be an integer >= 0")
+    rng = _MersenneUniform(seed)
     coarse = filt.coarse_grid()
     deviations = []
     for _ in range(trials):

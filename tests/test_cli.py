@@ -670,6 +670,38 @@ class TestSpectrum:
         assert main(args) == EXIT_NOT_PURE
 
 
+class TestImportFootprint:
+    # Seeding numpy.random imports OpenSSL's libcrypto through secrets and
+    # hmac, about 5.4 MB of peak RSS; verify's isometry probe once did.
+    FORBIDDEN = ("numpy.random", "secrets", "hashlib", "_hashlib")
+
+    @pytest.mark.parametrize("command", ["generate", "verify", "classify", "spectrum"])
+    def test_no_subcommand_loads_numpy_random_or_openssl(self, tmp_path, command):
+        if command == "generate":
+            argv = ["generate", "journe"]
+        else:
+            argv = [command, str(generate(tmp_path, "journe"))]
+        argv += ["--out", str(tmp_path / "out")]
+        script = (
+            "import sys\n"
+            "from gmrafilters.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(code, [m for m in {self.FORBIDDEN!r} if m in sys.modules])\n"
+        )
+        src = os.path.dirname(os.path.dirname(ruelle.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{EXIT_OK} []\n"
+
+
 class TestNumericFlags:
     # Each once failed open: classify on the constant filter with
     # --tol-res nan, --tol-eig nan or --tol-eig -1 exited 4 with
@@ -715,3 +747,7 @@ class TestNumericFlags:
         args = ["classify", str(bundle), "--tol-norm", "0", "--out", str(out)]
         assert main(args) == EXIT_NOT_PURE
         assert report_of(out)["tolerances"]["tol_norm"] == "0.0"
+        # The probe's generator takes a seed of any size.
+        args = ["verify", str(bundle), "--seed", str(2**70), "--out", str(out)]
+        assert main(args) == EXIT_OK
+        assert report_of(out)["isometry"]["seed"] == 2**70

@@ -182,6 +182,28 @@ class TestOperator:
         )
         assert isometry_residual(bad, trials=5, seed=0) > 0.1
 
+    def test_isometry_probe_stream_is_pinned(self):
+        # The probe draws 32-bit words of the standard library's Mersenne
+        # Twister, so these uniforms are exact on every platform; the
+        # deviation goes through numpy's exp and einsum, hence rel=1e-12.
+        assert ruelle._MersenneUniform(0).random((4,)).tolist() == [
+            0.8444218516815454,
+            0.38524530781432986,
+            0.7579543991014361,
+            0.8902439181692898,
+        ]
+        clean = make_haar()
+        bumped = with_sample(clean, 0, 0, 0, clean.samples[0, 0, 0] + 0.1)
+        first = isometry_residual(bumped, trials=20, seed=0)
+        assert first == pytest.approx(0.01665078504882611, rel=1e-12)
+        assert isometry_residual(bumped, trials=20, seed=0) == first
+        assert isometry_residual(bumped, trials=20, seed=1) != first
+        assert isometry_residual(bumped, trials=20, seed=2**70) > 1e-3
+
+    def test_isometry_refuses_a_negative_seed(self):
+        with pytest.raises(ParameterError):
+            isometry_residual(make_haar(), trials=1, seed=-1)
+
     def test_isometry_keeps_a_nan_deviation(self):
         bad = with_sample(make_haar(), 0, 0, 3, complex(math.nan, 0.0))
         residual = isometry_residual(bad, trials=20, seed=0)
