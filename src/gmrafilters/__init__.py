@@ -68,6 +68,7 @@ from .ruelle import (
     assemble_transfer_matrix,
     classify_purity,
     decay_probe,
+    isometry_defect,
     isometry_residual,
     martingale_sequence,
     random_vecfield,
@@ -121,6 +122,7 @@ __all__ = [
     "float_str",
     "generalized_filter_residual",
     "intersection_report",
+    "isometry_defect",
     "isometry_residual",
     "journe_profile",
     "journe_sigma_chain",

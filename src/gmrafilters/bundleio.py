@@ -60,10 +60,35 @@ _SAMPLES_CLOSE = '"\n        ]\n      ]'
 _NO_SAMPLES = '"samples": []'
 
 
-def _samples_text(row: np.ndarray) -> str:
-    """``"samples": [...]`` for one entry, as canonical_json writes it."""
-    pairs = zip(map(repr, row.real.tolist()), map(repr, row.imag.tolist()))
-    return _SAMPLES_OPEN + _NEXT_PAIR.join(map(_RE_IM.join, pairs)) + _SAMPLES_CLOSE
+# Cells per piece of sample text: bounds the arrays of references that
+# lay a piece out to a few hundred kB, however fine the grid.
+_PIECE_CELLS = 4096
+
+
+def _samples_text(row: np.ndarray) -> list[str]:
+    """``"samples": [...]`` for one entry, as canonical_json writes it, in pieces.
+
+    ``repr`` runs once per distinct float64 bit pattern among the real and
+    imaginary parts, since step filters repeat values heavily.  Distinct
+    by bits, not by value: -0.0 equals 0.0 but prints otherwise, so only
+    bits give each sample exactly its own ``repr``.  Each piece of
+    ``_PIECE_CELLS`` cells is laid out with its separators in one array
+    and joined once; the pieces are joined only with the whole bundle,
+    once these distinct texts are gone.
+    """
+    bits = np.ascontiguousarray(row).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), object)
+    pieces = [_SAMPLES_OPEN]
+    for start in range(0, len(index), 2 * _PIECE_CELLS):
+        part = index[start : start + 2 * _PIECE_CELLS]
+        out = np.empty(2 * len(part) - 1, dtype=object)
+        out[0::2] = texts[part]
+        out[1::4] = _RE_IM
+        out[3::4] = _NEXT_PAIR
+        pieces += ("".join(out.tolist()), _NEXT_PAIR)
+    pieces[-1] = _SAMPLES_CLOSE
+    return pieces
 
 
 def emit_bundle(filt: FilterMatrix, provenance: Optional[dict] = None) -> str:
@@ -97,7 +122,8 @@ def emit_bundle(filt: FilterMatrix, provenance: Optional[dict] = None) -> str:
     pieces = canonical_json(out).split(_NO_SAMPLES, count * count)
     text = [pieces[0]]
     for row, piece in zip(filt.samples.reshape(count * count, -1), pieces[1:]):
-        text += (_samples_text(row), piece)
+        text += _samples_text(row)
+        text.append(piece)
     return "".join(text)
 
 

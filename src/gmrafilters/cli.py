@@ -53,6 +53,7 @@ from .ruelle import (
     TOL_RES,
     VERIFY_TOL,
     classify_purity,  # noqa: F401  (a name clibench/spans.py wraps)
+    isometry_defect,
     isometry_residual,
     transfer_spectrum,
 )
@@ -176,7 +177,8 @@ def cmd_verify(args) -> int:
         ok = ok and rep.max_abs_residual <= tol
 
     iso = isometry_residual(filt, trials=args.trials, seed=args.seed)
-    ok = ok and iso <= tol
+    worst, witness = isometry_defect(filt)
+    ok = ok and iso <= tol and worst <= tol
 
     report = {
         "command": "verify",
@@ -189,6 +191,8 @@ def cmd_verify(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
             "max_deviation": float_str(iso),
+            "worst_case_deviation": float_str(worst),
+            "witness_cell": witness,
         },
         "provenance": provenance,
         "timings": {"total_s": time.perf_counter() - t0},
@@ -391,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--nmax", type=_int_at_least(0), default=3, help="highest identity order"
     )
-    ver.add_argument("--trials", type=_int_at_least(1), default=20)
+    ver.add_argument(
+        "--trials", type=_int_at_least(0), default=0, help="random isometry probes"
+    )
     ver.add_argument("--seed", type=_int_at_least(0), default=0)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)

@@ -150,17 +150,24 @@ def filter_equation_residual(filt: FilterMatrix) -> ResidualReport:
     residue class of cells, and the report indexes witnesses by the lowest
     cell of the class.
     """
+    return _report_from_residuals(np.abs(_coset_deviation(filt)[0]))
+
+
+def _coset_deviation(filt: FilterMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Left side minus right side of the defining identity, per coarse cell.
+
+    Returns the complex (c, c, M/N) array G(u) - N diag(chi_sigma_i(u)),
+    where G(u) = sum_k H(u + k M/N) H(u + k M/N)* is the coset Gram
+    matrix, and the (c, M/N) boolean coarse support masks.
+    """
     n = filt.scale
-    m = filt.cells
-    mp = m // n
     c = filt.count
-    grouped = filt.samples.reshape(c, c, n, mp)
-    lhs = np.einsum("ijkt,pjkt->ipt", grouped, np.conj(grouped))
-    rhs = np.zeros((c, c, mp))
-    coarse_masks = filt.sigma_masks(filt.coarse_grid())
+    grouped = filt.samples.reshape(c, c, n, filt.cells // n)
+    gram = np.einsum("ijkt,pjkt->ipt", grouped, np.conj(grouped))
+    masks = np.array(filt.sigma_masks(filt.coarse_grid()))
     for i in range(c):
-        rhs[i, i] = n * coarse_masks[i].astype(float)
-    return _report_from_residuals(np.abs(lhs - rhs))
+        gram[i, i] -= n * masks[i]
+    return gram, masks
 
 
 def generalized_filter_residual(filt: FilterMatrix, order: int) -> ResidualReport:

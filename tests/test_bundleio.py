@@ -119,15 +119,30 @@ def same_values(a, b):
     )
 
 
+# After the pairs of SPECIALS, as float64 bits: NaNs with two other
+# payloads, a negative NaN, and -0.0 beside 0.0 both ways round.
+SPECIAL_BITS = [
+    0x7FF8000000000001, 0x7FF0000000000123,
+    0xFFF8000000000000, 0x0000000000000000,
+    0x8000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x8000000000000000,
+]
+
+
 def special_filter(tmp_path, args):
-    """A generated filter whose entries hold every pair of SPECIALS."""
+    """A generated filter whose entries hold every pair of SPECIALS, then
+    the SPECIAL_BITS, then one value repeated to the end of the entry."""
     filt, _ = parse_bundle(generated_text(tmp_path, args))
     values = [float(s) for s in SPECIALS]
-    combos = np.array([(re, im) for re in values for im in values])
+    combos = np.array([(re, im) for re in values for im in values]).ravel()
+    extra = np.array(SPECIAL_BITS, dtype=np.uint64)
     samples = np.array(filt.samples)
     for i in range(filt.count):
         for j in range(filt.count):
-            samples[i, j, : len(combos)].view(np.float64)[:] = combos.ravel()
+            flat = samples[i, j].view(np.float64)
+            flat[: len(combos)] = combos
+            flat[len(combos) : len(combos) + len(extra)].view(np.uint64)[:] = extra
+            flat[len(combos) + len(extra) :] = 1.0 / 3.0
     return FilterMatrix(filt.scale, filt.chain, filt.grid, samples)
 
 
@@ -165,7 +180,8 @@ def test_special_values_decode_bitwise_and_re_emit(tmp_path, args):
     back, again = parse_bundle(text)
     expected = reference_decode(json.loads(text), filt.samples.shape)
     assert np.array_equal(bits(back.samples), bits(expected))
-    assert np.array_equal(bits(back.samples), bits(filt.samples))
+    # Every bit survives but a NaN's sign and payload (see same_values).
+    assert same_values(back.samples, filt.samples)
     assert emit_bundle(back, again) == text
 
 

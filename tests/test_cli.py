@@ -149,7 +149,9 @@ class TestVerify:
         orders = [g["order"] for g in report["generalized_equation"]]
         assert orders == [1, 2, 3]
         assert all("skipped" not in g for g in report["generalized_equation"])
-        assert float(report["isometry"]["max_deviation"]) <= 1e-12
+        assert report["isometry"]["trials"] == 0
+        assert report["isometry"]["max_deviation"] == "0.0"
+        assert float(report["isometry"]["worst_case_deviation"]) <= 1e-12
 
     def test_corrupted_sample_fails_with_witness(self, tmp_path):
         bundle = generate(tmp_path, "haar")
@@ -179,7 +181,8 @@ class TestVerify:
         assert main(["verify", str(bad), "--out", str(out)]) == EXIT_VERIFY_FAIL
         report = report_of(out)
         assert report["ok"] is False
-        assert report["isometry"]["max_deviation"] == "nan"
+        assert report["isometry"]["worst_case_deviation"] == "nan"
+        assert report["isometry"]["witness_cell"] == 3
 
     def test_inf_sample_fails_without_warnings(self, tmp_path, capsys):
         bad = self.haar_with_sample(tmp_path, "inf")
@@ -205,7 +208,8 @@ class TestVerify:
         assert capsys.readouterr().err == ""
         report = report_of(out)
         assert report["ok"] is False
-        assert report["isometry"]["max_deviation"] == "inf"
+        assert report["isometry"]["worst_case_deviation"] == "inf"
+        assert report["isometry"]["witness_cell"] == 3
 
     def test_column_violation_is_reported(self, tmp_path, capsys):
         # Cell 58 of 224 lies outside sigma_2, and its double inside sigma_1.
@@ -714,7 +718,7 @@ class TestNumericFlags:
             ("verify", "--tol", "nan"),
             ("verify", "--tol", "-1e-10"),
             ("verify", "--trials", "-3"),
-            ("verify", "--trials", "0"),
+            ("verify", "--trials", "-1"),
             ("verify", "--nmax", "-2"),
             ("verify", "--seed", "-1"),
             ("classify", "--tol-eig", "nan"),
@@ -744,6 +748,9 @@ class TestNumericFlags:
         report = report_of(out)
         assert report["generalized_equation"] == []
         assert report["isometry"]["trials"] == 1
+        args = ["verify", str(bundle), "--trials", "0", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        assert report_of(out)["isometry"]["max_deviation"] == "0.0"
         args = ["classify", str(bundle), "--tol-norm", "0", "--out", str(out)]
         assert main(args) == EXIT_NOT_PURE
         assert report_of(out)["tolerances"]["tol_norm"] == "0.0"
@@ -751,3 +758,14 @@ class TestNumericFlags:
         args = ["verify", str(bundle), "--seed", str(2**70), "--out", str(out)]
         assert main(args) == EXIT_OK
         assert report_of(out)["isometry"]["seed"] == 2**70
+
+    def test_opt_in_probe_keeps_its_deviation(self, tmp_path):
+        # The probe's stream is unchanged since it became opt-in: this is
+        # the deviation verify reported when it drew 20 probes by default.
+        bundle = generate(tmp_path, "haar")
+        out = tmp_path / "report.json"
+        args = ["verify", str(bundle), "--trials", "20", "--seed", "5"]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        iso = report_of(out)["isometry"]
+        assert iso["max_deviation"] == "3.3306690738754696e-16"
+        assert float(iso["max_deviation"]) <= float(iso["worst_case_deviation"])

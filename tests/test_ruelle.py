@@ -23,6 +23,7 @@ from gmrafilters import (
     decay_probe,
     derive_journe,
     filter_equation_residual,
+    isometry_defect,
     isometry_residual,
     make_journe_step,
     make_constant,
@@ -232,6 +233,158 @@ class TestOperator:
             lhs = ruelle_apply(filt, f).inner(g)
             rhs = f.inner(transfer_apply(filt, g))
             assert abs(lhs - rhs) <= 1e-14
+
+
+def defect_by_cell(filt):
+    """||D(u)||_2 / N at every coarse cell u, one c x c matrix at a time.
+
+    D(u) = P(u) (sum_k A_k* A_k - N I) P(u) with A_k = H(u + k M/N)^T and
+    P(u) the projection onto the components whose support holds u.
+    """
+    n, c = filt.scale, filt.count
+    mp = filt.cells // n
+    masks = np.array(filt.sigma_masks(filt.coarse_grid()))
+    out = np.empty(mp)
+    for u in range(mp):
+        gram = sum(
+            np.conj(filt.samples[:, :, u + k * mp]) @ filt.samples[:, :, u + k * mp].T
+            for k in range(n)
+        )
+        proj = np.diag(masks[:, u].astype(float))
+        out[u] = np.linalg.norm(proj @ (gram - n * np.eye(c)) @ proj, 2) / n
+    return out
+
+
+def perturbed(filt, seed, size=0.05):
+    """A copy with every sample moved by a complex Gaussian of scale ``size``,
+    then masked to the support rule's columns."""
+    rng = np.random.default_rng(seed)
+    shape = filt.samples.shape
+    noise = size * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise *= np.array(filt.sigma_masks())[None]
+    return FilterMatrix(filt.scale, filt.chain, filt.grid, filt.samples + noise)
+
+
+def three_channel_bumped():
+    """H = I with c = 3, N = 2, and entry (0, 2) at cell 5 set to 0.3."""
+    grid = GridSpec(2, 1, 3)
+    samples = np.zeros((3, 3, grid.cells), dtype=np.complex128)
+    for i in range(3):
+        samples[i, i] = 1.0
+    samples[0, 2, 5] = 0.3
+    return FilterMatrix(2, SigmaChain.full_circle(3), grid, samples)
+
+
+def planted_defect_cases():
+    """Planted filters at N in {2, 3, 4} and c in {1, 2}, exact and perturbed."""
+    cases = []
+    for scale, depth in [(2, 4), (3, 3), (4, 2)]:
+        rng = np.random.default_rng(scale)
+        for filt in (
+            planted_filter(rng, scale, depth, 1j)[0],
+            planted_unitary_filter(rng, scale, depth, -1.0)[0],
+        ):
+            cases += [filt, perturbed(filt, seed=10 * scale + filt.count)]
+    return cases
+
+
+def journe_step_off_row_support():
+    """journe_step with h_21 = 5 at cell 8 of 112, inside sigma_1, whose
+    double lies outside sigma_2: a field's second component vanishes there."""
+    return with_sample(make_journe_step(depth=2), 1, 0, 8, 5.0)
+
+
+DEFECT_CASES = (
+    planted_defect_cases()
+    + [perturbed(make(), seed=5) for make in EVERY_SUPPORT_GEOMETRY]
+    + [three_channel_bumped(), journe_step_off_row_support()]
+)
+
+
+class TestIsometryDefect:
+    def test_bumped_haar_is_pinned(self):
+        # The acceptance gate's bumped haar: residual 0.293 at N = 2.
+        clean = make_haar()
+        bumped = with_sample(clean, 0, 0, 0, clean.samples[0, 0, 0] + 0.1)
+        worst, witness = isometry_defect(bumped)
+        assert worst == pytest.approx(0.14642135623730934, abs=1e-12)
+        assert witness == 0
+
+    def test_bumped_journe_step_is_pinned(self):
+        # 20 probes saw 2.19e-5 here: under a tolerance of 1e-4 they would
+        # have passed this filter.
+        clean = make_journe_step(depth=2)
+        bumped = with_sample(clean, 0, 1, 3, clean.samples[0, 1, 3] + 0.05)
+        worst, witness = isometry_defect(bumped)
+        assert worst == pytest.approx(1.25e-3, rel=1e-9)
+        assert witness == 3
+
+    @pytest.mark.parametrize("make", EVERY_SUPPORT_GEOMETRY)
+    def test_valid_filters_are_isometries(self, make):
+        assert isometry_defect(make())[0] <= 1e-12
+
+    def test_only_the_supports_count(self):
+        # Unrestricted, D(8) would read 25 - 0 at (1, 1).
+        assert isometry_defect(journe_step_off_row_support())[0] <= 1e-12
+
+    @pytest.mark.parametrize("filt", DEFECT_CASES)
+    def test_matches_the_norm_of_every_cell(self, filt):
+        by_cell = defect_by_cell(filt)
+        worst, witness = isometry_defect(filt)
+        assert worst == pytest.approx(by_cell.max(), rel=1e-12, abs=1e-15)
+        assert by_cell[witness] == pytest.approx(worst, rel=1e-12, abs=1e-15)
+
+    def test_three_channels_use_the_eigensolver(self):
+        # Fine cell 5 lies over coarse cell 1 of 4, where D is 0.09 at
+        # (0, 0) and 0.3 at (0, 2) and (2, 0), and zero elsewhere.
+        filt = three_channel_bumped()
+        worst, witness = isometry_defect(filt)
+        expected = np.linalg.norm(np.array([[0.09, 0.3], [0.3, 0.0]]), 2) / 2
+        assert worst == pytest.approx(expected, rel=1e-12)
+        assert witness == 1
+
+    @pytest.mark.parametrize("filt", DEFECT_CASES)
+    def test_no_probe_exceeds_it(self, filt):
+        # A probe f gives at most worst * ||f||^2, and these fields have
+        # ||f||^2 <= 1 for c = 1 and near c / 2 in general.
+        worst, _ = isometry_defect(filt)
+        for seed in range(10):
+            probe = isometry_residual(filt, trials=5, seed=seed)
+            assert probe <= worst * (1 + 1e-9) + 1e-15
+
+    def test_a_nan_fails_closed_at_its_cell(self):
+        bad = with_sample(make_haar(), 0, 0, 11, complex(math.nan, 0.0))
+        worst, witness = isometry_defect(bad)
+        assert math.isnan(worst)
+        assert witness == 11 % (bad.cells // 2)
+        assert not worst <= VERIFY_TOL
+
+    def test_ties_go_to_the_lowest_cell(self):
+        # 16 fine cells over 8 coarse ones: fine cell 12 lies over 4, 3 over 3.
+        clean = make_constant()
+        bad = with_sample(clean, 0, 0, 12, complex(math.nan, 0.0))
+        bad = with_sample(bad, 0, 0, 3, complex(0.0, math.nan))
+        assert isometry_defect(bad)[1] == 3
+        bumped = with_sample(clean, 0, 0, 14, 2.0)
+        bumped = with_sample(bumped, 0, 0, 5, 2.0)
+        assert isometry_defect(bumped) == (1.5, 5)
+
+    @pytest.mark.parametrize(
+        "make", [make_haar, identity_two_channel, three_channel_bumped]
+    )
+    def test_huge_samples_give_inf_quietly(self, make):
+        # On the diagonal of every channel at once, so that the closed
+        # form for c = 2 would meet inf - inf.
+        samples = make().samples.copy()
+        for i in range(samples.shape[0]):
+            samples[i, i, 3] = 1e200
+        filt = make()
+        huge = FilterMatrix(filt.scale, filt.chain, filt.grid, samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            worst, witness = isometry_defect(huge)
+        assert worst == math.inf
+        assert witness == 3
 
 
 def haar_depth_one():
