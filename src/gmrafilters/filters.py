@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -465,7 +465,9 @@ def journe_profile(params: JourneParams) -> np.ndarray:
 
 
 def make_journe_family(
-    params: JourneParams, half_turn_phases: bool = False
+    params: JourneParams,
+    half_turn_phases: bool = False,
+    profile: Optional[np.ndarray] = None,
 ) -> FilterMatrix:
     """The smooth Journe deformation assembled from the profile q.
 
@@ -477,12 +479,21 @@ def make_journe_family(
 
     with h_22 = 0.  As with the step filter, the printed exponential
     phases are literally 1 by default and ``half_turn_phases`` flips the
-    sign on each band without changing any modulus.
+    sign on each band without changing any modulus.  ``profile`` is q as
+    ``journe_profile(params)`` returns it, for a caller that has sampled
+    it already (``JourneDerivation.profile``); by default it is sampled here.
     """
     grid = params.grid
     m = grid.cells
     sets = _journe_sets()
-    q = journe_profile(params)
+    if profile is None:
+        q = journe_profile(params)
+    elif profile.shape == (m,):
+        q = profile
+    else:
+        raise ParameterError(
+            f"profile must have shape ({m},) on this grid, got {profile.shape}"
+        )
     sign = -1.0 if half_turn_phases else 1.0
     samples = np.zeros((2, 2, m), dtype=np.complex128)
     samples[0, 0] = sign * q * sets["band11"].cell_mask(grid)

@@ -17,7 +17,7 @@ the exact region only for the winner, which check_certificate re-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -262,7 +262,11 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class JourneDerivation:
-    """The parameter budget placing the Journe family in the certificate regime."""
+    """The parameter budget placing the Journe family in the certificate regime.
+
+    ``profile`` is ``journe_profile(params)``, read-only, sampled once to
+    place the region and handed on to ``make_journe_family``.
+    """
 
     delta: float
     r1: float
@@ -272,6 +276,7 @@ class JourneDerivation:
     region: IntervalSet
     params: JourneParams
     checks: dict[str, BoundCheck]
+    profile: np.ndarray = field(compare=False, repr=False)
 
 
 def derive_journe(
@@ -298,6 +303,7 @@ def derive_journe(
     r = min(r1, r2)
     params = JourneParams(r=r, grid=grid)
     q = journe_profile(params)
+    q.flags.writeable = False
     m = grid.cells
     threshold = SQRT2 * math.sqrt(1.0 - 2.0 * r * r)
     eps = certificate_eps(delta)
@@ -356,4 +362,5 @@ def derive_journe(
         region=region,
         params=params,
         checks=checks,
+        profile=q,
     )

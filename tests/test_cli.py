@@ -1,22 +1,36 @@
 """End-to-end checks of the command line front end.
 
 Most tests drive ``cli.main`` in process and read the report files it
-writes; one goes through a real subprocess to pin down determinism
-across BLAS thread counts.
+writes.  Some go through a real subprocess: to pin down determinism
+across BLAS thread counts, and to check the process entry point, which
+freezes the import-time heap before it calls ``main``.
 """
 
+import ast
+import gc
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmrafilters import emit_bundle, parse_bundle, ruelle
+from gmrafilters import (
+    GridSpec,
+    cli,
+    derive_journe,
+    emit_bundle,
+    journe_profile,
+    make_journe_family,
+    parse_bundle,
+    ruelle,
+)
 from gmrafilters.cli import (
     EXIT_NOT_PURE,
     EXIT_OK,
@@ -90,6 +104,23 @@ class TestGenerate:
         assert provenance["half_turn_phases"] is True
         assert np.array_equal(flipped.samples, -plain.samples)
 
+    def test_journe_profile_is_sampled_once(self, tmp_path, monkeypatch):
+        # derive_journe samples the profile to place the region and hands
+        # it to make_journe_family, which once sampled it again.
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return journe_profile(params)
+
+        monkeypatch.setattr("gmrafilters.filters.journe_profile", counted)
+        monkeypatch.setattr("gmrafilters.lowpass.journe_profile", counted)
+        path = generate(tmp_path, "journe", "--depth", "5")
+        assert len(calls) == 1
+        filt, _ = parse_bundle(path.read_text())
+        params = derive_journe(0.1, grid=GridSpec(2, 56, 5)).params
+        assert np.array_equal(filt.samples, make_journe_family(params).samples)
+
     def test_unknown_generator_is_a_usage_error(self):
         assert main(["generate", "daubechies"]) == EXIT_USAGE
 
@@ -152,6 +183,9 @@ class TestVerify:
         assert report["isometry"]["trials"] == 0
         assert report["isometry"]["max_deviation"] == "0.0"
         assert float(report["isometry"]["worst_case_deviation"]) <= 1e-12
+        timings = report["timings"]
+        assert set(timings) == {"parse_s", "total_s"}
+        assert 0.0 < timings["parse_s"] <= timings["total_s"]
 
     def test_corrupted_sample_fails_with_witness(self, tmp_path):
         bundle = generate(tmp_path, "haar")
@@ -358,6 +392,7 @@ class TestClassify:
         report = report_of(out)
         assert report["status"] == "verification_failed"
         assert "purity" not in report
+        assert set(report["timings"]) == {"parse_s", "total_s"}
 
     def test_nan_sample_fails_closed(self, tmp_path, capsys):
         bundle = generate(tmp_path, "haar")
@@ -497,8 +532,9 @@ class TestClassify:
                 "anomalies", "fixed_cell"}
         assert set(report["purity"]) == keys
         timings = report["timings"]
-        assert set(timings) == {"fixed_cell_s", "total_s"}
+        assert set(timings) == {"fixed_cell_s", "parse_s", "total_s"}
         assert 0.0 < timings["fixed_cell_s"] <= timings["total_s"]
+        assert 0.0 < timings["parse_s"] <= timings["total_s"]
         bundle = generate(tmp_path, "constant")
         assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_NOT_PURE
         report = report_of(out)
@@ -769,3 +805,95 @@ class TestNumericFlags:
         iso = report_of(out)["isometry"]
         assert iso["max_deviation"] == "3.3306690738754696e-16"
         assert float(iso["max_deviation"]) <= float(iso["worst_case_deviation"])
+
+
+def _run_child(argv):
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120, check=False
+    )
+
+
+def _without_timings(text):
+    return re.sub(r'"timings": \{[^{}]*\}', '"timings": {}', text)
+
+
+class TestProcessEntry:
+    """The process entry point, which in-process calls of ``main`` never reach."""
+
+    @staticmethod
+    def _entry_name():
+        """The entry function ``[project.scripts]`` names, checked against ``__main__``."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        module, name = scripts["gmrafilters"].split(":")
+        assert module == "gmrafilters.cli"
+        tree = ast.parse(Path(cli.__file__).read_text())
+        blocks = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert len(blocks) == 1
+        called = {
+            node.func.id for node in ast.walk(blocks[0])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert called == {name}
+        return name
+
+    def test_both_entry_points_freeze_the_import_heap(self):
+        # The stub stands in for main, so this shows the freeze happens
+        # before main runs, and that main is not the entry point itself.
+        script = (
+            "import gc, sys\n"
+            "import gmrafilters.cli as cli\n"
+            "before = gc.get_freeze_count()\n"
+            "cli.main = lambda: print(before, gc.get_freeze_count()) or 0\n"
+            f"sys.exit(cli.{self._entry_name()}())\n"
+        )
+        proc = _run_child(["-c", script])
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        before, after = map(int, proc.stdout.split())
+        assert before == 0
+        assert after > 1000
+
+    def test_import_leaves_no_garbage(self):
+        # The freeze pays off only while the import-time heap is all live:
+        # an import-time reference cycle would be frozen, never freed.
+        proc = _run_child(["-c", "import gc, gmrafilters.cli; print(gc.collect())"])
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        bundle = str(generate(tmp_path, "journe"))
+        out = str(tmp_path / "out")
+        assert main(["verify", bundle, "--out", out]) == EXIT_OK
+        assert main(["classify", bundle, "--out", out]) == EXIT_OK
+        assert main(["spectrum", bundle, "--out", out]) == EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    @pytest.mark.parametrize("name", ["haar", "journe"])
+    def test_python_m_matches_in_process_main(self, tmp_path, capsys, name, to_file):
+        bundle = str(generate(tmp_path, name))
+        for command in ("generate", "verify", "classify", "spectrum"):
+            argv = [command, name if command == "generate" else bundle]
+            outputs = []
+            for side in ("main", "child"):
+                out = tmp_path / f"{command}.{side}"
+                full = argv + ["--out", str(out)] if to_file else argv
+                if side == "main":
+                    capsys.readouterr()
+                    assert main(full) == EXIT_OK
+                    stdout, stderr = capsys.readouterr()
+                else:
+                    proc = _run_child(["-m", "gmrafilters.cli", *full])
+                    assert proc.returncode == EXIT_OK
+                    stdout, stderr = proc.stdout, proc.stderr
+                assert stderr == ""
+                if to_file:
+                    assert stdout == ""
+                    stdout = out.read_text()
+                outputs.append(_without_timings(stdout))
+            assert outputs[0] == outputs[1], command
+            assert outputs[0]
