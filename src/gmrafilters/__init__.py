@@ -8,6 +8,12 @@ of all averages against a shared modulus-one eigenvector, backed either
 way by checkable evidence (a direct eigenpair re-test, an expansion
 certificate on a region around 0, or a spectrum of the filter at the
 fixed point 0 that stays off the unit circle).
+
+Records follow one rule.  A type that validates its fields is a frozen
+dataclass with a ``__post_init__``; every plain result record is a
+``typing.NamedTuple``, whose class costs a fraction of a dataclass's to
+create at import.  A value derived from an immutable input is cached on
+that input rather than passed in by the caller.
 """
 
 from .bundleio import (

@@ -103,9 +103,7 @@ def _build_filter(args) -> tuple[FilterMatrix, dict]:
     else:
         derivation = derive_journe(args.delta, grid=GridSpec(2, 56, depth))
         filt = make_journe_family(
-            derivation.params,
-            half_turn_phases=args.half_turn_phases,
-            profile=derivation.profile,
+            derivation.params, half_turn_phases=args.half_turn_phases
         )
         provenance.update(
             {
@@ -236,7 +234,6 @@ def cmd_classify(args) -> int:
         tol_res=args.tol_res,
         tol_norm=args.tol_norm,
         verify_tol=args.verify_tol,
-        residual=eq,
     )
     verdict = rep.verdict
     cell = verdict.fixed_cell

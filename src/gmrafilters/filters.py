@@ -22,9 +22,10 @@ deformation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import cached_property
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -107,9 +108,12 @@ class FilterMatrix:
         g = grid if grid is not None else self.grid
         return [s.cell_mask(g) for s in self.chain.sigmas]
 
+    @cached_property
+    def _residual(self) -> ResidualReport:
+        return _report_from_residuals(np.abs(_coset_deviation(self)[0]))
 
-@dataclass(frozen=True)
-class ResidualReport:
+
+class ResidualReport(NamedTuple):
     """Worst-case deviation from an identity, with a witness location.
 
     Ties are broken deterministically: the lowest cell index wins, then the
@@ -119,7 +123,7 @@ class ResidualReport:
     max_abs_residual: float
     argmax_cell: int
     argmax_pair: tuple[int, int]
-    per_pair: dict[tuple[int, int], float] = field(compare=False)
+    per_pair: dict[tuple[int, int], float]
 
 
 def _report_from_residuals(res: np.ndarray) -> ResidualReport:
@@ -149,8 +153,11 @@ def filter_equation_residual(filt: FilterMatrix) -> ResidualReport:
     t mod M'.  Both sides of the identity are therefore constant on each
     residue class of cells, and the report indexes witnesses by the lowest
     cell of the class.
+
+    The report is computed on the first call for a filter and cached on it,
+    so the gate and ``classify_purity`` form the coset Gram matrix once.
     """
-    return _report_from_residuals(np.abs(_coset_deviation(filt)[0]))
+    return filt._residual
 
 
 def _coset_deviation(filt: FilterMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +221,7 @@ def generalized_filter_residual(filt: FilterMatrix, order: int) -> ResidualRepor
     return _report_from_residuals(np.abs(lhs - rhs))
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(NamedTuple):
     """Cells where the support rules fail, by category.
 
     ``column`` lists (i, j, cell) with a nonzero sample outside sigma_j;
@@ -387,6 +393,8 @@ class JourneParams:
 
     def __post_init__(self) -> None:
         r = self.r
+        if isinstance(r, float) and not math.isfinite(r):
+            raise ParameterError(f"r must lie in (0, 1), got {r!r}")
         object.__setattr__(
             self, "r", Fraction(r) if isinstance(r, float) else as_rat(r)
         )
@@ -416,6 +424,29 @@ class JourneParams:
             Fraction(3, 7),
         )
 
+    @cached_property
+    def _profile(self) -> np.ndarray:
+        # Each piece starts at b = p M, an integer (``__post_init__`` checks
+        # it), so x < p is t < b and a ramp argument is the int quotient
+        # (t - b_a)/(b_b - b_a), correctly rounded like float(Fraction).
+        # ``_transition`` (libm exp) and the complement's x ** 2 (libm pow)
+        # stay scalar: array forms may round apart.
+        m = self.grid.cells
+        r = float(self.r)
+        b1, b2, b3, b4, b5, b6, half = (int(p * m) for p in self.breakpoints()[:7])
+
+        def ramp(a: int, b: int) -> np.ndarray:
+            return np.array([_transition((t - a) / (b - a)) for t in range(a, b)])
+        q = np.zeros(m)
+        q[:b1] = SQRT2 * math.sqrt(1.0 - r * r) * (1.0 - ramp(0, b1))
+        q[b2:b3] = SQRT2 * ramp(b2, b3)
+        q[b3:b4] = SQRT2
+        q[b4:b5] = SQRT2 * (1.0 - ramp(b4, b5))
+        q[b6:half] = SQRT2 * r * ramp(b6, half)
+        q[half:] = [math.sqrt(max(0.0, 2.0 - x**2)) for x in q[:half].tolist()]
+        q.flags.writeable = False
+        return q
+
 
 def _transition(t: float) -> float:
     """Smooth monotone interpolant from 0 at t = 0 to 1 at t = 1."""
@@ -443,31 +474,15 @@ def journe_profile(params: JourneParams) -> np.ndarray:
     which is what makes the coset identity of the assembled filter close
     to rounding at every cell.  Samples are taken at cell left endpoints.
 
-    Each piece starts at b = p M, an integer (``JourneParams`` checks it), so
-    x < p is t < b and a ramp argument is the int quotient (t - b_a)/(b_b - b_a),
-    correctly rounded like float(Fraction).  ``_transition`` (libm exp) and
-    the complement's x ** 2 (libm pow) stay scalar: array forms may round apart.
+    The profile is sampled on the first call for a ``JourneParams`` and
+    cached on it, read-only, so ``derive_journe`` and
+    ``make_journe_family`` share one sampling.
     """
-    m = params.grid.cells
-    r = float(params.r)
-    b1, b2, b3, b4, b5, b6, half = (int(p * m) for p in params.breakpoints()[:7])
-
-    def ramp(a: int, b: int) -> np.ndarray:
-        return np.array([_transition((t - a) / (b - a)) for t in range(a, b)])
-    q = np.zeros(m)
-    q[:b1] = SQRT2 * math.sqrt(1.0 - r * r) * (1.0 - ramp(0, b1))
-    q[b2:b3] = SQRT2 * ramp(b2, b3)
-    q[b3:b4] = SQRT2
-    q[b4:b5] = SQRT2 * (1.0 - ramp(b4, b5))
-    q[b6:half] = SQRT2 * r * ramp(b6, half)
-    q[half:] = [math.sqrt(max(0.0, 2.0 - x**2)) for x in q[:half].tolist()]
-    return q
+    return params._profile
 
 
 def make_journe_family(
-    params: JourneParams,
-    half_turn_phases: bool = False,
-    profile: Optional[np.ndarray] = None,
+    params: JourneParams, half_turn_phases: bool = False
 ) -> FilterMatrix:
     """The smooth Journe deformation assembled from the profile q.
 
@@ -477,23 +492,15 @@ def make_journe_family(
         h_21(x) = sqrt(2)     on E_2 = [-1/2, -3/7) u [3/7, 1/2),
         h_12(x) = q(x + 1/2)  on [-1/7, 1/7),
 
-    with h_22 = 0.  As with the step filter, the printed exponential
-    phases are literally 1 by default and ``half_turn_phases`` flips the
-    sign on each band without changing any modulus.  ``profile`` is q as
-    ``journe_profile(params)`` returns it, for a caller that has sampled
-    it already (``JourneDerivation.profile``); by default it is sampled here.
+    with h_22 = 0, and q is ``journe_profile(params)``, sampled once per
+    ``params``.  As with the step filter, the printed exponential phases
+    are literally 1 by default and ``half_turn_phases`` flips the sign on
+    each band without changing any modulus.
     """
     grid = params.grid
     m = grid.cells
     sets = _journe_sets()
-    if profile is None:
-        q = journe_profile(params)
-    elif profile.shape == (m,):
-        q = profile
-    else:
-        raise ParameterError(
-            f"profile must have shape ({m},) on this grid, got {profile.shape}"
-        )
+    q = journe_profile(params)
     sign = -1.0 if half_turn_phases else 1.0
     samples = np.zeros((2, 2, m), dtype=np.complex128)
     samples[0, 0] = sign * q * sets["band11"].cell_mask(grid)

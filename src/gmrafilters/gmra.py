@@ -18,10 +18,9 @@ printing one would mislead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .filters import FilterMatrix, ResidualReport
+from .filters import FilterMatrix
 from .lowpass import Certificate, search_certificate
 from .ruelle import (
     INCONCLUSIVE,
@@ -37,8 +36,7 @@ from .ruelle import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class IntersectionReport:
+class IntersectionReport(NamedTuple):
     """The purity dichotomy phrased for the tower's common intersection."""
 
     verdict: PurityVerdict
@@ -62,8 +60,6 @@ def intersection_report(
     tol_res: float = TOL_RES,
     tol_norm: float = TOL_NORM,
     verify_tol: float = VERIFY_TOL,
-    *,
-    residual: Optional[ResidualReport] = None,
 ) -> IntersectionReport:
     """Search for a certificate, classify purity, and narrate the outcome.
 
@@ -74,8 +70,7 @@ def intersection_report(
     are consistent.  A ``pure_certified`` verdict is narrated through the
     block certificate when the search found one, and otherwise through
     the verdict's cell 0 spectrum; a non-pure one adds a concrete model
-    when an accepted pair is exactly (1, chi).  ``residual`` is passed on
-    to ``classify_purity``.
+    when an accepted pair is exactly (1, chi).
     """
     certificate = search_certificate(filt)
     verdict = classify_purity(
@@ -85,7 +80,6 @@ def intersection_report(
         tol_norm=tol_norm,
         verify_tol=verify_tol,
         certificate=certificate,
-        residual=residual,
     )
     status = verdict.status
     if status == NOT_PURE_CERTIFIED:

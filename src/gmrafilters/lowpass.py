@@ -17,9 +17,8 @@ the exact region only for the winner, which check_certificate re-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -48,8 +47,7 @@ def certificate_eps(delta: float) -> float:
     return min(1.0 / 8.0, delta / 8.0)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A verified block certificate; its existence implies purity."""
 
     block_size: int
@@ -62,8 +60,7 @@ class Certificate:
     grid: GridSpec
 
 
-@dataclass(frozen=True)
-class CertificateFailure:
+class CertificateFailure(NamedTuple):
     """Why a candidate certificate was rejected, with a witness cell."""
 
     reason: str
@@ -242,8 +239,7 @@ def search_certificate(filt: FilterMatrix) -> Optional[Certificate]:
     return found
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One named inequality in a derivation, with its numeric margin."""
 
     description: str
@@ -260,13 +256,8 @@ class BoundCheck:
         return self.rhs - self.lhs
 
 
-@dataclass(frozen=True)
-class JourneDerivation:
-    """The parameter budget placing the Journe family in the certificate regime.
-
-    ``profile`` is ``journe_profile(params)``, read-only, sampled once to
-    place the region and handed on to ``make_journe_family``.
-    """
+class JourneDerivation(NamedTuple):
+    """The parameter budget placing the Journe family in the certificate regime."""
 
     delta: float
     r1: float
@@ -276,7 +267,6 @@ class JourneDerivation:
     region: IntervalSet
     params: JourneParams
     checks: dict[str, BoundCheck]
-    profile: np.ndarray = field(compare=False, repr=False)
 
 
 def derive_journe(
@@ -303,7 +293,6 @@ def derive_journe(
     r = min(r1, r2)
     params = JourneParams(r=r, grid=grid)
     q = journe_profile(params)
-    q.flags.writeable = False
     m = grid.cells
     threshold = SQRT2 * math.sqrt(1.0 - 2.0 * r * r)
     eps = certificate_eps(delta)
@@ -362,5 +351,4 @@ def derive_journe(
         region=region,
         params=params,
         checks=checks,
-        profile=q,
     )

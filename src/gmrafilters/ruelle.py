@@ -43,7 +43,6 @@ import numpy as np
 from .errors import DimensionCapError, ParameterError, ResolutionError
 from .filters import (
     FilterMatrix,
-    ResidualReport,
     StepFn,
     _coset_deviation,
     filter_equation_residual,
@@ -253,7 +252,9 @@ def isometry_residual(
     fields, and gives another deviation in its last bits, than versions
     that used ``numpy.random.default_rng``.
     """
-    seed = operator.index(seed)
+    trials, seed = operator.index(trials), operator.index(seed)
+    if trials < 0:
+        raise ParameterError("trials must be an integer >= 0")
     if seed < 0:
         raise ParameterError("seed must be an integer >= 0")
     rng = _MersenneUniform(seed)
@@ -305,8 +306,7 @@ def isometry_defect(filt: FilterMatrix) -> tuple[float, int]:
         return float(norms[witness] / filt.scale), witness
 
 
-@dataclass(frozen=True, eq=False)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     """Dense matrix K of "include, then apply the adjoint" on a coarse space.
 
     The basis is a (dimension, 2) array of (component i, coarse cell u)
@@ -360,8 +360,7 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     return TransferMatrix(matrix, basis, len(fine))
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
+class EigenPair(NamedTuple):
     """A certified eigenpair of the operator itself (not the adjoint)."""
 
     eigenvalue: complex
@@ -439,9 +438,6 @@ def _retest(
     return EigenPair(lam, f, residual, dev, dev <= tol_norm)
 
 
-# TransferSpectrum, FixedCell and PurityVerdict are named tuples, not
-# dataclasses: every CLI call imports this module, and a named tuple
-# class costs a fraction of a dataclass's creation time.
 class TransferSpectrum(NamedTuple):
     """The dense spectrum of K and the re-test of its unit-circle candidates.
 
@@ -723,8 +719,6 @@ def classify_purity(
     tol_norm: float = TOL_NORM,
     verify_tol: float = VERIFY_TOL,
     certificate: object = None,
-    *,
-    residual: Optional[ResidualReport] = None,
 ) -> PurityVerdict:
     """Decide whether the operator of a verified filter is a pure isometry.
 
@@ -739,10 +733,11 @@ def classify_purity(
     tol_eig.  A certificate together with an accepted pair is
     contradictory and comes back ``inconclusive`` with an anomaly.
 
-    ``residual`` is the filter's ``filter_equation_residual`` report when
-    the caller already has it; without it the report is computed here.
+    The filter passes the gate when its ``filter_equation_residual`` is
+    within ``verify_tol``; that report is cached on the filter, so a
+    caller that gated it already does not pay for it again.
     """
-    pre = residual if residual is not None else filter_equation_residual(filt)
+    pre = filter_equation_residual(filt)
     # Written so that a NaN residual fails closed.
     if not (pre.max_abs_residual <= verify_tol):
         raise ParameterError(

@@ -36,7 +36,10 @@ def as_rat(value: RatLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ParameterError(f"not an exact rational: {value!r}")
 
 

@@ -40,6 +40,7 @@ from gmrafilters.cli import (
     GENERATOR_DEPTHS,
     main,
 )
+from gmrafilters.filters import _coset_deviation
 
 from helpers import near_constant_filter, planted_filter, random_scalar_filter
 
@@ -105,8 +106,8 @@ class TestGenerate:
         assert np.array_equal(flipped.samples, -plain.samples)
 
     def test_journe_profile_is_sampled_once(self, tmp_path, monkeypatch):
-        # derive_journe samples the profile to place the region and hands
-        # it to make_journe_family, which once sampled it again.
+        # derive_journe samples the profile to place the region and
+        # make_journe_family reads it again; the params cache it.
         calls = []
 
         def counted(params):
@@ -114,7 +115,6 @@ class TestGenerate:
             return journe_profile(params)
 
         monkeypatch.setattr("gmrafilters.filters.journe_profile", counted)
-        monkeypatch.setattr("gmrafilters.lowpass.journe_profile", counted)
         path = generate(tmp_path, "journe", "--depth", "5")
         assert len(calls) == 1
         filt, _ = parse_bundle(path.read_text())
@@ -373,13 +373,16 @@ class TestClassify:
     def test_gate_residual_is_not_recomputed(self, tmp_path, monkeypatch):
         bundle = generate(tmp_path, "haar")
         out = tmp_path / "classify.json"
+        calls = []
 
-        def recomputed(filt):
-            raise AssertionError("classify_purity recomputed the residual")
+        def counted(filt):
+            calls.append(filt)
+            return _coset_deviation(filt)
 
-        monkeypatch.setattr("gmrafilters.ruelle.filter_equation_residual", recomputed)
+        monkeypatch.setattr("gmrafilters.filters._coset_deviation", counted)
         assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_OK
         assert report_of(out)["status"] == "pure_certified"
+        assert len(calls) == 1
 
     def test_unverified_bundle_short_circuits(self, tmp_path):
         bundle = generate(tmp_path, "haar")

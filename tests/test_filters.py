@@ -64,6 +64,14 @@ class TestDefiningIdentity:
     def test_constant_filter_is_exact(self):
         assert filter_equation_residual(make_constant()).max_abs_residual == 0.0
 
+    def test_report_is_cached_on_the_filter(self):
+        filt = make_haar()
+        rep = filter_equation_residual(filt)
+        assert filter_equation_residual(filt) is rep
+        bad = with_sample(filt, 0, 0, 3, filt.samples[0, 0, 3] + 0.1)
+        assert filter_equation_residual(bad).max_abs_residual > 1e-2
+        assert filter_equation_residual(filt) is rep
+
     @pytest.mark.parametrize("name,make", ALL_GENERATORS)
     def test_generators_obey_the_support_rules(self, name, make):
         assert support_violations(make()).clean()
@@ -326,6 +334,21 @@ class TestJourneFamily:
             JourneParams(r=0.1, grid=GridSpec(3, 56, 1))
         with pytest.raises(GridAlignmentError):
             JourneParams(r=0.1, grid=GridSpec(2, 7, 2))
+
+    @pytest.mark.parametrize(
+        "r", [math.nan, math.inf, -math.inf, "1/0", "x", "0.1.2"]
+    )
+    def test_a_bad_r_is_a_parameter_error(self, r):
+        with pytest.raises(ParameterError):
+            JourneParams(r=r)
+
+    def test_profile_is_cached_read_only(self):
+        params = JourneParams(r=0.1)
+        q = journe_profile(params)
+        assert journe_profile(params) is q
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0] = 0.0
 
     def test_float_r_is_kept_bit_exact(self):
         params = JourneParams(r=0.1)

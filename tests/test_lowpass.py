@@ -1,6 +1,5 @@
 """Block certificates, the certificate search, and the derived parameters."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,7 +23,6 @@ from gmrafilters import (
     classify_purity,
     derive_journe,
     filter_equation_residual,
-    journe_profile,
     make_journe_step,
     make_constant,
     make_haar,
@@ -371,19 +369,6 @@ class TestDeriveJourne:
         assert cert.sigma_min >= 1.1
         assert cert.off_block_max <= 0.005
         assert cert.eps == 0.0125
-
-    def test_profile_is_handed_on_and_left_out_of_equality(self):
-        d = derive_journe(0.1)
-        q = journe_profile(d.params)
-        assert np.array_equal(d.profile, q)
-        assert not d.profile.flags.writeable
-        assert "profile=" not in repr(d)
-        again = dataclasses.replace(d, profile=q[::-1].copy())
-        assert again == d
-        built = make_journe_family(d.params, profile=d.profile)
-        assert np.array_equal(built.samples, make_journe_family(d.params).samples)
-        with pytest.raises(ParameterError):
-            make_journe_family(d.params, profile=q[:-1])
 
     def test_admissible_range_is_enforced(self):
         with pytest.raises(ParameterError):

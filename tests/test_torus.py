@@ -14,6 +14,7 @@ from gmrafilters import (
     SigmaChain,
 )
 from gmrafilters.errors import GridAlignmentError
+from gmrafilters.torus import as_rat
 
 from helpers import member
 
@@ -54,6 +55,13 @@ class TestIntervalSet:
         assert IntervalSet.from_arcs([(0, 1)]) == IntervalSet.full()
         assert IntervalSet.from_arcs([("1/3", "4/3")]) == IntervalSet.full()
         assert IntervalSet.from_arcs([("1/3", "1/3")]).is_empty()
+
+    @pytest.mark.parametrize("text", ["1/0", "x", "", "1/2/3"])
+    def test_a_bad_rational_is_a_parameter_error(self, text):
+        with pytest.raises(ParameterError):
+            as_rat(text)
+        with pytest.raises(ParameterError):
+            IntervalSet.from_arcs([("0", text)])
 
     def test_image_of_small_interval(self):
         s = IntervalSet.from_arcs([("3/7", "4/7")])
