@@ -317,6 +317,7 @@ def parse_bundle(text: str) -> tuple[FilterMatrix, dict]:
     samples = np.zeros((count, count, cells), dtype=np.complex128)
     for (i, j), raw in checked.items():
         _decode_samples(raw, samples[i, j], f"entry ({i}, {j})")
+    samples.setflags(write=False)
     try:
         filt = FilterMatrix(scale, chain, grid, samples)
     except GmraFilterError as exc:

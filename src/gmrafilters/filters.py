@@ -66,6 +66,12 @@ class FilterMatrix:
     and the support rule actually hold is a question for
     :func:`filter_equation_residual` and :func:`support_violations`, so
     that corrupted data can still be loaded and then failed with a witness.
+
+    The filter keeps ``samples`` only when it is a read-only complex128
+    array viewing no writable one; anything else is copied, since a
+    caller's writable array, or an earlier view of it, could change the
+    samples under the cached residual.  The builders in this package
+    freeze their own arrays first, so they copy nothing.
     """
 
     scale: int
@@ -79,7 +85,15 @@ class FilterMatrix:
         if self.grid.depth < 1:
             raise ResolutionError("filter grids need depth >= 1 for coset pairing")
         c = self.chain.count
-        arr = np.asarray(self.samples, dtype=np.complex128)
+        arr = self.samples
+        base = getattr(arr, "base", None)
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.complex128
+            and not arr.flags.writeable
+            and not (isinstance(base, np.ndarray) and base.flags.writeable)
+        ):
+            arr = np.array(arr, dtype=np.complex128)
         if arr.shape != (c, c, self.grid.cells):
             raise ParameterError(
                 f"expected samples of shape {(c, c, self.grid.cells)}, "
@@ -254,13 +268,19 @@ def support_violations(filt: FilterMatrix) -> SupportReport:
     return SupportReport(tuple(column), tuple(dilated_row))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only, for a ``FilterMatrix`` to keep without a copy."""
+    arr.setflags(write=False)
+    return arr
+
+
 def refine(filt: FilterMatrix) -> FilterMatrix:
     """Re-sample on the next finer grid; values are duplicated bit for bit."""
     return FilterMatrix(
         filt.scale,
         filt.chain,
         filt.grid.finer(),
-        np.repeat(filt.samples, filt.scale, axis=2),
+        _frozen(np.repeat(filt.samples, filt.scale, axis=2)),
     )
 
 
@@ -276,7 +296,7 @@ def make_constant(depth: int = 4, scale: int = 2) -> FilterMatrix:
     """
     grid = GridSpec(scale, 1, depth)
     samples = np.ones((1, 1, grid.cells), dtype=np.complex128)
-    return FilterMatrix(scale, SigmaChain.full_circle(1), grid, samples)
+    return FilterMatrix(scale, SigmaChain.full_circle(1), grid, _frozen(samples))
 
 
 def make_haar(depth: int = 4) -> FilterMatrix:
@@ -291,7 +311,7 @@ def make_haar(depth: int = 4) -> FilterMatrix:
     grid = GridSpec(2, 1, depth)
     m = grid.cells
     z = np.exp(2j * np.pi * np.arange(m // 2) / m)
-    samples = np.concatenate([1 + z, 1 - z]) / SQRT2
+    samples = _frozen(np.concatenate([1 + z, 1 - z]) / SQRT2)
     return FilterMatrix(2, SigmaChain.full_circle(1), grid, samples[None, None])
 
 
@@ -306,7 +326,7 @@ def make_shannon(depth: int = 4) -> FilterMatrix:
     support = IntervalSet.from_arcs([(Fraction(-1, 4), Fraction(1, 4))])
     samples = np.zeros((1, 1, grid.cells), dtype=np.complex128)
     samples[0, 0, support.cell_mask(grid)] = SQRT2
-    return FilterMatrix(2, SigmaChain.full_circle(1), grid, samples)
+    return FilterMatrix(2, SigmaChain.full_circle(1), grid, _frozen(samples))
 
 
 def journe_sigma_chain() -> SigmaChain:
@@ -371,7 +391,7 @@ def make_journe_step(depth: int = 2, half_turn_phases: bool = False) -> FilterMa
     samples = np.zeros((2, 2, grid.cells), dtype=np.complex128)
     samples[0, 0, sets["e1"].cell_mask(grid)] = sign * SQRT2
     samples[1, 0, sets["e2"].cell_mask(grid)] = sign * SQRT2
-    return FilterMatrix(2, journe_sigma_chain(), grid, samples)
+    return FilterMatrix(2, journe_sigma_chain(), grid, _frozen(samples))
 
 
 # Half-width of the smoothed transitions of the Journe deformation.
@@ -506,4 +526,4 @@ def make_journe_family(
     samples[0, 0] = sign * q * sets["band11"].cell_mask(grid)
     samples[1, 0, sets["e2"].cell_mask(grid)] = sign * SQRT2
     samples[0, 1] = sign * np.roll(q, -(m // 2)) * sets["band12"].cell_mask(grid)
-    return FilterMatrix(2, journe_sigma_chain(), grid, samples)
+    return FilterMatrix(2, journe_sigma_chain(), grid, _frozen(samples))

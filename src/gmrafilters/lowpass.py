@@ -29,6 +29,7 @@ from .filters import (
     _journe_sets,
     journe_profile,
 )
+from .smallmat import singular_values
 from .torus import GridSpec, IntervalSet
 
 SQRT2 = math.sqrt(2.0)
@@ -73,18 +74,11 @@ def _nonfinite_cells(filt: FilterMatrix) -> np.ndarray:
     return np.nonzero(~np.isfinite(filt.samples).all(axis=(0, 1)))[0]
 
 
-def _singular_values(blocks: np.ndarray) -> np.ndarray:
-    """Per-cell singular values, descending; a 1 x 1 block's is its modulus."""
-    if blocks.shape[1:] == (1, 1):
-        return np.abs(blocks[:, 0])
-    return np.linalg.svd(blocks, compute_uv=False)
-
-
 def _block_norms(filt: FilterMatrix, block_size: int, cells: np.ndarray):
     """Per-cell smallest singular value of A and largest of B, C, D."""
     a = block_size
     mats = np.transpose(filt.samples[..., cells], (2, 0, 1))
-    smin = _singular_values(mats[:, :a, :a])[:, -1]
+    smin = singular_values(mats[:, :a, :a])[:, -1]
     off = np.zeros(len(cells))
     for rows, cols in (
         (slice(None, a), slice(a, None)),
@@ -94,7 +88,7 @@ def _block_norms(filt: FilterMatrix, block_size: int, cells: np.ndarray):
         block = mats[:, rows, cols]
         if block.shape[1] and block.shape[2]:
             off = np.maximum(
-                off, _singular_values(block)[:, 0]
+                off, singular_values(block)[:, 0]
             )
     return smin, off
 

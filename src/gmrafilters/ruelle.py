@@ -47,6 +47,7 @@ from .filters import (
     _coset_deviation,
     filter_equation_residual,
 )
+from . import smallmat
 from .torus import GridSpec, SigmaChain
 
 __all__ = [
@@ -397,13 +398,6 @@ def _clusters(eigenvalues: np.ndarray, rows: np.ndarray, tol_res: float) -> list
     return clusters
 
 
-def _null_vectors(matrix: np.ndarray, lam: complex, count: int) -> np.ndarray:
-    """Rows v with (matrix - lam I) v smallest: ``count`` right singular vectors."""
-    shift = lam.real if lam.imag == 0 else lam
-    vh = np.linalg.svd(matrix - shift * np.eye(len(matrix)))[2]
-    return np.conj(vh[::-1][:count])
-
-
 def _canonical_field(chain: SigmaChain, grid: GridSpec, values: np.ndarray) -> VecField:
     """A field with its first near-largest entry real and positive, at unit norm."""
     mod = np.abs(values)
@@ -503,7 +497,7 @@ def transfer_spectrum(
     coarse, levels = _coarsest(filt)
     tm = assemble_transfer_matrix(coarse)
     matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
-    solved = _by_modulus(np.linalg.eigvals(matrix))
+    solved = _by_modulus(smallmat.eigenvalues(matrix))
     block = filt.scale**levels
     # The fine spectrum: K's eigenvalues, then the zeros only the fine
     # space carries, which sort after every nonzero eigenvalue and after
@@ -514,7 +508,7 @@ def transfer_spectrum(
     passing_flags = np.zeros(len(eigenvalues), dtype=bool)
     vectors = {}
     for cluster in _clusters(solved, _candidate_rows(solved, tol_eig), tol_res):
-        found = _null_vectors(matrix, solved[cluster[0]], len(cluster))
+        found = smallmat.null_vectors(matrix, solved[cluster[0]], len(cluster))
         vectors.update(zip(cluster, found))
 
     grid = coarse.coarse_grid()
@@ -552,12 +546,12 @@ def _cell_zero_spectrum(h0: np.ndarray) -> tuple[np.ndarray, float, float]:
 
     r bounds each eigenvalue's rounding error.  For c = 1 the eigenvalue is
     the sample H(0) itself and only |mu| is rounded: r = 2u, u the unit
-    roundoff.  For c >= 2, ``np.linalg.eig`` solves H(0)^T + E exactly with
-    ||E||_2 <= p(c) u ||H(0)||_F, p(c) = c^2 standing for the QR
-    algorithm's modest growth factor, so by Bauer-Fike
-    r = cond_2(V) p(c) u ||H(0)||_F, V the computed eigenvectors.  r is
-    infinite for a non-finite H(0), or when V is singular to working
-    precision (cond_2(V) p(c) u >= 1), as for a defective H(0)^T.
+    roundoff.  For c >= 2, ``smallmat.eigen_condition`` solves H(0)^T + E
+    exactly with ||E||_2 <= p(c) u ||H(0)||_F, p(c) = c^2 standing for its
+    modest growth factor, so by Bauer-Fike r = cond_2(V) p(c) u ||H(0)||_F,
+    V the computed unit eigenvectors.  r is infinite for a non-finite
+    H(0), or when V is singular to working precision
+    (cond_2(V) p(c) u >= 1), as for a defective H(0)^T.
     """
     c = len(h0)
     if not np.isfinite(h0).all():
@@ -565,8 +559,8 @@ def _cell_zero_spectrum(h0: np.ndarray) -> tuple[np.ndarray, float, float]:
     elif c == 1:
         eigenvalues, allowance = h0[0], 2.0 * UNIT_ROUNDOFF
     else:
-        eigenvalues, vectors = np.linalg.eig(h0.T)
-        spread = float(np.linalg.cond(vectors)) * c * c * UNIT_ROUNDOFF
+        eigenvalues, cond = smallmat.eigen_condition(h0.T)
+        spread = cond * c * c * UNIT_ROUNDOFF
         # Written so that a NaN condition number gives an infinite r.
         allowance = spread * float(np.linalg.norm(h0)) if spread < 1.0 else math.inf
     eigenvalues = _by_modulus(eigenvalues)
@@ -653,7 +647,7 @@ def _fixed_cell(
         outside = ~np.array(filt.sigma_masks(coarse))
     for cluster in clusters:
         lead = complex(eigenvalues[cluster[0]])
-        start = _null_vectors(samples[:, :, 0].T, lead, len(cluster))
+        start = smallmat.null_vectors(samples[:, :, 0].T, lead, len(cluster))
         if len(cluster) > 1:
             columns = []
             for f in _propagate(samples, n, levels, start, lead):

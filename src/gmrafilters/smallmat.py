@@ -1,0 +1,115 @@
+"""Singular values, eigenvalues and null vectors, in closed form when small.
+
+The paper's multiplicity functions have c <= 2, so the analysis mostly
+solves 1 x 1 and 2 x 2 matrices: the blocks of the certificate search,
+H(0)^T at the fixed cell, and K when a filter coarsens to one cell.
+LAPACK would solve them too, but its first call pages in OpenBLAS, about
+1-1.6 MB of peak RSS in a fresh process, for arithmetic a few lines can
+do.  These kernels do it and hand larger matrices to ``np.linalg``.  The
+package does not export them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def singular_values(blocks: np.ndarray) -> np.ndarray:
+    """Per-cell singular values of a stack of blocks, descending.
+
+    A 1 x 1 block's is its modulus.  A 2 x 2 block [[a, b], [c, d]] takes
+    a closed form (Golub and Van Loan, Matrix Computations, 4th ed.,
+    section 8.6): with p and r the squared column norms and
+    q = |conj(a) b + conj(c) d|, sigma_max^2 = (p + r + hypot(p - r, 2q))/2
+    adds only non-negative terms, and sigma_min = |ad - bc| / sigma_max.
+    (The form (sqrt(F + 2|det|) + sqrt(F - 2|det|)) / 2, F = p + r, loses
+    half the digits of two nearly tied values to the difference.)  Each
+    block is first divided by the power of two at or above its largest
+    modulus, exactly, so that no square overflows or underflows.
+    """
+    if blocks.shape[1:] == (1, 1):
+        return np.abs(blocks[:, 0])
+    if blocks.shape[1:] != (2, 2):
+        return np.linalg.svd(blocks, compute_uv=False)
+    scale = np.ldexp(1.0, np.frexp(np.abs(blocks).max(axis=(1, 2)))[1])
+    a, b, c, d = np.moveaxis(blocks / scale[:, None, None], 0, 2).reshape(4, -1)
+    sq = np.abs(np.stack([a, b, c, d])) ** 2
+    p, r = sq[0] + sq[2], sq[1] + sq[3]
+    q = np.abs(np.conj(a) * b + np.conj(c) * d)
+    smax = np.sqrt((p + r + np.hypot(p - r, 2.0 * q)) / 2.0)
+    det = np.abs(a * d - b * c)
+    smin = np.divide(det, smax, out=np.zeros_like(det), where=smax > 0)
+    return np.stack([smax, np.minimum(smin, smax)], axis=1) * scale[:, None]
+
+
+def eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals``; a finite 1 x 1 matrix gives its entry.
+
+    The entry is what eigvals returns for a modulus in about
+    [6.7e-139, 1.5e138]; outside that range LAPACK rescales the matrix
+    first and can round the last bit scaling back.
+    """
+    if matrix.shape == (1, 1) and np.isfinite(matrix).all():
+        return matrix[0]
+    return np.linalg.eigvals(matrix)
+
+
+def eigen_condition(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """The eigenvalues of a finite square matrix and cond_2 of its unit eigenvectors.
+
+    ``np.linalg.eig`` and ``np.linalg.cond``, in closed form for 2 x 2.
+    A triangular 2 x 2 matrix gives its diagonal, as LAPACK does.
+    Otherwise, on the matrix divided exactly by the power of two at or
+    above its largest modulus, the root of the characteristic polynomial
+    that avoids cancellation comes first and the other is det / mu_1.
+    For unit eigenvectors v_1, v_2, cond_2 = sqrt((1 + g) / (1 - g)) with
+    g = |v_1^H v_2|: 1 for a scalar matrix and infinite for any other
+    repeated eigenvalue, which is defective.
+    """
+    if matrix.shape != (2, 2):
+        values, vectors = np.linalg.eig(matrix)
+        return values, float(np.linalg.cond(vectors))
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(matrix).max()))[1])
+    (a, b), (c, d) = (matrix / scale).tolist()
+    if b == 0 or c == 0:
+        values = np.array(matrix.diagonal(), dtype=np.complex128)
+        mu1, mu2 = a, d
+    else:
+        half = (a + d) / 2
+        root = np.sqrt(((a - d) / 2) ** 2 + b * c)
+        mu1 = half + root if (half.conjugate() * root).real >= 0 else half - root
+        mu2 = (a * d - b * c) / mu1 if mu1 != 0 else mu1
+        values = np.array([mu1, mu2], dtype=np.complex128) * scale
+    if b == 0 and c == 0 and a == d:
+        return values, 1.0
+    if mu1 == mu2:
+        return values, math.inf
+    (x1, y1), (x2, y2) = (_unit_eigenvector(a, b, c, d, mu) for mu in (mu1, mu2))
+    g = abs(x1.conjugate() * x2 + y1.conjugate() * y2)
+    return values, math.sqrt((1 + g) / (1 - g)) if g < 1 else math.inf
+
+
+def _unit_eigenvector(a: complex, b: complex, c: complex, d: complex, mu: complex):
+    """A unit vector that both rows of [[a - mu, b], [c, d - mu]] annihilate.
+
+    Each row gives one candidate, (b, mu - a) or (mu - d, c); the longer
+    is the accurate one when mu is close to a or to d.
+    """
+    x, y = max(((b, mu - a), (mu - d, c)), key=lambda v: math.hypot(abs(v[0]), abs(v[1])))
+    n = math.hypot(abs(x), abs(y))
+    return x / n, y / n
+
+
+def null_vectors(matrix: np.ndarray, lam: complex, count: int) -> np.ndarray:
+    """Rows v with (matrix - lam I) v smallest: ``count`` right singular vectors.
+
+    A finite 1 x 1 matrix gives [[1]], the vh of svd for every one.
+    """
+    shift = lam.real if lam.imag == 0 else lam
+    shifted = matrix - shift * np.eye(len(matrix))
+    if shifted.shape == (1, 1) and np.isfinite(shifted).all():
+        return np.conj(np.ones((1, 1), shifted.dtype))
+    vh = np.linalg.svd(shifted)[2]
+    return np.conj(vh[::-1][:count])

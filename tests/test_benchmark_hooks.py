@@ -19,7 +19,9 @@ from gmrafilters import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "clibench" / "spans.py"
 # No command line path calls the decay probe; it stays a library function.
-UNREACHED = {"ruelle.decay_probe"}
+# Nor numpy.linalg.eig: the fixed cell solves c = 2 in closed form, and
+# only c >= 3, which no generator makes, reaches it.
+UNREACHED = {"ruelle.decay_probe", "ruelle.eig"}
 
 
 @pytest.fixture

@@ -744,6 +744,34 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{EXIT_OK} []\n"
 
+    # The first LAPACK call pages in OpenBLAS, 0.9-1.6 MB of peak RSS; at
+    # c <= 2 classify, and spectrum on a filter that coarsens to one cell,
+    # solve their 1 x 1 and 2 x 2 matrices in closed form instead.
+    LAPACK = ("eig", "eigvals", "eigvalsh", "svd", "cond")
+
+    @pytest.mark.parametrize(
+        "command,generator,depth,code",
+        [
+            ("classify", "haar", "10", EXIT_OK),
+            ("classify", "constant", "10", EXIT_NOT_PURE),
+            ("classify", "journe", "5", EXIT_OK),
+            ("classify", "journe_step", None, EXIT_OK),
+            ("spectrum", "constant", "10", EXIT_OK),
+        ],
+    )
+    def test_small_counts_call_no_lapack(
+        self, tmp_path, monkeypatch, command, generator, depth, code
+    ):
+        extra = ("--depth", depth) if depth else ()
+        bundle = generate(tmp_path, generator, *extra)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in self.LAPACK:
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert main([command, str(bundle), "--out", str(tmp_path / "out")]) == code
+
 
 class TestNumericFlags:
     # Each once failed open: classify on the constant filter with

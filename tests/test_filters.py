@@ -17,6 +17,7 @@ from gmrafilters import (
     ParameterError,
     ResolutionError,
     SigmaChain,
+    emit_bundle,
     filter_equation_residual,
     generalized_filter_residual,
     journe_profile,
@@ -26,6 +27,7 @@ from gmrafilters import (
     make_haar,
     make_journe_family,
     make_shannon,
+    parse_bundle,
     refine,
     support_violations,
 )
@@ -222,6 +224,44 @@ class TestConstruction:
             FilterMatrix(
                 3, SigmaChain.full_circle(1), GridSpec(2, 1, 2), np.ones((1, 1, 4))
             )
+
+    def test_an_earlier_view_cannot_make_the_residual_stale(self):
+        h = make_haar()
+        arr = np.array(h.samples)
+        view = arr[0, 0]
+        filt = FilterMatrix(h.scale, h.chain, h.grid, arr)
+        before = filter_equation_residual(filt)
+        view[3] += 0.5
+        assert filt.samples[0, 0, 3] == h.samples[0, 0, 3]
+        assert arr.flags.writeable
+        assert filter_equation_residual(filt) is before
+        assert before.max_abs_residual <= 2e-15
+        fresh = FilterMatrix(h.scale, h.chain, h.grid, arr)
+        assert filter_equation_residual(fresh).max_abs_residual > 1.0
+
+    def test_a_read_only_view_of_a_writable_array_is_copied(self):
+        h = make_haar()
+        arr = np.array(h.samples)
+        view = arr[:]
+        view.setflags(write=False)
+        filt = FilterMatrix(h.scale, h.chain, h.grid, view)
+        arr[0, 0, 3] += 0.5
+        assert filt.samples[0, 0, 3] == h.samples[0, 0, 3]
+
+    def test_builders_hand_over_their_arrays_without_a_copy(self, monkeypatch):
+        kept = []
+        post_init = FilterMatrix.__post_init__
+
+        def spy(self):
+            given = self.samples
+            post_init(self)
+            kept.append(self.samples is given)
+
+        monkeypatch.setattr(FilterMatrix, "__post_init__", spy)
+        built = [make() for _, make in ALL_GENERATORS]
+        refine(built[1])
+        parse_bundle(emit_bundle(built[-1], {}))
+        assert kept == [True] * (len(ALL_GENERATORS) + 2)
 
 
 class TestJourneGeometry:

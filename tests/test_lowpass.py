@@ -32,6 +32,7 @@ from gmrafilters import (
 )
 
 from gmrafilters.lowpass import MARGIN_ALLOWANCE, _block_norms
+from gmrafilters.smallmat import singular_values
 from gmrafilters.ruelle import TOL_EIG, _rules_out_the_circle
 
 from helpers import (
@@ -65,7 +66,9 @@ def reference_search(filt: FilterMatrix):
 
     Every block size a and half-width j is tried with the largest delta
     whose 1 + delta stays within the region's smallest sigma_min, and the
-    successes are ranked by (delta, exact overlap, -a).
+    successes are ranked by (delta, exact overlap, -a).  sigma_min comes
+    from the search's own kernel: LAPACK's differs from it in the last
+    bits, and a delta taken from one fails the other's re-check.
     """
     m = filt.cells
     mats = np.transpose(filt.samples, (2, 0, 1))
@@ -74,7 +77,7 @@ def reference_search(filt: FilterMatrix):
         for j in range(1, m // 2 + 1):
             region = symmetric(j, m)
             cells = np.nonzero(region.cell_mask(filt.grid))[0]
-            svals = np.linalg.svd(mats[cells, :a, :a], compute_uv=False)
+            svals = singular_values(mats[cells, :a, :a])
             sigma = float(svals[:, -1].min())
             delta = sigma - 1.0
             if delta <= 0.0:

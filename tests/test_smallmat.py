@@ -1,0 +1,233 @@
+"""The small-matrix kernels against LAPACK, and against exact arithmetic.
+
+``smallmat`` solves the 1 x 1 and 2 x 2 matrices of the analysis in
+closed form.  Each kernel is held to ``np.linalg``'s answer: bit for bit
+where LAPACK's is exact (a triangular matrix's eigenvalues, a 1 x 1
+matrix's eigenvalue and singular vector), and within a stated bound
+elsewhere.  The 2 x 2 eigenvalues are also held to an exact reference,
+within the fixed cell's rounding allowance r.
+"""
+
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from gmrafilters import (
+    FilterMatrix,
+    GridSpec,
+    SigmaChain,
+    assemble_transfer_matrix,
+    transfer_spectrum,
+)
+from gmrafilters.ruelle import (
+    UNIT_ROUNDOFF,
+    _by_modulus,
+    _cell_zero_spectrum,
+    _coarsest,
+)
+from gmrafilters.smallmat import null_vectors, singular_values
+
+
+def two_by_two_blocks(kind: str) -> np.ndarray:
+    """A stack of 2 x 2 complex blocks of one kind, seeded."""
+    rng = np.random.default_rng(24)
+    rand = rng.standard_normal((400, 2, 2)) + 1j * rng.standard_normal((400, 2, 2))
+    if kind == "random":
+        return rand
+    if kind == "zero":
+        return np.zeros((3, 2, 2), dtype=np.complex128)
+    if kind == "rank_one":
+        return rand[:, :, :1] @ rand[:, :1, :]
+    if kind == "triangular":
+        return np.triu(rand)
+    if kind == "scaled":
+        return np.concatenate([rand[:100] * 1e150, rand[100:200] * 1e-150,
+                               rand[200:] * [[1e150, 1e-150], [1.0, 1e-150]]])
+    # Tied: a unitary times a scalar, so sigma_max = sigma_min, and two
+    # exact ties.
+    unitary = np.linalg.qr(rand)[0] * rng.uniform(0.1, 10.0, (400, 1, 1))
+    exact = np.array([np.eye(2) * 3.0, [[0.0, 2.0], [2.0, 0.0]]], dtype=np.complex128)
+    return np.concatenate([unitary, exact])
+
+
+class TestSingularValueKernel:
+    """The closed-form 2 x 2 singular values against LAPACK's."""
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "zero", "rank_one", "triangular", "scaled", "tied"]
+    )
+    def test_2x2_within_eight_ulps_of_sigma_max(self, kind, monkeypatch):
+        blocks = two_by_two_blocks(kind)
+        lapack = np.linalg.svd(blocks, compute_uv=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK ran")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        got = singular_values(blocks)
+        assert got.shape == lapack.shape
+        bound = 8.0 * np.finfo(np.float64).eps * lapack[:, :1]
+        assert np.all(np.abs(got - lapack) <= bound)
+        assert np.all(got[:, 0] >= got[:, 1])
+
+    def test_other_blocks_still_go_to_lapack(self):
+        blocks = two_by_two_blocks("random")[:, :1, :]
+        blocks = np.concatenate([blocks, blocks * 2j], axis=2)
+        assert np.array_equal(
+            singular_values(blocks), np.linalg.svd(blocks, compute_uv=False)
+        )
+
+
+def exact_eigenvalues(m: np.ndarray) -> list:
+    """The eigenvalues of a 2 x 2 float matrix to 60 digits, as (re, im) Decimals.
+
+    Half the trace and the discriminant ((a - d)/2)^2 + bc are exact
+    rationals of the float entries; only the complex square root rounds.
+    """
+    (a, b), (c, d) = [
+        [(Fraction(z.real), Fraction(z.imag)) for z in row] for row in m.tolist()
+    ]
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    gap = ((a[0] - d[0]) / 2, (a[1] - d[1]) / 2)
+    disc = [p + q for p, q in zip(mul(gap, gap), mul(b, c))]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        half = [
+            Decimal(x.numerator) / x.denominator
+            for x in ((a[0] + d[0]) / 2, (a[1] + d[1]) / 2)
+        ]
+        x, y = (Decimal(v.numerator) / v.denominator for v in disc)
+        r = (x * x + y * y).sqrt()
+        if r == 0:
+            root = (Decimal(0), Decimal(0))
+        elif x >= 0:
+            re = ((r + x) / 2).sqrt()
+            root = (re, y / (2 * re))
+        else:
+            im = ((r - x) / 2).sqrt().copy_sign(y)
+            root = (y / (2 * im), im)
+        return [(half[0] + k * root[0], half[1] + k * root[1]) for k in (1, -1)]
+
+
+def distance(z: complex, exact: tuple) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dx, dy = Decimal(z.real) - exact[0], Decimal(z.imag) - exact[1]
+        return (dx * dx + dy * dy).sqrt()
+
+
+def two_by_two(kind: str, rng) -> np.ndarray:
+    """A random H(0): complex, real-valued, or near a Jordan block."""
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    if kind == "real":
+        return m.real.astype(np.complex128)
+    if kind == "near_defective":
+        lam = complex(*rng.standard_normal(2))
+        jordan = np.array([[lam, 1.0], [0.0, lam]]) + 10.0 ** rng.uniform(-16, -4) * m
+        p = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return p @ jordan @ np.linalg.inv(p)
+    return m
+
+
+class TestEigenvalues:
+    """The fixed cell's 2 x 2 eigenvalues and the 1 x 1 shortcuts against LAPACK."""
+
+    def test_triangular_eigenvalues_are_lapacks_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        for k in range(400):
+            h0 = two_by_two("real" if k % 3 == 0 else "complex", rng)
+            h0[k % 2, 1 - k % 2] = 0.0
+            eigenvalues, _, _ = _cell_zero_spectrum(h0)
+            lapack = _by_modulus(np.linalg.eig(h0.T)[0])
+            assert eigenvalues.tobytes() == lapack.tobytes()
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "near_defective"])
+    def test_eigenvalues_lie_within_the_allowance(self, kind):
+        # r bounds the closed form's distance from the exact eigenvalues.
+        # LAPACK's own distance reached 1.9 r on such draws, so its
+        # eigenvalues are held to 4 r of the closed form's.
+        rng = np.random.default_rng(24)
+        finite = 0
+        for _ in range(200):
+            h0 = two_by_two(kind, rng)
+            eigenvalues, _, allowance = _cell_zero_spectrum(h0)
+            if allowance == math.inf:
+                continue
+            finite += 1
+            exact = exact_eigenvalues(h0.T)
+            bound = Decimal(allowance)
+            for z in eigenvalues.tolist():
+                assert min(distance(z, e) for e in exact) <= bound
+            for e in exact:
+                assert min(distance(z, e) for z in eigenvalues.tolist()) <= bound
+            for z in np.linalg.eig(h0.T)[0]:
+                assert np.abs(eigenvalues - z).min() <= 4 * allowance
+        assert finite >= 150
+
+    @pytest.mark.parametrize(
+        "h0t",
+        [
+            [[0.5, 1.0], [0.0, 0.5]],
+            [[0.5, 0.0], [1e-3j, 0.5]],
+            [[1.0, 1.0], [-1.0, -1.0]],
+            [[3.0, 1.0], [-1.0, 1.0]],
+        ],
+        ids=["upper", "lower", "nilpotent", "rotated"],
+    )
+    def test_a_jordan_block_gets_an_infinite_allowance(self, h0t):
+        h0 = np.array(h0t, dtype=np.complex128).T
+        eigenvalues, _, allowance = _cell_zero_spectrum(h0)
+        assert eigenvalues[0] == eigenvalues[1]
+        assert allowance == math.inf
+
+    def test_a_scalar_matrix_has_unit_condition(self):
+        _, _, allowance = _cell_zero_spectrum(np.diag([0.5j, 0.5j]))
+        assert allowance == 4 * UNIT_ROUNDOFF * np.linalg.norm([0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "entry, lam",
+        [(0.0, 1.0), (-2.0, 1.0), (1.0, 1.0), (0.5 + 0.3j, 1j), (1e-300j, -1.0),
+         (1.0 + 0j, 1.0), (-0.5j, 0.5j), (1e300, 1.0)],
+    )
+    def test_1x1_null_vector_is_svds(self, entry, lam, monkeypatch):
+        matrix = np.array([[entry]])
+        shift = lam.real if complex(lam).imag == 0 else lam
+        vh = np.linalg.svd(matrix - shift * np.eye(1))[2]
+        lapack = np.conj(vh[::-1][:1])
+        monkeypatch.setattr(np.linalg, "svd", None)
+        got = null_vectors(matrix, complex(lam), 1)
+        assert got.dtype == lapack.dtype
+        assert got.tobytes() == lapack.tobytes()
+
+    @pytest.mark.parametrize(
+        "h", [1.0, -2.0, 0.7, 0.5 + 0.3j, -0.25j, 1e-100j, 3e100, 1e-138, 1e138]
+    )
+    def test_1x1_transfer_eigenvalue_is_eigvals(self, h, monkeypatch):
+        # A constant sample coarsens to one coarse cell: K is 1 x 1.
+        filt = FilterMatrix(
+            2, SigmaChain.full_circle(1), GridSpec(2, 1, 3), np.full((1, 1, 8), h)
+        )
+        matrix = assemble_transfer_matrix(_coarsest(filt)[0]).matrix
+        assert matrix.shape == (1, 1)
+        matrix = matrix.real if not np.any(matrix.imag) else matrix
+        lapack = _by_modulus(np.linalg.eigvals(matrix))
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        got = transfer_spectrum(filt).eigenvalues
+        assert got[:1].tobytes() == lapack.tobytes()
+
+    def test_1x1_transfer_eigenvalue_is_exact_past_lapacks_scaling(self):
+        # LAPACK scales a matrix of norm below about 6.7e-139 before it
+        # solves, and can round the eigenvalue's last bit scaling back.
+        h = 1e-300
+        filt = FilterMatrix(
+            2, SigmaChain.full_circle(1), GridSpec(2, 1, 3), np.full((1, 1, 8), h)
+        )
+        assert transfer_spectrum(filt).eigenvalues[0] == h
+        assert np.linalg.eigvals([[h]])[0] != h
