@@ -39,6 +39,7 @@ from .filters import (
     SupportReport,
     filter_equation_residual,
     generalized_filter_residual,
+    isometry_defect,
     journe_profile,
     journe_sigma_chain,
     make_journe_step,
@@ -74,7 +75,6 @@ from .ruelle import (
     assemble_transfer_matrix,
     classify_purity,
     decay_probe,
-    isometry_defect,
     isometry_residual,
     martingale_sequence,
     random_vecfield,

@@ -37,6 +37,7 @@ from .filters import (
     SupportReport,
     filter_equation_residual,
     generalized_filter_residual,
+    isometry_defect,
     make_journe_step,
     make_constant,
     make_haar,
@@ -54,11 +55,10 @@ from .ruelle import (
     TOL_RES,
     VERIFY_TOL,
     classify_purity,  # noqa: F401  (a name clibench/spans.py wraps)
-    isometry_defect,
     isometry_residual,
     transfer_spectrum,
 )
-from .torus import GridSpec, rat_str
+from .torus import MAX_CELLS_LOG2, GridSpec, rat_str
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -344,16 +344,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer >= low."""
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse type: an integer >= low, and <= high when given."""
 
     def parse(text: str) -> int:
-        message = f"must be an integer >= {low}, got {text!r}"
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        message = f"must be an integer {bound}, got {text!r}"
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(message) from None
-        if value < low:
+        if value < low or (high is not None and value > high):
             raise argparse.ArgumentTypeError(message)
         return value
 
@@ -396,12 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("bundle")
     ver.add_argument("--tol", type=_tolerance, default=VERIFY_TOL)
     ver.add_argument(
-        "--nmax", type=_int_at_least(0), default=3, help="highest identity order"
+        "--nmax",
+        type=_int_in(0, MAX_CELLS_LOG2),
+        default=3,
+        help="highest identity order",
     )
     ver.add_argument(
-        "--trials", type=_int_at_least(0), default=0, help="random isometry probes"
+        "--trials", type=_int_in(0), default=0, help="random isometry probes"
     )
-    ver.add_argument("--seed", type=_int_at_least(0), default=0)
+    ver.add_argument("--seed", type=_int_in(0), default=0)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 

@@ -123,8 +123,14 @@ class FilterMatrix:
         return [s.cell_mask(g) for s in self.chain.sigmas]
 
     @cached_property
+    def _deviation(self) -> np.ndarray:
+        deviation = _coset_deviation(self)
+        deviation.setflags(write=False)
+        return deviation
+
+    @cached_property
     def _residual(self) -> ResidualReport:
-        return _report_from_residuals(np.abs(_coset_deviation(self)[0]))
+        return _report_from_residuals(np.abs(self._deviation))
 
 
 class ResidualReport(NamedTuple):
@@ -168,71 +174,106 @@ def filter_equation_residual(filt: FilterMatrix) -> ResidualReport:
     residue class of cells, and the report indexes witnesses by the lowest
     cell of the class.
 
-    The report is computed on the first call for a filter and cached on it,
-    so the gate and ``classify_purity`` form the coset Gram matrix once.
+    The deviation behind the report is cached on the filter, read-only, and
+    ``generalized_filter_residual(filt, 1)`` and ``isometry_defect`` read
+    it too, so a command forms the order-1 coset Gram matrix once.
     """
     return filt._residual
 
 
-def _coset_deviation(filt: FilterMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Left side minus right side of the defining identity, per coarse cell.
+def _coset_deviation(filt: FilterMatrix, order: int = 1) -> np.ndarray:
+    """Left side minus right side of the order-n identity, per target cell.
 
-    Returns the complex (c, c, M/N) array G(u) - N diag(chi_sigma_i(u)),
-    where G(u) = sum_k H(u + k M/N) H(u + k M/N)* is the coset Gram
-    matrix, and the (c, M/N) boolean coarse support masks.
+    The order-n identity is the defining identity of the orbit product
+    Q(x) = H(N^(n-1) x) ... H(N x) H(x) at dilation N^n.  With
+    M' = M / N^n, returns the complex (c, c, M') array
+    G(u) - N^n diag(chi_sigma_i(u)), where
+    G(u) = sum_k Q(u + k M') Q(u + k M')* is the coset Gram matrix and
+    chi the support masks on the M'-cell grid.
     """
-    n = filt.scale
-    c = filt.count
-    grouped = filt.samples.reshape(c, c, n, filt.cells // n)
+    n, c, m = filt.scale, filt.count, filt.cells
+    block = n**order
+    product = filt.samples
+    for k in range(1, order):
+        # Cell b M/N^k + t maps to cell N^k t under x -> N^k x, so
+        # H(N^k x) is every N^k-th sample, repeated over the blocks b.
+        blocks = product.reshape(c, c, n**k, m // n**k)
+        step = filt.samples[:, :, :: n**k]
+        product = np.einsum("ijt,jkbt->ikbt", step, blocks).reshape(c, c, m)
+    grouped = product.reshape(c, c, block, m // block)
     gram = np.einsum("ijkt,pjkt->ipt", grouped, np.conj(grouped))
-    masks = np.array(filt.sigma_masks(filt.coarse_grid()))
-    for i in range(c):
-        gram[i, i] -= n * masks[i]
-    return gram, masks
+    target = GridSpec(n, filt.grid.base, filt.grid.depth - order)
+    for i, mask in enumerate(filt.sigma_masks(target)):
+        gram[i, i] -= block * mask
+    return gram
 
 
 def generalized_filter_residual(filt: FilterMatrix, order: int) -> ResidualReport:
     """Check the n-step product identity obtained by iterating the filter.
 
-    With P(w) the ordered product of transposed filter matrices along the
-    dilation orbit of w (n factors), the identity is
+    It is the defining identity of the orbit product
+    Q(x) = H(N^(n-1) x) ... H(N x) H(x) at dilation N^n, divided by N^n:
 
-        (1/N^n) sum_{z : z^(N^n) = 1} sum_i P_{i,j}(w z) conj(P_{i,j'}(w z))
-            = delta_{j,j'} chi_{sigma_j}(w^(N^n)).
+        (1/N^n) sum_{z : z^(N^n) = 1} sum_j Q_{i,j}(w z) conj(Q_{i',j}(w z))
+            = delta_{i,i'} chi_{sigma_i}(w^(N^n)).
 
-    For order 1 this reduces to the defining identity divided by N.
-    Requires N**order to divide the number of cells and the supports to
-    align with the correspondingly coarser grid.
+    Order 1 is the defining residual divided by N, from the cached
+    deviation.  Requires N**order to divide the number of cells and the
+    supports to align with the correspondingly coarser grid.
     """
     if order < 1:
         raise ParameterError("order must be >= 1")
     n = filt.scale
-    m = filt.cells
     if order > filt.grid.depth:
         raise ResolutionError(
             f"order {order} exceeds grid depth {filt.grid.depth}"
         )
-    block = n**order
-    mq = m // block
     target_grid = GridSpec(n, filt.grid.base, filt.grid.depth - order)
     if not filt.chain.aligned(target_grid):
         raise GridAlignmentError(
             f"supports do not align with the depth-{target_grid.depth} grid"
         )
-    transposed = np.ascontiguousarray(np.transpose(filt.samples, (2, 1, 0)))
-    indices = np.arange(m)
-    prod = transposed[indices]
     # A non-finite sample leaves non-finite residuals, without warnings.
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(1, order):
-            prod = prod @ transposed[(indices * n**k) % m]
-        gram = np.einsum("tij,tik->jkt", prod, np.conj(prod))
-        lhs = gram.reshape(filt.count, filt.count, block, mq).mean(axis=2)
-    rhs = np.zeros((filt.count, filt.count, mq))
-    masks = filt.sigma_masks(target_grid)
-    for j in range(filt.count):
-        rhs[j, j] = masks[j].astype(float)
-    return _report_from_residuals(np.abs(lhs - rhs))
+        deviation = filt._deviation if order == 1 else _coset_deviation(filt, order)
+        return _report_from_residuals(np.abs(deviation) / n**order)
+
+
+def isometry_defect(filt: FilterMatrix) -> tuple[float, int]:
+    """Exact worst deviation of ||S_H f||^2 from ||f||^2 over unit fields.
+
+    For a coarse field f, ||S_H f||^2 - ||f||^2 = (1/M) sum_u f(u)* D(u) f(u),
+    where D(u) is the conjugate of the coset Gram matrix
+    sum_k H(u + k M/N) H(u + k M/N)* minus N I, restricted to the
+    components whose support holds coarse cell u: the entries whose moduli
+    ``filter_equation_residual`` reports, read from the deviation it
+    caches.  As ||f||^2 = (N/M) sum_u |f(u)|^2, the Rayleigh quotient
+    bound for the Hermitian D(u) makes the worst case max_u ||D(u)||_2 / N,
+    reached by the field concentrated on that u along the top
+    eigenvector.  Returns it with the lowest coarse cell u that attains it.
+
+    ||D(u)||_2 is |D(u)| for c = 1, |a + d|/2 + hypot((a - d)/2, |b|) for
+    [[a, b], [b*, d]] at c = 2, and the largest |eigenvalue| from
+    ``eigvalsh`` only for c >= 3.  A cell with a non-finite entry takes
+    its largest |entry| instead: NaN if any entry is NaN (so a NaN is the
+    witness and fails a ``<= tol`` gate), else inf, as for a sample whose
+    square overflows, without a warning.  A NaN or inf outside the
+    supports reads as NaN, as it does for the probes.
+    """
+    masks = np.array(filt.sigma_masks(filt.coarse_grid()))
+    c = filt.count
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = filt._deviation * (masks[:, None] & masks[None, :])
+        norms = np.abs(d).max(axis=(0, 1))
+        finite = np.isfinite(norms)
+        if c == 2:
+            a, b, e = d[0, 0, finite].real, d[0, 1, finite], d[1, 1, finite].real
+            norms[finite] = np.abs(a + e) / 2 + np.hypot((a - e) / 2, np.abs(b))
+        elif c > 2:
+            stack = np.moveaxis(d[:, :, finite], 2, 0)
+            norms[finite] = np.abs(np.linalg.eigvalsh(stack)).max(axis=1)
+        witness = int(np.argmax(norms))
+        return float(norms[witness] / filt.scale), witness
 
 
 class SupportReport(NamedTuple):
@@ -252,20 +293,15 @@ class SupportReport(NamedTuple):
 
 
 def support_violations(filt: FilterMatrix) -> SupportReport:
-    c = filt.count
-    mp = filt.cells // filt.scale
-    fine_masks = filt.sigma_masks()
-    coarse_masks = filt.sigma_masks(filt.coarse_grid())
-    column = []
-    dilated_row = []
+    fine = np.array(filt.sigma_masks())
+    coarse = np.array(filt.sigma_masks(filt.coarse_grid()))
     nz = filt.samples != 0
-    for i in range(c):
-        for j in range(c):
-            for t in np.nonzero(nz[i, j] & ~fine_masks[j])[0]:
-                column.append((i, j, int(t)))
-            for t in np.nonzero(nz[i, j] & ~coarse_masks[i][np.arange(filt.cells) % mp])[0]:
-                dilated_row.append((i, j, int(t)))
-    return SupportReport(tuple(column), tuple(dilated_row))
+    # argwhere lists (i, j, cell) in row-major order: by i, then j, then cell.
+    column = np.argwhere(nz & ~fine[None])
+    dilated_row = np.argwhere(nz & ~np.tile(coarse, filt.scale)[:, None])
+    return SupportReport(
+        tuple(map(tuple, column.tolist())), tuple(map(tuple, dilated_row.tolist()))
+    )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

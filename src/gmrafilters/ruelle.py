@@ -41,12 +41,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionCapError, ParameterError, ResolutionError
-from .filters import (
-    FilterMatrix,
-    StepFn,
-    _coset_deviation,
-    filter_equation_residual,
-)
+from .filters import FilterMatrix, StepFn, filter_equation_residual
 from . import smallmat
 from .torus import GridSpec, SigmaChain
 
@@ -64,7 +59,6 @@ __all__ = [
     "ruelle_apply",
     "transfer_apply",
     "isometry_residual",
-    "isometry_defect",
     "assemble_transfer_matrix",
     "transfer_spectrum",
     "classify_purity",
@@ -268,43 +262,6 @@ def isometry_residual(
             image_norm = float(np.sqrt(np.sum(np.abs(image) ** 2) / filt.cells))
         deviations.append(abs(image_norm**2 - f.norm() ** 2))
     return float(np.max(deviations, initial=0.0))
-
-
-def isometry_defect(filt: FilterMatrix) -> tuple[float, int]:
-    """Exact worst deviation of ||S_H f||^2 from ||f||^2 over unit fields.
-
-    For a coarse field f, ||S_H f||^2 - ||f||^2 = (1/M) sum_u f(u)* D(u) f(u),
-    where D(u) is the conjugate of the coset Gram matrix
-    sum_k H(u + k M/N) H(u + k M/N)* minus N I, restricted to the
-    components whose support holds coarse cell u: the entries whose moduli
-    ``filter_equation_residual`` reports.  As ||f||^2 = (N/M) sum_u |f(u)|^2,
-    the Rayleigh quotient bound for the Hermitian D(u) makes the worst case
-    max_u ||D(u)||_2 / N, reached by the field concentrated on that u along
-    the top eigenvector.  Returns it with the lowest coarse cell u that
-    attains it.
-
-    ||D(u)||_2 is |D(u)| for c = 1, |a + d|/2 + hypot((a - d)/2, |b|) for
-    [[a, b], [b*, d]] at c = 2, and the largest |eigenvalue| from
-    ``eigvalsh`` only for c >= 3.  A cell with a non-finite entry takes
-    its largest |entry| instead: NaN if any entry is NaN (so a NaN is the
-    witness and fails a ``<= tol`` gate), else inf, as for a sample whose
-    square overflows, without a warning.  A NaN or inf outside the
-    supports reads as NaN, as it does for the probes.
-    """
-    deviation, masks = _coset_deviation(filt)
-    c = filt.count
-    with np.errstate(invalid="ignore", over="ignore"):
-        d = deviation * (masks[:, None] & masks[None, :])
-        norms = np.abs(d).max(axis=(0, 1))
-        finite = np.isfinite(norms)
-        if c == 2:
-            a, b, e = d[0, 0, finite].real, d[0, 1, finite], d[1, 1, finite].real
-            norms[finite] = np.abs(a + e) / 2 + np.hypot((a - e) / 2, np.abs(b))
-        elif c > 2:
-            stack = np.moveaxis(d[:, :, finite], 2, 0)
-            norms[finite] = np.abs(np.linalg.eigvalsh(stack)).max(axis=1)
-        witness = int(np.argmax(norms))
-        return float(norms[witness] / filt.scale), witness
 
 
 class TransferMatrix(NamedTuple):

@@ -57,6 +57,18 @@ def run_json(argv):
     return code
 
 
+def count_coset_grams(monkeypatch) -> list[int]:
+    """The order of every coset Gram matrix formed from here on."""
+    orders = []
+
+    def counted(filt, order=1):
+        orders.append(order)
+        return _coset_deviation(filt, order)
+
+    monkeypatch.setattr("gmrafilters.filters._coset_deviation", counted)
+    return orders
+
+
 def report_of(path):
     return json.loads(path.read_text())
 
@@ -319,6 +331,20 @@ class TestVerify:
     def test_missing_file_is_a_usage_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("name, formed", [("haar", [1, 2, 3]), ("journe", [1, 2])])
+    def test_order_one_gram_is_formed_once(self, tmp_path, monkeypatch, name, formed):
+        # The residual, generalized order 1 and the isometry defect share
+        # it; journe's depth-2 grid skips order 3.
+        bundle = generate(tmp_path, name)
+        out = tmp_path / "verify.json"
+        orders = count_coset_grams(monkeypatch)
+        assert main(["verify", str(bundle), "--out", str(out)]) == EXIT_OK
+        assert sorted(orders) == formed
+        generalized = report_of(out)["generalized_equation"]
+        assert ["skipped" not in g for g in generalized] == [
+            order in formed for order in (1, 2, 3)
+        ]
+
     def test_report_is_deterministic(self, tmp_path):
         bundle = generate(tmp_path, "shannon")
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -373,16 +399,10 @@ class TestClassify:
     def test_gate_residual_is_not_recomputed(self, tmp_path, monkeypatch):
         bundle = generate(tmp_path, "haar")
         out = tmp_path / "classify.json"
-        calls = []
-
-        def counted(filt):
-            calls.append(filt)
-            return _coset_deviation(filt)
-
-        monkeypatch.setattr("gmrafilters.filters._coset_deviation", counted)
+        orders = count_coset_grams(monkeypatch)
         assert main(["classify", str(bundle), "--out", str(out)]) == EXIT_OK
         assert report_of(out)["status"] == "pure_certified"
-        assert len(calls) == 1
+        assert orders.count(1) == 1
 
     def test_unverified_bundle_short_circuits(self, tmp_path):
         bundle = generate(tmp_path, "haar")
@@ -787,6 +807,9 @@ class TestNumericFlags:
             ("verify", "--trials", "-3"),
             ("verify", "--trials", "-1"),
             ("verify", "--nmax", "-2"),
+            # No grid has more than 2**48 cells, so every higher order would
+            # be skipped; --nmax 100000 once wrote 8.7 MB of such entries.
+            ("verify", "--nmax", "49"),
             ("verify", "--seed", "-1"),
             ("classify", "--tol-eig", "nan"),
             ("classify", "--tol-eig", "-1"),
@@ -815,6 +838,10 @@ class TestNumericFlags:
         report = report_of(out)
         assert report["generalized_equation"] == []
         assert report["isometry"]["trials"] == 1
+        args = ["verify", str(bundle), "--nmax", "48", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        skipped = ["skipped" in g for g in report_of(out)["generalized_equation"]]
+        assert skipped == [False] * 4 + [True] * 44
         args = ["verify", str(bundle), "--trials", "0", "--out", str(out)]
         assert main(args) == EXIT_OK
         assert report_of(out)["isometry"]["max_deviation"] == "0.0"

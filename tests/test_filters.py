@@ -36,12 +36,15 @@ from gmrafilters.filters import _journe_sets
 from helpers import (
     journe_profile_reference,
     member,
+    planted_filter,
+    planted_unitary_filter,
     random_phase_copy,
     random_scalar_filter,
     with_sample,
 )
 
 SQRT2 = math.sqrt(2.0)
+EPS = float(np.finfo(float).eps)
 
 
 def default_journe() -> FilterMatrix:
@@ -55,6 +58,61 @@ ALL_GENERATORS = [
     ("journe_step", make_journe_step),
     ("journe_family", default_journe),
 ]
+
+
+def generalized_reference(filt: FilterMatrix, order: int) -> np.ndarray:
+    """|left - right| of the order-n identity, one target cell at a time.
+
+    Each Q(x) = H(N^(n-1) x) ... H(N x) H(x) is multiplied out as c x c
+    matrices and the coset sum taken over the N^n cells above target
+    cell u, with no array kernel of the package involved.
+    """
+    n, m, c = filt.scale, filt.cells, filt.count
+    block = n**order
+    coarse = m // block
+    masks = filt.sigma_masks(GridSpec(n, filt.grid.base, filt.grid.depth - order))
+    out = np.empty((c, c, coarse))
+    for u in range(coarse):
+        gram = np.zeros((c, c), dtype=complex)
+        for k in range(block):
+            x = u + k * coarse
+            q = np.eye(c)
+            for step in range(order):
+                q = filt.samples[:, :, x * n**step % m] @ q
+            gram += q @ q.conj().T
+        right = np.diag([float(mask[u]) for mask in masks])
+        out[:, :, u] = np.abs(gram / block - right)
+    return out
+
+
+def planted(scale: int, count: int, bumped: bool) -> FilterMatrix:
+    """A planted filter at depth 3, with entry (c-1, 0) of cell 1 raised by
+    0.1 when ``bumped``."""
+    rng = np.random.default_rng(scale * 10 + count)
+    lam = complex(math.cos(1.9), math.sin(1.9))
+    build = planted_filter if count == 1 else planted_unitary_filter
+    filt = build(rng, scale, 3, lam)[0]
+    if bumped:
+        i = count - 1
+        filt = with_sample(filt, i, 0, 1, filt.samples[i, 0, 1] + 0.1)
+    return filt
+
+
+def support_reference(filt: FilterMatrix):
+    """The support rules checked entry by entry and cell by cell."""
+    mp = filt.cells // filt.scale
+    fine = filt.sigma_masks()
+    coarse = filt.sigma_masks(filt.coarse_grid())
+    column, dilated_row = [], []
+    for i in range(filt.count):
+        for j in range(filt.count):
+            for t in range(filt.cells):
+                if filt.samples[i, j, t] != 0:
+                    if not fine[j][t]:
+                        column.append((i, j, t))
+                    if not coarse[i][t % mp]:
+                        dilated_row.append((i, j, t))
+    return tuple(column), tuple(dilated_row)
 
 
 class TestDefiningIdentity:
@@ -125,11 +183,45 @@ class TestGeneralizedIdentity:
             rep = generalized_filter_residual(filt, order)
             assert rep.max_abs_residual <= 2e-15, (name, order)
 
-    def test_order_one_is_the_defining_identity_rescaled(self):
-        filt = make_haar()
-        base = filter_equation_residual(filt).max_abs_residual
-        one = generalized_filter_residual(filt, 1).max_abs_residual
-        assert one == pytest.approx(base / filt.scale, abs=1e-16)
+    @pytest.mark.parametrize(
+        "make",
+        [make for _, make in ALL_GENERATORS]
+        + [
+            lambda: random_scalar_filter(np.random.default_rng(7)),
+            lambda: planted(2, 1, True),
+            lambda: planted(2, 2, False),
+            lambda: planted(2, 2, True),
+            lambda: with_sample(make_haar(), 0, 0, 3, 0.5),
+        ],
+    )
+    def test_order_one_is_the_defining_identity_rescaled(self, make):
+        # Bit for bit: both read one cached deviation, and halving is exact.
+        filt = make()
+        half = filter_equation_residual(filt).max_abs_residual / 2
+        assert generalized_filter_residual(filt, 1).max_abs_residual == half
+
+    @pytest.mark.parametrize("bumped", [False, True])
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("scale", [2, 3, 4])
+    def test_matches_explicit_orbit_products(self, scale, count, bumped):
+        filt = planted(scale, count, bumped)
+        for order in (1, 2, 3):
+            ref = generalized_reference(filt, order)
+            rep = generalized_filter_residual(filt, order)
+            assert abs(rep.max_abs_residual - ref.max()) <= 8 * EPS
+            for (a, b), value in rep.per_pair.items():
+                assert abs(value - ref[a, b].max()) <= 8 * EPS
+            witness = ref[rep.argmax_pair][rep.argmax_cell]
+            assert abs(witness - ref.max()) <= 8 * EPS
+            if bumped:
+                assert rep.max_abs_residual > 1e-4
+
+    def test_order_one_reads_the_cached_deviation(self):
+        filt = make_journe_step()
+        deviation = filt._deviation
+        assert not deviation.flags.writeable
+        generalized_filter_residual(filt, 1)
+        assert filt._deviation is deviation
 
     def test_order_beyond_depth_is_refused(self):
         with pytest.raises(ResolutionError):
@@ -171,6 +263,21 @@ class TestSupportRules:
         bad = with_sample(filt, 0, 0, cell, 1.0)
         rep = support_violations(bad)
         assert (0, 0, cell) in rep.dilated_row
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_match_the_cell_by_cell_rules(self, seed):
+        # Random nonzero samples on a quarter of journe_step's entries break
+        # both rules many times over, in every entry.
+        rng = np.random.default_rng(seed)
+        filt = make_journe_step(depth=3)
+        samples = filt.samples.copy()
+        hit = rng.random(samples.shape) < 0.25
+        samples[hit] = rng.standard_normal(int(hit.sum()))
+        bad = FilterMatrix(filt.scale, filt.chain, filt.grid, samples)
+        rep = support_violations(bad)
+        assert (rep.column, rep.dilated_row) == support_reference(bad)
+        assert len(rep.column) > 50 and len(rep.dilated_row) > 50
+        assert all(type(k) is int for v in rep.column + rep.dilated_row for k in v)
 
     def test_journe_step_second_column_is_zero(self):
         filt = make_journe_step()

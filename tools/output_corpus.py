@@ -79,15 +79,21 @@ def _huge_sample(h, rng):
 # an accepted eigenvalue other than 1, an accepted eigenvalue 1 whose
 # field is not the constant one, two pairs for one eigenvalue, a pure
 # verdict decided at cell 0 by a margin of 1e-3, pure_at_resolution, a
-# coarsened spectrum that lifts a two-member cluster (H = I, c = 2), and
-# two bundles that fail the verification gate: a sample breaking the
-# column support rule, and a finite sample whose square overflows.
+# coarsened spectrum that lifts a two-member cluster (H = I, c = 2), a
+# dense two-channel filter at N = 3 (the orbit product of the generalized
+# identity off N = 2), and two bundles that fail the verification gate: a
+# sample breaking the column support rule, and a finite sample whose
+# square overflows.
 BUILT_JOBS = [
     ("planted_scale_3", lambda h, rng: h.planted_filter(rng, 3, 3, PLANTED_LAMBDA)[0]),
     ("planted_lambda_1", lambda h, rng: h.planted_filter(rng, 2, 4, 1.0)[0]),
     (
         "planted_two_channel",
         lambda h, rng: h.planted_unitary_filter(rng, 2, 3, PLANTED_LAMBDA)[0],
+    ),
+    (
+        "planted_two_channel_scale_3",
+        lambda h, rng: h.planted_unitary_filter(rng, 3, 3, PLANTED_LAMBDA)[0],
     ),
     ("near_constant", lambda h, rng: h.near_constant_filter(rng)),
     ("unimodular", lambda h, rng: h.near_constant_filter(rng, eps=0.0)),
