@@ -7,16 +7,21 @@ floats.  Emission is canonical (sorted keys, fixed ordering of entries,
 trailing newline) so that parse followed by emit reproduces the original
 text byte for byte.
 
-Both directions work on whole sample arrays.  Emission is text-level:
-the samples are written straight from the array in canonical_json's
-layout and spliced into canonical_json of the rest, so the text equals
-canonical_json of the bundle object with every sample as its
-``[repr(re), repr(im)]`` pair.  Parsing decodes each entry while the
-JSON decoder runs: as soon as an object closes, its ``samples`` list of
-``[str, str]`` pairs is checked in one sweep and replaced by an (n, 2)
-float64 array of ``float`` of each string, so only one entry's sample
-strings are alive at a time.  A malformed list is left as it is and
-walked sample by sample afterwards, to name its first bad sample.
+Both directions work on whole sample arrays, one run at a time: a run
+is a maximal stretch of cells whose sample equals the previous cell's,
+and step filters sampled on a refined grid repeat each value over long
+runs.  Emission is text-level: the samples are written straight from the
+array in canonical_json's layout and spliced into canonical_json of the
+rest, so the text equals canonical_json of the bundle object with every
+sample as its ``[repr(re), repr(im)]`` pair.  Each run's text is formed
+once and repeated.  Parsing decodes each entry while the JSON decoder
+runs: as soon as an object closes, its ``samples`` list of ``[str, str]``
+pairs is split into runs, each run's first pair is checked and converted
+with ``float``, and the values are repeated into an (n, 2) float64 array,
+so only one entry's sample strings are alive at a time.  A malformed list
+is left as it is and walked sample by sample afterwards, to name its
+first bad sample.  Runs change neither the text nor the values: the
+format has no notion of them.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import gc
 import itertools
 import json
 from fractions import Fraction
+from operator import ne
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -60,33 +66,71 @@ _SAMPLES_CLOSE = '"\n        ]\n      ]'
 _NO_SAMPLES = '"samples": []'
 
 
-# Cells per piece of sample text: bounds the arrays of references that
+# Runs per piece of sample text: bounds the arrays of references that
 # lay a piece out to a few hundred kB, however fine the grid.
-_PIECE_CELLS = 4096
+_PIECE_RUNS = 4096
+
+
+def _run_starts(bits: np.ndarray) -> Optional[np.ndarray]:
+    """The first cell of each run of an entry's (cells, 2) float64 bits.
+
+    A run is a maximal stretch of cells whose (re, im) bits equal the
+    previous cell's.  None when every cell starts one.
+    """
+    changes = bits[1:, 0] != bits[:-1, 0]
+    changes |= bits[1:, 1] != bits[:-1, 1]
+    if np.count_nonzero(changes) == len(changes):
+        return None
+    return np.concatenate(([0], np.flatnonzero(changes) + 1))
 
 
 def _samples_text(row: np.ndarray) -> list[str]:
     """``"samples": [...]`` for one entry, as canonical_json writes it, in pieces.
 
-    ``repr`` runs once per distinct float64 bit pattern among the real and
-    imaginary parts, since step filters repeat values heavily.  Distinct
-    by bits, not by value: -0.0 equals 0.0 but prints otherwise, so only
-    bits give each sample exactly its own ``repr``.  Each piece of
-    ``_PIECE_CELLS`` cells is laid out with its separators in one array
-    and joined once; the pieces are joined only with the whole bundle,
-    once these distinct texts are gone.
+    The text is laid out per run (see ``_run_starts``).  ``repr`` runs
+    once per distinct bit pattern among the runs' first cells, since step
+    filters repeat values heavily.  Distinct by bits, not by value: -0.0
+    equals 0.0 but prints otherwise, so only bits give each sample
+    exactly its own ``repr``.  Each piece of ``_PIECE_RUNS`` runs is laid
+    out with its separators in one array and joined once, a run of k > 1
+    cells as its first pair followed by k - 1 copies of the next pair's
+    text.  A run longer than ``_PIECE_RUNS`` cells keeps its copies as a
+    piece of their own.  The pieces are joined only with the whole
+    bundle, once these distinct texts are gone.
     """
-    bits = np.ascontiguousarray(row).view(np.uint64)
-    distinct, index = np.unique(bits, return_inverse=True)
+    bits = np.ascontiguousarray(row).view(np.uint64).reshape(-1, 2)
+    starts = _run_starts(bits)
+    if starts is None:
+        # Every cell starts a run (haar): lay out the cells themselves.
+        heads, repeats = bits, None
+    else:
+        heads = bits[starts]
+        repeats = np.diff(starts, append=len(bits)) - 1
+    distinct, index = np.unique(heads.ravel(), return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), object)
     pieces = [_SAMPLES_OPEN]
-    for start in range(0, len(index), 2 * _PIECE_CELLS):
-        part = index[start : start + 2 * _PIECE_CELLS]
+    for start in range(0, len(heads), _PIECE_RUNS):
+        part = index[2 * start : 2 * (start + _PIECE_RUNS)]
         out = np.empty(2 * len(part) - 1, dtype=object)
         out[0::2] = texts[part]
         out[1::4] = _RE_IM
         out[3::4] = _NEXT_PAIR
-        pieces += ("".join(out.tolist()), _NEXT_PAIR)
+        cut = 0
+        if repeats is not None:
+            rep = repeats[start : start + _PIECE_RUNS]
+            # Slot 4r holds run r's real text and slot 4r + 2 its imaginary
+            # text, which the copies of its pair follow.
+            short = np.flatnonzero((rep > 0) & (rep <= _PIECE_RUNS))
+            if len(short):
+                im = out[4 * short + 2]
+                pair = _NEXT_PAIR + out[4 * short] + _RE_IM + im
+                out[4 * short + 2] = im + pair * rep[short]
+            for r in np.flatnonzero(rep > _PIECE_RUNS).tolist():
+                end = 4 * r + 3
+                pair = _NEXT_PAIR + out[4 * r] + _RE_IM + out[4 * r + 2]
+                pieces += ("".join(out[cut:end].tolist()), pair * int(rep[r]))
+                cut = end
+        pieces += ("".join(out[cut:].tolist()), _NEXT_PAIR)
     pieces[-1] = _SAMPLES_CLOSE
     return pieces
 
@@ -162,22 +206,48 @@ def _decode_entry(obj: dict) -> dict:
     """JSON object hook: decode a ``samples`` list the moment it closes.
 
     A list of [re, im] decimal strings becomes an (n, 2) float64 array of
-    ``float`` of each string.  Any other list is left for
-    ``_decode_samples`` to name its first bad sample.
+    ``float`` of each string.  The list is read per run: a maximal stretch
+    of samples equal to the previous one.  Only each run's first sample is
+    checked and converted, and its values are repeated over the run.  That
+    is the same as checking and converting every sample: a JSON value
+    equal to a list of two strings is a list of the same two strings, and
+    one string always converts to the same bits.  Any other list is left
+    for ``_decode_samples`` to name its first bad sample.
     """
     raw = obj.get("samples")
-    if type(raw) is list and all(
+    if type(raw) is not list:
+        return obj
+    n = len(raw)
+    try:
+        changes = np.fromiter(
+            map(ne, itertools.islice(raw, 1, None), raw),
+            dtype=bool,
+            count=max(n - 1, 0),
+        )
+    except RecursionError:
+        # Samples nested too deep to compare: the walk names them.
+        return obj
+    starts = np.flatnonzero(changes)
+    if len(starts) + 1 >= n:
+        heads = raw
+    else:
+        starts += 1
+        heads = [raw[0], *map(raw.__getitem__, starts.tolist())]
+    if all(
         type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
-        for p in raw
+        for p in heads
     ):
         try:
-            obj["samples"] = np.fromiter(
-                map(float, itertools.chain.from_iterable(raw)),
+            values = np.fromiter(
+                map(float, itertools.chain.from_iterable(heads)),
                 dtype=np.float64,
-                count=2 * len(raw),
+                count=2 * len(heads),
             ).reshape(-1, 2)
         except ValueError:
-            pass
+            return obj
+        if heads is not raw:
+            values = np.repeat(values, np.diff(starts, prepend=0, append=n), axis=0)
+        obj["samples"] = values
     return obj
 
 

@@ -75,12 +75,22 @@ GENERATOR_DEPTHS = {
 }
 
 
+# Characters per write: a text stream encodes each write whole, so one
+# write of a bundle would hold an encoded copy of all of it.
+_WRITE_CHARS = 1 << 16
+
+
 def _write_text(out: Optional[str], text: str) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_slices(fh, text)
     else:
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
+
+
+def _write_slices(stream, text: str) -> None:
+    for start in range(0, len(text), _WRITE_CHARS):
+        stream.write(text[start : start + _WRITE_CHARS])
 
 
 def _interval_parts(intervals) -> list[list[str]]:

@@ -3,15 +3,19 @@ emission must equal, per-sample parse errors, a fuzz of the parser, and
 the parser's memory and GC behaviour.
 
 Emission writes sample text straight from the array and parsing decodes
-whole entries through the float64 view of the samples, so these tests
-hold both against the per-sample forms they replaced: the dict of
-``complex_pair`` lists under ``canonical_json`` and one
-``complex(float(re), float(im))`` per sample.
+whole entries through the float64 view of the samples, both one run of
+repeated samples at a time, so these tests hold both against the
+per-sample forms they replaced: the dict of ``complex_pair`` lists under
+``canonical_json``, the per-cell sample text that emission wrote before
+it worked per run, and one ``complex(float(re), float(im))`` per sample.
 """
 
 import gc
 import json
+import sys
 import tracemalloc
+from itertools import cycle, islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from hypothesis import strategies as st
 from gmrafilters import (
     BundleFormatError,
     FilterMatrix,
+    GridSpec,
+    SigmaChain,
     bundleio,
     emit_bundle,
     parse_bundle,
@@ -75,6 +81,27 @@ def reference_text(filt, provenance=None):
     if provenance:
         out["provenance"] = provenance
     return canonical_json(out)
+
+
+def reference_samples_text(row):
+    """One entry's ``"samples": [...]`` pieces, laid out cell by cell.
+
+    The per-cell emission that the per-run one replaced: ``repr`` once
+    per distinct float64 bit pattern, and every cell's pair written out.
+    """
+    flat = np.ascontiguousarray(row).view(np.uint64)
+    distinct, index = np.unique(flat, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), object)
+    pieces = [bundleio._SAMPLES_OPEN]
+    for start in range(0, len(index), 2 * 4096):
+        part = index[start : start + 2 * 4096]
+        out = np.empty(2 * len(part) - 1, dtype=object)
+        out[0::2] = texts[part]
+        out[1::4] = bundleio._RE_IM
+        out[3::4] = bundleio._NEXT_PAIR
+        pieces += ("".join(out.tolist()), bundleio._NEXT_PAIR)
+    pieces[-1] = bundleio._SAMPLES_CLOSE
+    return pieces
 
 
 def reference_decode(obj, shape):
@@ -183,6 +210,114 @@ def test_special_values_decode_bitwise_and_re_emit(tmp_path, args):
     # Every bit survives but a NaN's sign and payload (see same_values).
     assert same_values(back.samples, filt.samples)
     assert emit_bundle(back, again) == text
+
+
+# Float64 bits that runs are drawn from: both zeros, NaNs with other
+# payloads and signs, both infinities, two subnormals and 17-digit values.
+RUN_POOL = [
+    0x0000000000000000, 0x8000000000000000,
+    0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+    0x7FF0000000000123, 0xFFF0000000000001,
+    0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF,
+] + np.array(
+    [0.1 + 0.2, 2**0.5, -(2**0.5), 1.0000000000000002, 1 / 3]
+).view(np.uint64).tolist()
+RUN_PAIRS = st.tuples(st.sampled_from(RUN_POOL), st.sampled_from(RUN_POOL))
+
+
+def run_rows(cells):
+    """One entry's cells as (re, im) bit pairs, drawn run by run."""
+    whole = RUN_PAIRS.map(lambda pair: [pair] * cells)
+    alternating = (
+        st.tuples(RUN_PAIRS, RUN_PAIRS)
+        .filter(lambda ab: ab[0] != ab[1])
+        .map(lambda ab: [ab[t % 2] for t in range(cells)])
+    )
+    runs = st.lists(
+        st.tuples(RUN_PAIRS, st.integers(1, 9)), min_size=1, max_size=cells
+    ).map(
+        lambda runs: list(
+            islice(cycle([pair for pair, k in runs for _ in range(k)]), cells)
+        )
+    )
+    return st.one_of(whole, alternating, runs)
+
+
+def run_heads(row):
+    """The (re, im) bits of each run's first cell, found cell by cell."""
+    pairs = bits(row).reshape(-1, 2).tolist()
+    return [p for t, p in enumerate(pairs) if t == 0 or p != pairs[t - 1]]
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_runs_emit_like_the_per_cell_reference_and_round_trip(data):
+    count = data.draw(st.sampled_from([1, 2]), label="channels")
+    grid = GridSpec(2, 1, data.draw(st.integers(1, 6), label="depth"))
+    rows = [data.draw(run_rows(grid.cells)) for _ in range(count * count)]
+    samples = np.array(rows, dtype=np.uint64).view(np.complex128)
+    filt = FilterMatrix(
+        2, SigmaChain.full_circle(count), grid, samples.reshape(count, count, -1)
+    )
+    # Small pieces put runs across piece boundaries and past the length
+    # whose copies become a piece of their own.
+    piece = data.draw(st.sampled_from([1, 2, 3, 4096]), label="piece runs")
+    with mock.patch.object(bundleio, "_PIECE_RUNS", piece):
+        for row in filt.samples.reshape(count * count, -1):
+            assert "".join(bundleio._samples_text(row)) == "".join(
+                reference_samples_text(row)
+            )
+        text = emit_bundle(filt, {"seed": 0})
+    assert text == reference_text(filt, {"seed": 0})
+    back, provenance = parse_bundle(text)
+    expected = reference_decode(json.loads(text), filt.samples.shape)
+    assert np.array_equal(bits(back.samples), bits(expected))
+    assert same_values(back.samples, filt.samples)
+    assert emit_bundle(back, provenance) == text
+
+
+RUN_ARGS = [
+    ["shannon", "--depth", "14"],
+    ["journe_step"],
+    ["journe", "--half-turn-phases", "--depth", "5"],
+    ["haar", "--depth", "8"],
+    ["constant", "--depth", "10"],
+]
+
+
+@pytest.mark.parametrize("args", RUN_ARGS, ids=" ".join)
+def test_parse_converts_each_run_once(tmp_path, monkeypatch, args):
+    text = generated_text(tmp_path, args)
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return float(s)
+
+    monkeypatch.setattr(bundleio, "float", counting, raising=False)
+    filt, _ = parse_bundle(text)
+    runs = sum(map(len, map(run_heads, filt.samples.reshape(filt.count**2, -1))))
+    assert len(calls) == 2 * runs
+    if args[0] == "shannon":
+        assert runs == 3
+
+
+@pytest.mark.parametrize("args", RUN_ARGS, ids=" ".join)
+def test_emit_reprs_each_distinct_run_head_once(tmp_path, monkeypatch, args):
+    filt, provenance = parse_bundle(generated_text(tmp_path, args))
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(bundleio, "repr", counting, raising=False)
+    emit_bundle(filt, provenance)
+    rows = filt.samples.reshape(filt.count**2, -1)
+    assert len(calls) == sum(
+        len({b for pair in run_heads(row) for b in pair}) for row in rows
+    )
 
 
 @pytest.mark.parametrize(
@@ -296,6 +431,107 @@ def test_first_malformed_sample_wins(tmp_path):
     with pytest.raises(BundleFormatError) as exc:
         parse_bundle(path.read_text(encoding="utf-8"))
     assert str(exc.value) == "entry (1, 0) sample 7: expected a decimal string"
+
+
+def bad_run(start, end, pair):
+    return [(t, list(pair)) for t in range(start, end)]
+
+
+# shannon's default bundle is one entry of 64 cells in three runs:
+# [0, 16) and [48, 64) hold sqrt(2), [16, 48) holds zero.  Each case
+# replaces some samples (None: the whole list) and names the message.
+RUN_FAULTS = [
+    pytest.param(
+        bad_run(20, 30, ["0.0x", "0.0"]),
+        "entry (0, 0) sample 20: bad decimal '0.0x'",
+        id="run of bad strings",
+    ),
+    pytest.param(
+        bad_run(16, 48, ["0.0", "0.0x"]),
+        "entry (0, 0) sample 16: bad decimal '0.0x'",
+        id="whole run of bad strings",
+    ),
+    pytest.param(
+        [(16, [0.0, "0.0"])],
+        "entry (0, 0) sample 16: expected a decimal string",
+        id="bad head before equal pairs",
+    ),
+    pytest.param(
+        bad_run(48, 64, [1.0, "0.0"]),
+        "entry (0, 0) sample 48: expected a decimal string",
+        id="run of equal bad pairs",
+    ),
+    pytest.param(
+        [(30, [0.0, 0.0])],
+        "entry (0, 0) sample 30: expected a decimal string",
+        id="numbers inside a run",
+    ),
+    pytest.param(
+        [(t, ["0.0"]) for t in range(40, 64)],
+        "entry (0, 0) sample 40: expected [re, im]",
+        id="run of short pairs",
+    ),
+    pytest.param(
+        [(None, [["1.0", "0.0"]])],
+        "entry (0, 0) carries 1 samples, the grid has 64 cells",
+        id="one sample",
+    ),
+    pytest.param(
+        [(None, [])],
+        "entry (0, 0) carries 0 samples, the grid has 64 cells",
+        id="no samples",
+    ),
+]
+
+
+@pytest.mark.parametrize("faults,message", RUN_FAULTS)
+def test_malformed_runs_are_named(tmp_path, capsys, faults, message):
+    raw = json.loads(generated_text(tmp_path, ["shannon"]))
+    samples = raw["entries"][0]["samples"]
+    assert len(samples) == 64
+    for t, pair in faults:
+        if t is None:
+            samples[:] = pair
+        else:
+            samples[t] = pair
+    path = tmp_path / "faulty.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    if len(samples) == 64:
+        assert reference_decode(raw, (1, 1, 64)) == message
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"gmrafilters: {message}"]
+
+
+def test_equal_samples_nested_near_the_recursion_limit_are_named(
+    tmp_path, monkeypatch
+):
+    """Runs are found by comparing neighbours, which recurses into nested
+    lists; samples too deep to compare are still named by the walk."""
+    raw = json.loads(generated_text(tmp_path, ["haar", "--depth", "2"]))
+    raw["entries"][0]["samples"][:2] = ["@", "@"]
+    text = json.dumps(raw)
+    hook = bundleio._decode_entry
+    raised = []
+
+    def recording(obj):
+        try:
+            return hook(obj)
+        except RecursionError:
+            raised.append(obj)
+            raise
+
+    monkeypatch.setattr(bundleio, "_decode_entry", recording)
+    limit = sys.getrecursionlimit()
+    messages = set()
+    for depth in range(limit // 2, limit):
+        with pytest.raises(BundleFormatError) as exc:
+            parse_bundle(text.replace('"@"', "[" * depth + "]" * depth))
+        messages.add(str(exc.value).split(":")[0])
+    assert not raised
+    assert messages == {"entry (0, 0) sample 0", "bundle is not valid JSON"}
 
 
 # Mutations for the fuzz: float-like and arbitrary strings, other JSON

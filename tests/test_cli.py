@@ -8,6 +8,7 @@ freezes the import-time heap before it calls ``main``.
 
 import ast
 import gc
+import io
 import json
 import math
 import os
@@ -81,6 +82,26 @@ class TestGenerate:
         assert filt.count == 1
         assert filt.cells == 16
         assert provenance == {"generator": "haar", "depth": 4}
+
+    def test_text_is_written_in_bounded_slices(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
+        # Multi-byte characters fall on slice boundaries.
+        text = "[\u00e9\u221e\n" * 50
+        writes = []
+
+        class Recording(io.StringIO):
+            def write(self, s):
+                writes.append(len(s))
+                return super().write(s)
+
+        stdout = Recording()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        cli._write_text(None, text)
+        assert stdout.getvalue() == text
+        assert max(writes) == 7 and sum(writes) == len(text)
+        path = tmp_path / "out.txt"
+        cli._write_text(str(path), text)
+        assert path.read_text(encoding="utf-8") == text
 
     def test_round_trip_is_byte_exact(self, tmp_path):
         path = generate(tmp_path, "journe_step")

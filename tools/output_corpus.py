@@ -74,6 +74,22 @@ def _huge_sample(h, rng):
     return h.with_sample(make_haar(), 0, 0, 3, 1e200)
 
 
+def _signed_zero_and_nan_runs(h, rng):
+    import numpy as np
+    from gmrafilters import FilterMatrix, refine
+
+    filt = h.planted_unitary_filter(rng, 2, 3, PLANTED_LAMBDA)[0]
+    samples = np.array(filt.samples, order="C")
+    samples[0, 1, :4] = complex(-0.0, -0.0)
+    # NaNs with two payloads and both signs: repr writes each as "nan".
+    nans = samples[1, 0, 2:6].view(np.uint64).reshape(4, 2)
+    nans[:2] = 0x7FF8000000000001
+    nans[2:] = [0xFFF8000000000000, 0x8000000000000000]
+    filt = FilterMatrix(filt.scale, filt.chain, filt.grid, samples)
+    # Each refinement doubles every run: 8 cells become 64.
+    return refine(refine(refine(filt)))
+
+
 # (job name, builder of the filter from the tests/helpers module and a
 # generator seeded with BUILT_SEED).  They reach what no generator does:
 # an accepted eigenvalue other than 1, an accepted eigenvalue 1 whose
@@ -81,9 +97,10 @@ def _huge_sample(h, rng):
 # verdict decided at cell 0 by a margin of 1e-3, pure_at_resolution, a
 # coarsened spectrum that lifts a two-member cluster (H = I, c = 2), a
 # dense two-channel filter at N = 3 (the orbit product of the generalized
-# identity off N = 2), and two bundles that fail the verification gate: a
-# sample breaking the column support rule, and a finite sample whose
-# square overflows.
+# identity off N = 2), and three bundles that fail the verification
+# gate: a sample breaking the column support rule, a finite sample whose
+# square overflows, and long runs of -0.0 and of NaNs with other payloads
+# and signs, which bundle text reads and writes one run at a time.
 BUILT_JOBS = [
     ("planted_scale_3", lambda h, rng: h.planted_filter(rng, 3, 3, PLANTED_LAMBDA)[0]),
     ("planted_lambda_1", lambda h, rng: h.planted_filter(rng, 2, 4, 1.0)[0]),
@@ -100,6 +117,7 @@ BUILT_JOBS = [
     ("identity_two_channel", lambda h, rng: h.identity_two_channel()),
     ("journe_step_column_violation", _column_violation),
     ("haar_huge_sample", _huge_sample),
+    ("signed_zero_and_nan_runs", _signed_zero_and_nan_runs),
 ]
 
 
