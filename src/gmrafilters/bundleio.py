@@ -92,11 +92,10 @@ def _samples_text(row: np.ndarray) -> list[str]:
     filters repeat values heavily.  Distinct by bits, not by value: -0.0
     equals 0.0 but prints otherwise, so only bits give each sample
     exactly its own ``repr``.  Each piece of ``_PIECE_RUNS`` runs is laid
-    out with its separators in one array and joined once, a run of k > 1
-    cells as its first pair followed by k - 1 copies of the next pair's
-    text.  A run longer than ``_PIECE_RUNS`` cells keeps its copies as a
-    piece of their own.  The pieces are joined only with the whole
-    bundle, once these distinct texts are gone.
+    out with its separators in one array and joined once, each run as its
+    first pair.  A run of k > 1 cells then gets the k - 1 copies of the
+    next pair's text as a piece of their own.  The pieces are joined only
+    with the whole bundle, once these distinct texts are gone.
     """
     bits = np.ascontiguousarray(row).view(np.uint64).reshape(-1, 2)
     starts = _run_starts(bits)
@@ -119,13 +118,8 @@ def _samples_text(row: np.ndarray) -> list[str]:
         if repeats is not None:
             rep = repeats[start : start + _PIECE_RUNS]
             # Slot 4r holds run r's real text and slot 4r + 2 its imaginary
-            # text, which the copies of its pair follow.
-            short = np.flatnonzero((rep > 0) & (rep <= _PIECE_RUNS))
-            if len(short):
-                im = out[4 * short + 2]
-                pair = _NEXT_PAIR + out[4 * short] + _RE_IM + im
-                out[4 * short + 2] = im + pair * rep[short]
-            for r in np.flatnonzero(rep > _PIECE_RUNS).tolist():
+            # text; the copies of its pair follow that as a piece of their own.
+            for r in np.flatnonzero(rep).tolist():
                 end = 4 * r + 3
                 pair = _NEXT_PAIR + out[4 * r] + _RE_IM + out[4 * r + 2]
                 pieces += ("".join(out[cut:end].tolist()), pair * int(rep[r]))
@@ -224,8 +218,10 @@ def _decode_entry(obj: dict) -> dict:
             dtype=bool,
             count=max(n - 1, 0),
         )
-    except RecursionError:
-        # Samples nested too deep to compare: the walk names them.
+    except (RecursionError, ValueError):
+        # Samples nested too deep to compare, or objects whose decoded
+        # arrays have no truth value: neither is a [str, str] pair, so the
+        # walk names them.
         return obj
     starts = np.flatnonzero(changes)
     if len(starts) + 1 >= n:

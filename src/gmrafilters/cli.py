@@ -16,6 +16,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import math
 import sys
@@ -450,18 +451,40 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
 
 
+def _release_free_heap() -> None:
+    """Give back to the system the heap pages that nothing occupies.
+
+    Importing numpy and compiling this package free much of what they
+    allocate, but glibc's ``free`` returns memory only from the top of
+    the heap, so the free pages below stay resident, more or fewer of
+    them as argument and path lengths shift the layout.  ``malloc_trim``
+    returns every free page.  Where the C library has no such call,
+    nothing happens.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, TypeError):
+        # No malloc_trim in this C library; Windows opens no library by None.
+        return
+    trim(0)
+
+
 def console_main() -> int:
-    """The process entry point: freeze the import-time heap, then run ``main``.
+    """The process entry point: freeze and trim the import-time heap, then
+    run ``main``.
 
     After ``import gmrafilters.cli`` every object numpy and this package
     keep is live, so the collector's passes during the call and at
     interpreter exit would rescan them and free nothing.  ``gc.freeze``
     moves them to the permanent generation those passes skip; objects
-    allocated later are collected as before.  ``main`` itself leaves the
-    collector alone, because tests and the benchmark's traced replay call
-    it many times in one process.
+    allocated later are collected as before.  The heap the import left
+    free is then returned (``_release_free_heap``), so it adds nothing to
+    the call's peak.  ``main`` itself leaves the collector and the heap
+    alone, because tests and the benchmark's traced replay call it many
+    times in one process.
     """
     gc.freeze()
+    _release_free_heap()
     return main()
 
 

@@ -260,8 +260,7 @@ def test_runs_emit_like_the_per_cell_reference_and_round_trip(data):
     filt = FilterMatrix(
         2, SigmaChain.full_circle(count), grid, samples.reshape(count, count, -1)
     )
-    # Small pieces put runs across piece boundaries and past the length
-    # whose copies become a piece of their own.
+    # Small pieces put runs across piece boundaries.
     piece = data.draw(st.sampled_from([1, 2, 3, 4096]), label="piece runs")
     with mock.patch.object(bundleio, "_PIECE_RUNS", piece):
         for row in filt.samples.reshape(count * count, -1):
@@ -434,7 +433,7 @@ def test_first_malformed_sample_wins(tmp_path):
 
 
 def bad_run(start, end, pair):
-    return [(t, list(pair)) for t in range(start, end)]
+    return [(t, pair) for t in range(start, end)]
 
 
 # shannon's default bundle is one entry of 64 cells in three runs:
@@ -470,6 +469,11 @@ RUN_FAULTS = [
         [(t, ["0.0"]) for t in range(40, 64)],
         "entry (0, 0) sample 40: expected [re, im]",
         id="run of short pairs",
+    ),
+    pytest.param(
+        bad_run(20, 22, {"samples": [["1.0", "0.0"]]}),
+        "entry (0, 0) sample 20: expected [re, im]",
+        id="run of objects holding samples",
     ),
     pytest.param(
         [(None, [["1.0", "0.0"]])],
@@ -535,7 +539,8 @@ def test_equal_samples_nested_near_the_recursion_limit_are_named(
 
 
 # Mutations for the fuzz: float-like and arbitrary strings, other JSON
-# values, pairs of strings, lists of the wrong length, and nested lists.
+# values, pairs of strings, lists of the wrong length, nested lists, and
+# objects, some holding a "samples" list that the parser's hook decodes.
 DECIMALS = st.one_of(
     st.sampled_from(
         SPECIALS
@@ -550,6 +555,14 @@ PAIRS = st.one_of(
     st.lists(DECIMALS, min_size=2, max_size=2),
     st.lists(LEAVES, max_size=4),
     st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+    st.dictionaries(st.sampled_from(["samples", "re"]), LEAVES, max_size=2),
+    st.fixed_dictionaries(
+        {
+            "samples": st.lists(
+                st.lists(st.sampled_from(SPECIALS), min_size=2, max_size=2)
+            )
+        }
+    ),
 )
 FUZZ_BASES = {
     "haar": ["haar", "--depth", "2"],
@@ -575,13 +588,17 @@ def test_fuzzed_samples_decode_like_the_per_sample_rule(fuzz_bases, data):
                 st.integers(0, len(raw["entries"]) - 1),
                 st.integers(0, base.cells - 1),
                 PAIRS,
+                st.integers(1, 3),
             ),
             min_size=1,
             max_size=3,
         )
     )
-    for e, t, pair in mutations:
-        raw["entries"][e]["samples"][t] = pair
+    # Each mutation writes its pair over a run of up to three cells, so
+    # equal neighbours of every kind are compared.
+    for e, t, pair, k in mutations:
+        for u in range(t, min(t + k, base.cells)):
+            raw["entries"][e]["samples"][u] = pair
     text = json.dumps(raw)
     expected = reference_decode(raw, base.samples.shape)
     if isinstance(expected, str):

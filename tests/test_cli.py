@@ -3,7 +3,8 @@
 Most tests drive ``cli.main`` in process and read the report files it
 writes.  Some go through a real subprocess: to pin down determinism
 across BLAS thread counts, and to check the process entry point, which
-freezes the import-time heap before it calls ``main``.
+freezes the import-time heap and returns its free pages before it calls
+``main``.
 """
 
 import ast
@@ -935,6 +936,30 @@ class TestProcessEntry:
         before, after = map(int, proc.stdout.split())
         assert before == 0
         assert after > 1000
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads RssAnon from /proc"
+    )
+    def test_entry_point_returns_free_heap_before_main(self):
+        # Freeing all but every 50th of 5000 4-kB buffers leaves about
+        # 19 MB of free heap that sits below a live buffer; only an
+        # explicit trim gives it back.
+        script = (
+            "import sys\n"
+            "import gmrafilters.cli as cli\n"
+            "def anon():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh\n"
+            "                    if line.startswith('RssAnon'))\n"
+            "kept = [bytes(4000) for _ in range(5000)][::50]\n"
+            "before = anon()\n"
+            "cli.main = lambda: print(before, anon()) or 0\n"
+            "sys.exit(cli.console_main())\n"
+        )
+        proc = _run_child(["-c", script])
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        before, after = map(int, proc.stdout.split())
+        assert before - after > 10_000
 
     def test_import_leaves_no_garbage(self):
         # The freeze pays off only while the import-time heap is all live:
