@@ -10,8 +10,9 @@ for them over the nested grid-aligned regions [-j/M, j/M), and derives the
 parameter budget that places the smooth Journe family inside the
 certificate regime for a requested delta.  Each such region lies inside
 its own dilation image, so its overlap with that image is its measure
-2j/M: the search ranks candidates from per-cell norms alone and builds
-the exact region only for the winner, which check_certificate re-checks.
+2j/M: the search ranks candidates from prefix reductions of the per-cell
+norms alone and builds the exact region only for the winner, which
+check_certificate re-checks.
 """
 
 from __future__ import annotations
@@ -74,12 +75,14 @@ def _nonfinite_cells(filt: FilterMatrix) -> np.ndarray:
     return np.nonzero(~np.isfinite(filt.samples).all(axis=(0, 1)))[0]
 
 
-def _block_norms(filt: FilterMatrix, block_size: int, cells: np.ndarray):
+def _block_norms(
+    filt: FilterMatrix, block_size: int, cells: Union[np.ndarray, slice] = slice(None)
+):
     """Per-cell smallest singular value of A and largest of B, C, D."""
     a = block_size
     mats = np.transpose(filt.samples[..., cells], (2, 0, 1))
     smin = singular_values(mats[:, :a, :a])[:, -1]
-    off = np.zeros(len(cells))
+    off = np.zeros(len(mats))
     for rows, cols in (
         (slice(None, a), slice(a, None)),
         (slice(a, None), slice(None, a)),
@@ -187,45 +190,38 @@ def search_certificate(filt: FilterMatrix) -> Optional[Certificate]:
     """Search symmetric grid-aligned regions around 0 for a certificate.
 
     Candidate regions are [-j/M, j/M) for j = 1 .. M/2 and every block
-    size is tried.  Widening the region from j - 1 to j adds the cell pair
-    (j - 1, M - j), so a running min of sigma_min and max of the off-block
-    norms over those pairs gives each candidate's best delta,
-    sigma_min - 1, with no set algebra.  The region lies inside its own
-    dilation image [-Nj/M, Nj/M), so its overlap with that image is 2j/M,
-    positive and increasing in j: candidates are scored by (delta, j) and
-    ties prefer the smaller block.  Only the winning region is built, and
+    size a is tried.  Widening the region from j - 1 to j adds the cell
+    pair (j - 1, M - j), so prefix reductions over those pairs, the
+    minimum of sigma_min and the maximum of the off-block norms, give
+    each candidate's best delta, sigma_min - 1, with no set algebra.
+    1 + delta <= sigma_min then holds in floats as it stands: for w >= 1,
+    w - 1 is exact below 2^53 and rounds to even above.  The region lies
+    inside its own dilation image [-Nj/M, Nj/M), so its overlap with that
+    image is 2j/M, and candidates are ranked by (delta, j, -a).  As j
+    grows delta only falls and the off-block norm only rises, so the best
+    candidate of a block size has the delta of j = 1, which must exceed
+    ``MARGIN_ALLOWANCE``, and the largest j that keeps that delta and its
+    off-block budget.  Only the winning region is built, and
     check_certificate re-checks it exactly.  Returns None when no region
-    certifies, and at once when a sample is not finite.  The margin only
-    shrinks as j grows, so a block size's scan stops at the first margin
-    within ``MARGIN_ALLOWANCE`` of 0.
+    certifies, and at once when a sample is not finite.
     """
     if _nonfinite_cells(filt).size:
         return None
-    m = filt.cells
-    all_cells = np.arange(m)
-    best: Optional[tuple] = None
+    half = filt.cells // 2
+    keys = []
     for a in range(1, filt.count + 1):
-        smin, off = (x.tolist() for x in _block_norms(filt, a, all_cells))
-        worst_smin = math.inf
-        worst_off = 0.0
-        for j in range(1, m // 2 + 1):
-            worst_smin = min(worst_smin, smin[j - 1], smin[m - j])
-            worst_off = max(worst_off, off[j - 1], off[m - j])
-            delta = worst_smin - 1.0
-            if delta <= MARGIN_ALLOWANCE:
-                break
-            while 1.0 + delta > worst_smin:
-                delta = float(np.nextafter(delta, -math.inf))
-            if worst_off >= certificate_eps(delta):
-                continue
-            key = (delta, j, -a)
-            if best is None or key > best:
-                best = key
-    if best is None:
+        lead, off = _block_norms(filt, a)
+        deltas = np.minimum.accumulate(np.minimum(lead[:half], lead[::-1][:half])) - 1
+        offs = np.maximum.accumulate(np.maximum(off[:half], off[::-1][:half]))
+        delta = float(deltas[0])
+        if delta > MARGIN_ALLOWANCE:
+            kept = (deltas == delta) & (offs < certificate_eps(delta))
+            if kept[0]:
+                keys.append((delta, int(np.count_nonzero(kept)), -a))
+    if not keys:
         return None
-    delta, j, neg_a = best
-    region = _symmetric_region(filt.grid, j)
-    found = check_certificate(filt, -neg_a, delta, region)
+    delta, j, neg_a = max(keys)
+    found = check_certificate(filt, -neg_a, delta, _symmetric_region(filt.grid, j))
     if not isinstance(found, Certificate):
         raise AssertionError(
             f"search produced a candidate that fails re-checking: {found}"

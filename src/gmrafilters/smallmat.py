@@ -27,13 +27,14 @@ def singular_values(blocks: np.ndarray) -> np.ndarray:
     (The form (sqrt(F + 2|det|) + sqrt(F - 2|det|)) / 2, F = p + r, loses
     half the digits of two nearly tied values to the difference.)  Each
     block is first divided by the power of two at or above its largest
-    modulus, exactly, so that no square overflows or underflows.
+    modulus, exactly, so that no square overflows or underflows; the
+    power is capped at 2^1023, the largest finite one.
     """
     if blocks.shape[1:] == (1, 1):
         return np.abs(blocks[:, 0])
     if blocks.shape[1:] != (2, 2):
         return np.linalg.svd(blocks, compute_uv=False)
-    scale = np.ldexp(1.0, np.frexp(np.abs(blocks).max(axis=(1, 2)))[1])
+    scale = np.ldexp(1.0, np.minimum(np.frexp(np.abs(blocks).max(axis=(1, 2)))[1], 1023))
     a, b, c, d = np.moveaxis(blocks / scale[:, None, None], 0, 2).reshape(4, -1)
     sq = np.abs(np.stack([a, b, c, d])) ** 2
     p, r = sq[0] + sq[2], sq[1] + sq[3]
@@ -62,8 +63,9 @@ def eigen_condition(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     ``np.linalg.eig`` and ``np.linalg.cond``, in closed form for 2 x 2.
     A triangular 2 x 2 matrix gives its diagonal, as LAPACK does.
     Otherwise, on the matrix divided exactly by the power of two at or
-    above its largest modulus, the root of the characteristic polynomial
-    that avoids cancellation comes first and the other is det / mu_1.
+    above its largest modulus (at most 2^1023), the root of the
+    characteristic polynomial that avoids cancellation comes first and
+    the other is det / mu_1.
     For unit eigenvectors v_1, v_2, cond_2 = sqrt((1 + g) / (1 - g)) with
     g = |v_1^H v_2|: 1 for a scalar matrix and infinite for any other
     repeated eigenvalue, which is defective.
@@ -71,7 +73,7 @@ def eigen_condition(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     if matrix.shape != (2, 2):
         values, vectors = np.linalg.eig(matrix)
         return values, float(np.linalg.cond(vectors))
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(matrix).max()))[1])
+    scale = math.ldexp(1.0, min(math.frexp(float(np.abs(matrix).max()))[1], 1023))
     (a, b), (c, d) = (matrix / scale).tolist()
     if b == 0 or c == 0:
         values = np.array(matrix.diagonal(), dtype=np.complex128)

@@ -13,6 +13,7 @@ from gmrafilters import (
     JourneParams,
     SigmaChain,
     VecField,
+    make_haar,
 )
 from gmrafilters.filters import _transition
 
@@ -172,3 +173,17 @@ def identity_two_channel() -> FilterMatrix:
     samples = np.zeros((2, 2, grid.cells), dtype=np.complex128)
     samples[0, 0] = samples[1, 1] = 1.0
     return FilterMatrix(2, SigmaChain.full_circle(2), grid, samples)
+
+
+def haar_pair(depth: int = 6) -> FilterMatrix:
+    """diag(h, h) for the Haar filter h, on the two-member full circle.
+
+    Each channel satisfies the scalar identity on its own and the
+    off-diagonal entries vanish, so the pair is a valid c = 2 filter.  A
+    1 x 1 leading block leaves the other channel's |h| (about sqrt(2) near
+    0) as an off-block, so only the full 2 x 2 block certifies.
+    """
+    haar = make_haar(depth)
+    samples = np.zeros((2, 2, haar.cells), dtype=np.complex128)
+    samples[0, 0] = samples[1, 1] = haar.samples[0, 0]
+    return FilterMatrix(2, SigmaChain.full_circle(2), haar.grid, samples)

@@ -1,10 +1,16 @@
 """Block certificates, the certificate search, and the derived parameters."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmrafilters import (
     Certificate,
@@ -31,12 +37,21 @@ from gmrafilters import (
     search_certificate,
 )
 
-from gmrafilters.lowpass import MARGIN_ALLOWANCE, _block_norms
+from gmrafilters.lowpass import (
+    MARGIN_ALLOWANCE,
+    _block_norms,
+    _nonfinite_cells,
+    _symmetric_region,
+)
 from gmrafilters.smallmat import singular_values
 from gmrafilters.ruelle import TOL_EIG, _rules_out_the_circle
 
 from helpers import (
+    haar_pair,
+    identity_two_channel,
+    near_constant_filter,
     planted_filter,
+    planted_unitary_filter,
     random_phase_copy,
     random_scalar_filter,
     with_sample,
@@ -92,6 +107,43 @@ def reference_search(filt: FilterMatrix):
     return None if best is None else best[1]
 
 
+def loop_search(filt: FilterMatrix):
+    """The certificate search as a Python loop over j, for comparison.
+
+    Per block size it walks the cell pairs (j - 1, M - j) with a running
+    minimum of sigma_min and maximum of the off-block norms, stops at the
+    first margin within the allowance, steps delta down with nextafter
+    while 1 + delta exceeds sigma_min (which never happens, see
+    ``test_one_plus_the_margin_never_exceeds_sigma_min``), skips rows
+    whose off-blocks exceed eps, and keeps the best (delta, j, -a).
+    """
+    if _nonfinite_cells(filt).size:
+        return None
+    m = filt.cells
+    best = None
+    for a in range(1, filt.count + 1):
+        smin, off = (x.tolist() for x in _block_norms(filt, a, np.arange(m)))
+        worst_smin = math.inf
+        worst_off = 0.0
+        for j in range(1, m // 2 + 1):
+            worst_smin = min(worst_smin, smin[j - 1], smin[m - j])
+            worst_off = max(worst_off, off[j - 1], off[m - j])
+            delta = worst_smin - 1.0
+            if delta <= MARGIN_ALLOWANCE:
+                break
+            while 1.0 + delta > worst_smin:
+                delta = float(np.nextafter(delta, -math.inf))
+            if worst_off >= certificate_eps(delta):
+                continue
+            key = (delta, j, -a)
+            if best is None or key > best:
+                best = key
+    if best is None:
+        return None
+    delta, j, neg_a = best
+    return check_certificate(filt, -neg_a, delta, _symmetric_region(filt.grid, j))
+
+
 def block_filter(values: dict, count: int = 2, cells: int = 4) -> FilterMatrix:
     """Hand-built filter for block checks; no identity is implied."""
     grid = GridSpec(2, 1, int(math.log2(cells)))
@@ -139,6 +191,60 @@ def reference_sweep_filters() -> list:
 
 
 REFERENCE_SWEEP = reference_sweep_filters()
+
+
+def loop_reference_filters() -> list:
+    """Generators at several depths, seeded draws, and huge samples."""
+    rng = np.random.default_rng(27)
+    lam = np.exp(2j * np.pi * 0.3)
+    cases = [(f"haar_{d}", make_haar(d)) for d in range(1, 19)]
+    cases += [(f"shannon_{d}", make_shannon(d)) for d in (1, 2, 4, 8)]
+    cases += [(f"shannon_three_{d}", shannon_three(d)) for d in (1, 2, 3)]
+    cases += [
+        (f"constant_n{n}_{d}", make_constant(d, n)) for n in (2, 3) for d in (1, 3, 6)
+    ]
+    cases += [
+        (f"journe_step_{d}_{h}", make_journe_step(d, h))
+        for d in (1, 2, 4, 6)
+        for h in (False, True)
+    ]
+    for delta in (1e-6, 0.05, 0.1, 0.2, 0.41):
+        for depth in (2, 5, 8):
+            params = derive_journe(delta, GridSpec(2, 56, depth)).params
+            cases.append((f"journe_{delta}_{depth}", make_journe_family(params)))
+    cases += [
+        (f"random_d{d}_{k}", random_scalar_filter(rng, d))
+        for d in range(1, 13)
+        for k in range(5)
+    ]
+    phased = [make_haar(6), make_shannon(), make_journe_step(), haar_pair(4),
+              make_journe_family(derive_journe(0.1).params)]
+    cases += [(f"phase_{k}", random_phase_copy(f, rng)) for k, f in enumerate(phased)]
+    cases += [
+        (f"planted_n{n}_{d}", planted_filter(rng, n, d, lam)[0])
+        for n in (2, 3, 4)
+        for d in (2, 3)
+    ]
+    cases += [
+        (f"planted_unitary_n{n}", planted_unitary_filter(rng, n, 3, lam)[0])
+        for n in (2, 3)
+    ]
+    cases.append(("near_constant", near_constant_filter(rng)))
+    cases.append(("unimodular", near_constant_filter(rng, eps=0.0)))
+    cases.append(("identity_two_channel", identity_two_channel()))
+    cases += [(f"haar_pair_{d}", haar_pair(d)) for d in (1, 2, 6, 10)]
+    top = float(np.finfo(np.float64).max)
+    cases += [
+        ("haar_1e200", with_sample(make_haar(), 0, 0, 3, 1e200)),
+        ("journe_step_lead_1e308", with_sample(make_journe_step(), 0, 0, 0, 1e308)),
+        ("journe_step_corner_1e308", with_sample(make_journe_step(), 1, 1, 0, 1e308)),
+        ("haar_pair_top", with_sample(haar_pair(6), 1, 1, 0, -top)),
+        ("haar_pair_off_top", with_sample(haar_pair(6), 0, 1, 5, top)),
+    ]
+    return cases
+
+
+LOOP_REFERENCE = loop_reference_filters()
 
 
 class TestEpsRule:
@@ -345,12 +451,94 @@ class TestSearchCertificate:
         for filt in (make_haar(depth=8), make_shannon()):
             assert search_certificate(filt) is not None
 
+    @pytest.mark.parametrize(
+        "filt",
+        [filt for _, filt in LOOP_REFERENCE],
+        ids=[name for name, _ in LOOP_REFERENCE],
+    )
+    def test_prefix_reductions_equal_the_loop_field_for_field(self, filt):
+        found = search_certificate(filt)
+        # repr also holds every field to its Python type.
+        assert repr(found) == repr(loop_search(filt))
+        assert found == loop_search(filt)
+
+    def test_the_loop_reference_set_reaches_every_outcome(self):
+        found = [search_certificate(filt) for _, filt in LOOP_REFERENCE]
+        sizes = {cert.block_size for cert in found if cert is not None}
+        assert sizes == {1, 2}
+        assert None in found
+
+    def test_the_full_block_wins_on_the_haar_pair(self):
+        filt = haar_pair(6)
+        assert filter_equation_residual(filt).max_abs_residual <= 1e-15
+        cert = search_certificate(filt)
+        assert cert is not None
+        assert cert.block_size == 2
+        assert cert.region == symmetric(1, 64)
+        assert cert.delta == 0.4125100802019772
+        assert cert.off_block_max == 0.0
+        assert classify_purity(filt).status == PURE_CERTIFIED
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads VmSize from procfs"
+    )
+    def test_search_reads_the_samples_without_copying_them(self):
+        # haar 20 holds 16 MB of samples.  The search's temporaries stay
+        # within about 28 MB of address space; a loop over Python float
+        # lists of every cell needed about 103 MB.
+        script = (
+            "import resource\n"
+            "from gmrafilters import make_haar, search_certificate\n"
+            "filt = make_haar(20)\n"
+            "with open('/proc/self/status') as status:\n"
+            "    size = next(int(line.split()[1]) for line in status\n"
+            "                if line.startswith('VmSize:')) * 1024\n"
+            "limit = size + 48 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "cert = search_certificate(filt)\n"
+            "print(cert.block_size, repr(cert.delta))\n"
+        )
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1 0.41421356236674756\n"
+
     def test_search_result_passes_rechecking(self):
         cert = search_certificate(make_haar())
         again = check_certificate(
             make_haar(), cert.block_size, cert.delta, cert.region
         )
         assert isinstance(again, Certificate)
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        st.floats(min_value=1.0, allow_nan=False, allow_infinity=True),
+        st.floats(min_value=2.0**53, max_value=2.0**54, exclude_max=True),
+        st.just(math.inf),
+    )
+)
+def test_one_plus_the_margin_never_exceeds_sigma_min(w):
+    # delta = w - 1 is exact below 2^53 and rounds to even above, so the
+    # search takes it as it stands, with no step down.
+    assert 1.0 + (w - 1.0) <= w
+
+
+def test_one_plus_the_margin_at_every_float_near_the_binade_edges():
+    top = np.finfo(np.float64).max
+    edges = np.array([1.0, 2.0, 2.0**52, 2.0**53, 2.0**54, 2.0**60, top])
+    steps = np.arange(-4096, 4097).astype(np.int64)
+    w = (edges.view(np.int64)[:, None] + steps).view(np.float64).ravel()
+    w = np.append(w[(w >= 1.0) & np.isfinite(w)], math.inf)
+    assert np.all(1.0 + (w - 1.0) <= w)
 
 
 class TestDeriveJourne:

@@ -28,7 +28,7 @@ from gmrafilters.ruelle import (
     _cell_zero_spectrum,
     _coarsest,
 )
-from gmrafilters.smallmat import null_vectors, singular_values
+from gmrafilters.smallmat import eigen_condition, null_vectors, singular_values
 
 
 def two_by_two_blocks(kind: str) -> np.ndarray:
@@ -79,6 +79,34 @@ class TestSingularValueKernel:
         assert np.array_equal(
             singular_values(blocks), np.linalg.svd(blocks, compute_uv=False)
         )
+
+
+class TestTopOfTheFloatRange:
+    """A modulus at or above 2^1023 scales by 2^1023, the largest finite power of two.
+
+    The power of two at or above such a modulus, 2^1024, is not a float.
+    The suite turns warnings into errors, so an overflow fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "big", [1e308, float(np.finfo(np.float64).max), -(2.0**1023), 1e308j]
+    )
+    def test_singular_values_are_lapacks(self, big):
+        blocks = np.array(
+            [[[big, 0], [0, 1]], [[big, 1], [1, 2]], [[1, big], [0, 1]]],
+            dtype=np.complex128,
+        )
+        got = singular_values(blocks)
+        assert got[0].tolist() == [abs(big), 1.0]
+        assert np.array_equal(got, np.linalg.svd(blocks, compute_uv=False))
+
+    @pytest.mark.parametrize("big", [1e308, float(np.finfo(np.float64).max)])
+    def test_eigen_condition_is_finite(self, big):
+        matrix = np.array([[big, 1], [1, 2]], dtype=np.complex128)
+        values, cond = eigen_condition(matrix)
+        assert values.tolist() == [big, 2.0]
+        assert np.array_equal(values, np.linalg.eigvals(matrix))
+        assert cond == 1.0
 
 
 def exact_eigenvalues(m: np.ndarray) -> list:

@@ -97,7 +97,8 @@ def _signed_zero_and_nan_runs(h, rng):
 # verdict decided at cell 0 by a margin of 1e-3, pure_at_resolution, a
 # coarsened spectrum that lifts a two-member cluster (H = I, c = 2), a
 # dense two-channel filter at N = 3 (the orbit product of the generalized
-# identity off N = 2), and three bundles that fail the verification
+# identity off N = 2), a certificate whose leading block is the full 2 x 2
+# block (diag(h, h) for Haar h), and three bundles that fail the verification
 # gate: a sample breaking the column support rule, a finite sample whose
 # square overflows, and long runs of -0.0 and of NaNs with other payloads
 # and signs, which bundle text reads and writes one run at a time.
@@ -115,6 +116,7 @@ BUILT_JOBS = [
     ("near_constant", lambda h, rng: h.near_constant_filter(rng)),
     ("unimodular", lambda h, rng: h.near_constant_filter(rng, eps=0.0)),
     ("identity_two_channel", lambda h, rng: h.identity_two_channel()),
+    ("haar_pair", lambda h, rng: h.haar_pair()),
     ("journe_step_column_violation", _column_violation),
     ("haar_huge_sample", _huge_sample),
     ("signed_zero_and_nan_runs", _signed_zero_and_nan_runs),
