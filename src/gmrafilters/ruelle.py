@@ -23,9 +23,9 @@ Jorgensen, Wavelets through a Looking Glass, 2002).
 ``classify_purity`` decides at that cell (see ``FixedCell``) and builds
 no matrix of the operator.  ``transfer_spectrum``, the dense path of the
 ``spectrum`` command, solves the quotient matrix K = adjoint o include
-on the coarse step space instead, for the coarsest filter that refines
-to the given one, and re-tests each candidate once, against the given
-filter.
+on the coarse step space for its eigenvalues, for the coarsest filter
+that refines to the given one, and takes its eigenpairs on the circle
+from the same cell 0 analysis.
 """
 
 from __future__ import annotations
@@ -340,10 +340,8 @@ def _by_modulus(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _clusters(eigenvalues: np.ndarray, rows: np.ndarray, tol_res: float) -> list:
-    """Group candidate rows, in order: a row joins the first cluster whose
-    leading eigenvalue lies within ``tol_res`` of its own, so only
-    eigenvalues that agree to the acceptance tolerance share an eigenspace.
-    """
+    """Group candidate rows in order: a row joins the first cluster whose leader
+    lies within ``tol_res`` of it, so only agreeing eigenvalues share an eigenspace."""
     clusters: list[list[int]] = []
     for k in rows.tolist():
         for cluster in clusters:
@@ -390,23 +388,19 @@ def _retest(
 
 
 class TransferSpectrum(NamedTuple):
-    """The dense spectrum of K and the re-test of its unit-circle candidates.
+    """The dense spectrum of K and the rows the operator's eigenpairs carry.
 
     ``eigenvalues`` is the fine spectrum, one row per coordinate of the
-    given filter's fine step space: the eigenvalues of the K that was
-    solved by descending modulus, then real part, then imaginary part,
-    followed by exact zeros, one for every coordinate the fine step space
-    adds to that K's.  ``candidates`` pairs each eigenvalue of K near the
-    unit circle, by its row, with its re-tested pair for the operator: the
-    conjugate eigenvalue, the eigenvector read as a unit coarse field of
-    the given filter, and ``_retest``'s residual and unit-norm deviation
-    against that filter, judged against ``TOL_NORM``.  ``passing_flags``
-    marks, row for row, the eigenvalues whose candidate passed.
+    given filter's fine step space: the solved K's eigenvalues by
+    descending modulus, then real part, then imaginary part, then an exact
+    zero for every coordinate the fine space adds.  ``fixed_cell`` is the
+    filter's cell 0 analysis, as ``classify_purity`` carries it, and
+    ``passing_flags`` marks the rows its accepted pairs vouch for.
     """
 
     eigenvalues: np.ndarray
     passing_flags: np.ndarray
-    candidates: tuple[tuple[int, EigenPair], ...]
+    fixed_cell: FixedCell
 
 
 def _coarsest(filt: FilterMatrix) -> tuple[FilterMatrix, int]:
@@ -442,43 +436,31 @@ def transfer_spectrum(
     it is real, and the fine spectrum is padded with exact zeros up to
     this filter's own fine dimension; solving the fine K instead would
     smear those zeros, a Jordan block of size k to about u^(1/k).  Every
-    eigenvalue within ``tol_eig`` of the unit circle is a candidate.  Each
-    cluster of candidates (see ``_clusters``) takes one SVD of
-    K - lambda I at its leader, and its members in order get the right
-    singular vectors of the smallest singular values, so a repeated
-    eigenvalue, semisimple on the circle, gets orthonormal fields.  Each
-    field is repeated onto this filter's coarse grid and re-tested once,
-    against this filter: a candidate passes only if
-    ||S_H f - conj(lambda) f|| is within ``tol_res``.
+    eigenvalue lambda of K within ``tol_eig`` of the unit circle is a
+    candidate, and no eigenvector of K is computed: each eigenpair of the
+    operator on the circle is fixed at cell 0 (``_fixed_cell``, run on
+    this filter).  In row order, a candidate passes when an accepted pair
+    not yet taken lies within ``tol_res`` of conj(lambda).
     """
     coarse, levels = _coarsest(filt)
     tm = assemble_transfer_matrix(coarse)
     matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
     solved = _by_modulus(smallmat.eigenvalues(matrix))
-    block = filt.scale**levels
-    # The fine spectrum: K's eigenvalues, then the zeros only the fine
-    # space carries, which sort after every nonzero eigenvalue and after
-    # K's own zeros.  They have no eigenvector here and are never
-    # re-tested; zero could not pass, as ||S_H f|| = ||f|| = 1.
-    eigenvalues = np.zeros(tm.fine_dimension * block, dtype=solved.dtype)
+    # The fine spectrum: K's eigenvalues, then the zeros only the fine space
+    # carries, which sort after K's own and are never candidates; zero could
+    # not pass, as ||S_H f|| = ||f|| = 1.
+    eigenvalues = np.zeros(tm.fine_dimension * filt.scale**levels, dtype=solved.dtype)
     eigenvalues[: len(solved)] = solved
     passing_flags = np.zeros(len(eigenvalues), dtype=bool)
-    vectors = {}
-    for cluster in _clusters(solved, _candidate_rows(solved, tol_eig), tol_res):
-        found = smallmat.null_vectors(matrix, solved[cluster[0]], len(cluster))
-        vectors.update(zip(cluster, found))
-
-    grid = coarse.coarse_grid()
-    tested = []
-    for k in sorted(vectors):
-        values = np.zeros((filt.count, grid.cells), dtype=np.complex128)
-        values[tm.basis[:, 0], tm.basis[:, 1]] = vectors[k]
-        values = _canonical_field(filt.chain, grid, values).values
-        f = VecField(filt.chain, filt.coarse_grid(), np.repeat(values, block, axis=1))
-        pair = _retest(filt, f, np.conj(complex(solved[k])), TOL_NORM)
-        passing_flags[k] = pair.residual <= tol_res
-        tested.append((k, pair))
-    return TransferSpectrum(eigenvalues, passing_flags, tuple(tested))
+    cell = _fixed_cell(filt, tol_eig, tol_res, TOL_NORM)
+    free = [p.eigenvalue for row, p in cell.candidates if cell.passing_flags[row]]
+    for k in _candidate_rows(solved, tol_eig).tolist():
+        lam = complex(solved[k]).conjugate()
+        near = [mu for mu in free if abs(mu - lam) <= tol_res]
+        if near:
+            free.remove(near[0])
+            passing_flags[k] = True
+    return TransferSpectrum(eigenvalues, passing_flags, cell)
 
 
 class FixedCell(NamedTuple):
@@ -589,7 +571,7 @@ def _fixed_cell(
     residuals and its values outside the supports are stacked as one
     column, and the stack's right singular vectors, smallest first, mix
     the cell 0 values into the members' own.  Each member's field is
-    propagated with its own eigenvalue, scaled as the dense path's, and
+    propagated with its own eigenvalue, made canonical (``_canonical_field``), and
     passes when ``_retest`` finds a residual within ``tol_res``.
     """
     samples = filt.samples

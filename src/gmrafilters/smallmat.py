@@ -2,16 +2,18 @@
 
 The paper's multiplicity functions have c <= 2, so the analysis mostly
 solves 1 x 1 and 2 x 2 matrices: the blocks of the certificate search,
-H(0)^T at the fixed cell, and K when a filter coarsens to one cell.
-LAPACK would solve them too, but its first call pages in OpenBLAS, about
-1-1.6 MB of peak RSS in a fresh process, for arithmetic a few lines can
-do.  These kernels do it and hand larger matrices to ``np.linalg``.  The
-package does not export them.
+H(0)^T at the fixed cell (its eigenvalues and null vectors), and K when
+a filter coarsens to one cell.  LAPACK would solve them too, but its
+first call pages in OpenBLAS, about 1-1.6 MB of peak RSS in a fresh
+process, for arithmetic a few lines can do.  These kernels do it and
+hand larger matrices to ``np.linalg``.  The package does not export them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 
 import numpy as np
 
@@ -35,9 +37,8 @@ def singular_values(blocks: np.ndarray) -> np.ndarray:
     if blocks.shape[1:] != (2, 2):
         return np.linalg.svd(blocks, compute_uv=False)
     scale = np.ldexp(1.0, np.minimum(np.frexp(np.abs(blocks).max(axis=(1, 2)))[1], 1023))
-    a, b, c, d = np.moveaxis(blocks / scale[:, None, None], 0, 2).reshape(4, -1)
-    sq = np.abs(np.stack([a, b, c, d])) ** 2
-    p, r = sq[0] + sq[2], sq[1] + sq[3]
+    a, b, c, d = (blocks[:, i, j] / scale for i in (0, 1) for j in (0, 1))
+    p, r = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
     q = np.abs(np.conj(a) * b + np.conj(c) * d)
     smax = np.sqrt((p + r + np.hypot(p - r, 2.0 * q)) / 2.0)
     det = np.abs(a * d - b * c)
@@ -46,15 +47,30 @@ def singular_values(blocks: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvals``; a finite 1 x 1 matrix gives its entry.
+    """``np.linalg.eigvals`` on one BLAS thread; a finite 1 x 1 gives its entry.
 
     The entry is what eigvals returns for a modulus in about
     [6.7e-139, 1.5e138]; outside that range LAPACK rescales the matrix
-    first and can round the last bit scaling back.
+    first and can round the last bit scaling back.  LAPACK's last bits
+    follow the OpenBLAS thread count, so numpy's bundled OpenBLAS is held
+    to one thread; without it, or its thread calls, this raises ``OSError``.
     """
     if matrix.shape == (1, 1) and np.isfinite(matrix).all():
         return matrix[0]
-    return np.linalg.eigvals(matrix)
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        (name,) = [n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_")]
+        blas = ctypes.CDLL(os.path.join(libs, name))
+        get = blas.scipy_openblas_get_num_threads64_
+        pin = blas.scipy_openblas_set_num_threads64_
+    except (OSError, ValueError, AttributeError):
+        raise OSError(f"cannot hold BLAS to one thread: no OpenBLAS in {libs}") from None
+    threads = get()
+    pin(1)
+    try:
+        return np.linalg.eigvals(matrix)
+    finally:
+        pin(threads)
 
 
 def eigen_condition(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -107,7 +123,8 @@ def _unit_eigenvector(a: complex, b: complex, c: complex, d: complex, mu: comple
 def null_vectors(matrix: np.ndarray, lam: complex, count: int) -> np.ndarray:
     """Rows v with (matrix - lam I) v smallest: ``count`` right singular vectors.
 
-    A finite 1 x 1 matrix gives [[1]], the vh of svd for every one.
+    The fixed cell's start values, from H(0)^T; a finite 1 x 1 matrix
+    gives [[1]], the vh of svd for every one.
     """
     shift = lam.real if lam.imag == 0 else lam
     shifted = matrix - shift * np.eye(len(matrix))

@@ -61,28 +61,31 @@ def planted_filter(
 
 
 def planted_unitary_filter(
-    rng: np.random.Generator, scale: int, depth: int, lam: complex
-) -> tuple[FilterMatrix, tuple[VecField, VecField]]:
-    """A non-pure two-channel filter with a known eigenspace, and its basis.
+    rng: np.random.Generator, scale: int, depth: int, lam: complex, channels: int = 2
+) -> tuple[FilterMatrix, tuple[VecField, ...]]:
+    """A non-pure multi-channel filter with a known eigenspace, and its basis.
 
     W is a random unitary step field on the coarse grid, the Q of a QR
     factorization of a complex Gaussian per cell, and the filter has
     H^T(s) = lam W(s // N) W(s mod M/N)^*, so that, as for
     ``planted_filter``, every column w_k of W satisfies S_H w_k = lam w_k
-    exactly.  The chain is the two-member full circle; every sample
-    matrix is unitary, so each coset sum is N I.  Returns the filter and
-    the two columns of W, orthonormal fields of unit norm.
+    exactly.  The chain is the full circle with ``channels`` members;
+    every sample matrix is unitary, so each coset sum is N I.  Returns the
+    filter and the columns of W, orthonormal fields of unit norm.
     """
     grid = GridSpec(scale, 1, depth)
     m = grid.cells
     mp = m // scale
-    gauss = rng.standard_normal((mp, 2, 2)) + 1j * rng.standard_normal((mp, 2, 2))
+    shape = (mp, channels, channels)
+    gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w = np.linalg.qr(gauss)[0]
     s = np.arange(m)
     transposed = lam * np.einsum("sik,sjk->sij", w[s // scale], np.conj(w[s % mp]))
-    chain = SigmaChain.full_circle(2)
+    chain = SigmaChain.full_circle(channels)
     filt = FilterMatrix(scale, chain, grid, transposed.transpose(2, 1, 0))
-    columns = tuple(VecField(chain, grid.coarser(), w[:, :, k].T) for k in range(2))
+    columns = tuple(
+        VecField(chain, grid.coarser(), w[:, :, k].T) for k in range(channels)
+    )
     return filt, columns
 
 

@@ -710,13 +710,19 @@ class TestClassify:
     def test_coarsened_spectrum_survives_thread_count_changes(self, tmp_path):
         # Solved on the full grid, constant 9's K smeared its nilpotent
         # zeros to moduli up to 7e-3, and 255 of the 512 rows followed the
-        # BLAS thread count; solved at depth 1 they are exact zeros.  Haar 8
-        # does not coarsen and still differs in 127 of 256 rows, by at most
-        # 1.1e-13: pinning the thread count around the solve is left open in
-        # ROADMAP.
+        # BLAS thread count; solved at depth 1 they are exact zeros.
         bundle = generate(tmp_path, "constant", "--depth", "9")
         outputs = self._stdout_per_thread_count(["spectrum", str(bundle)], EXIT_OK)
         assert len(outputs[0].splitlines()) == 1 + 512
+        assert outputs[0] == outputs[1]
+
+    def test_uncoarsened_spectrum_survives_thread_count_changes(self, tmp_path):
+        # Haar 8 does not coarsen: its 256 x 256 K is solved as it is, and
+        # two OpenBLAS threads move the last bits of 127 rows, by up to
+        # 1.1e-13, unless the solve is held to one thread.
+        bundle = generate(tmp_path, "haar", "--depth", "8")
+        outputs = self._stdout_per_thread_count(["spectrum", str(bundle)], EXIT_OK)
+        assert len(outputs[0].splitlines()) == 1 + 256
         assert outputs[0] == outputs[1]
 
 
@@ -753,6 +759,31 @@ class TestSpectrum:
         out = tmp_path / "classify.json"
         args = ["classify", str(bundle), "--tol-norm", "1e-6", "--out", str(out)]
         assert main(args) == EXIT_NOT_PURE
+
+    @pytest.mark.parametrize("library", ["missing", "without_thread_calls"])
+    def test_no_bundled_openblas_exits_2_in_one_line(
+        self, tmp_path, capsys, monkeypatch, library
+    ):
+        # spectrum holds numpy's bundled OpenBLAS to one thread around the
+        # solve; a numpy without one (or whose library lacks the thread
+        # calls) cannot give thread-independent bytes, so spectrum refuses.
+        bundle = generate(tmp_path, "haar")
+        site = tmp_path / "site"
+        (site / "numpy").mkdir(parents=True)
+        if library == "without_thread_calls":
+            import _ctypes
+
+            libs = site / "numpy.libs"
+            libs.mkdir()
+            (libs / "libscipy_openblas64_.so").symlink_to(_ctypes.__file__)
+        monkeypatch.setattr(np, "__file__", str(site / "numpy" / "__init__.py"))
+        assert main(["spectrum", str(bundle)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gmrafilters: cannot hold BLAS to one thread")
+        assert captured.err.count("\n") == 1
+        # classify never solves K, so it needs no library.
+        assert main(["classify", str(bundle), "--out", str(tmp_path / "c.json")]) == 0
 
 
 class TestImportFootprint:

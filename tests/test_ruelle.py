@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -38,15 +39,18 @@ from gmrafilters import (
     transfer_apply,
     transfer_spectrum,
 )
-from gmrafilters import ruelle
+from gmrafilters import ruelle, smallmat
 from gmrafilters.filters import FilterMatrix
 from gmrafilters.ruelle import (
     TOL_EIG,
+    TOL_NORM,
     TOL_RES,
     UNIT_ROUNDOFF,
     VERIFY_TOL,
+    _by_modulus,
     _canonical_field,
     _candidate_rows,
+    _clusters,
     _cell_zero_spectrum,
     _coarsest,
     _propagation_schedule,
@@ -619,12 +623,17 @@ class TestClassification:
         assert spectrum.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
         assert spectrum.passing_flags[0]
         assert spectrum.passing_flags.sum() == 1
-        assert [row for row, _ in spectrum.candidates] == [0]
-        pair = spectrum.candidates[0][1]
+        reference = dense_reference(filt)
+        assert np.array_equal(reference.passing_flags, spectrum.passing_flags)
+        assert [row for row, _ in reference.candidates] == [0]
+        pair = reference.candidates[0][1]
         assert pair.eigenvalue == pytest.approx(1.0, abs=1e-12)
         assert pair.residual <= 1e-12
         assert pair.unit_norm_ok
         verdict = classify_purity(filt)
+        ((_, mine),) = spectrum.fixed_cell.candidates
+        assert mine.eigenvalue == verdict.eigenpairs[0].eigenvalue
+        assert np.array_equal(mine.fld.values, verdict.eigenpairs[0].fld.values)
         assert set(verdict.diagnostics) == {"passing_flags", "candidates_tested"}
         assert verdict.diagnostics["passing_flags"] is verdict.fixed_cell.passing_flags
         assert verdict.diagnostics["candidates_tested"] is verdict.fixed_cell.candidates
@@ -983,15 +992,20 @@ class TestFixedCell:
         assert np.all(pair.fld.values == 1.0)
         assert verdict.closed_form_pairs == 1
         # spectrum solves the depth-1 filter that refines to this one and
-        # re-tests the same pair here; haar, which does not coarsen, is
-        # still refused by the cap.
+        # takes the same pair from the fixed cell; the dense reference
+        # finds it from K; haar, which does not coarsen, is still refused
+        # by the cap.
         spectrum = transfer_spectrum(make_constant(depth=depth))
         assert len(spectrum.eigenvalues) == 2**depth
         assert spectrum.eigenvalues[0] == 1.0
         assert not spectrum.eigenvalues[1:].any()
-        ((row, dense_pair),) = spectrum.candidates
-        assert row == 0
         assert np.flatnonzero(spectrum.passing_flags).tolist() == [0]
+        ((_, cell_pair),) = spectrum.fixed_cell.candidates
+        assert np.array_equal(cell_pair.fld.values, pair.fld.values)
+        reference = dense_reference(make_constant(depth=depth))
+        ((row, dense_pair),) = reference.candidates
+        assert row == 0
+        assert np.array_equal(reference.passing_flags, spectrum.passing_flags)
         assert dense_pair.eigenvalue == 1.0
         assert dense_pair.residual == 0.0
         assert np.array_equal(dense_pair.fld.values, pair.fld.values)
@@ -1040,6 +1054,15 @@ def oracle_cases():
                     )[0],
                 )
             )
+    for n, d in ((2, 3), (3, 2)):
+        cases.append(
+            (
+                f"planted_three_channel_n{n}_{d}",
+                lambda n=n, d=d: planted_unitary_filter(
+                    seeded(0), n, d, PLANTED_LAMBDA, channels=3
+                )[0],
+            )
+        )
     cases.append(("identity_two_channel", identity_two_channel))
     for k in (0, 1):
         cases += [
@@ -1060,6 +1083,74 @@ def oracle_cases():
 
 ORACLE_CASES = oracle_cases()
 
+# Seeded draws beside the oracle cases: random scalar filters, and phase
+# copies of filters with and without pairs on the circle.
+SEEDED_DRAWS = [
+    (f"random_scalar_draw_{k}", lambda k=k: random_scalar_filter(seeded(100 + k), 6))
+    for k in range(8)
+] + [
+    (
+        f"{base}_phase_copy_draw_{k}",
+        lambda make=make, k=k: random_phase_copy(make(), seeded(200 + k)),
+    )
+    for base, make in (
+        ("constant", lambda: make_constant(depth=4)),
+        ("planted", lambda: planted_filter(seeded(1), 2, 4, PLANTED_LAMBDA)[0]),
+        (
+            "planted_two_channel",
+            lambda: planted_unitary_filter(seeded(1), 2, 3, 1.0)[0],
+        ),
+    )
+    for k in range(4)
+]
+
+
+class DenseReference(NamedTuple):
+    """The spectrum rows, their flags, and K's re-tested candidates."""
+
+    eigenvalues: np.ndarray
+    passing_flags: np.ndarray
+    candidates: tuple
+
+
+def dense_reference(filt, tol_eig=TOL_EIG, tol_res=TOL_RES):
+    """``transfer_spectrum`` with K's own eigenvectors, the independent oracle.
+
+    Solved as ``transfer_spectrum`` solves, on the filter's coarsest grid.
+    Each cluster of K's candidates (``_clusters``) takes one SVD of
+    K - lambda I at its leader, and its members in order get the right
+    singular vectors of the smallest singular values, so a repeated
+    eigenvalue, semisimple on the circle, gets orthonormal fields.  Each
+    field is repeated onto the filter's coarse grid and re-tested once,
+    against the filter: a row passes only if ||S_H f - conj(lambda) f|| is
+    within ``tol_res``.  ``candidates`` pairs each candidate's row with its
+    re-tested pair.  ``_coarsest`` and ``_retest`` are looked up on the
+    module, so the tests' patches of them apply here too.
+    """
+    coarse, levels = ruelle._coarsest(filt)
+    tm = assemble_transfer_matrix(coarse)
+    matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
+    solved = _by_modulus(smallmat.eigenvalues(matrix))
+    block = filt.scale**levels
+    eigenvalues = np.zeros(tm.fine_dimension * block, dtype=solved.dtype)
+    eigenvalues[: len(solved)] = solved
+    passing_flags = np.zeros(len(eigenvalues), dtype=bool)
+    vectors = {}
+    for cluster in _clusters(solved, _candidate_rows(solved, tol_eig), tol_res):
+        found = smallmat.null_vectors(matrix, solved[cluster[0]], len(cluster))
+        vectors.update(zip(cluster, found))
+    grid = coarse.coarse_grid()
+    tested = []
+    for k in sorted(vectors):
+        values = np.zeros((filt.count, grid.cells), dtype=np.complex128)
+        values[tm.basis[:, 0], tm.basis[:, 1]] = vectors[k]
+        values = _canonical_field(filt.chain, grid, values).values
+        f = VecField(filt.chain, filt.coarse_grid(), np.repeat(values, block, axis=1))
+        pair = ruelle._retest(filt, f, np.conj(complex(solved[k])), TOL_NORM)
+        passing_flags[k] = pair.residual <= tol_res
+        tested.append((k, pair))
+    return DenseReference(eigenvalues, passing_flags, tuple(tested))
+
 
 def span_gap(fields, others):
     """The largest distance of a field from the span of ``others``."""
@@ -1078,7 +1169,7 @@ class TestDenseOracle:
     def test_fixed_cell_agrees_with_the_dense_path(self, name, build):
         filt = build()
         verdict = classify_purity(filt)
-        dense = transfer_spectrum(filt)
+        dense = dense_reference(filt)
         accepted = list(verdict.eigenpairs)
         # the dense pairs carry conj(lambda) for K's eigenvalue lambda
         reference = [p for row, p in dense.candidates if dense.passing_flags[row]]
@@ -1107,6 +1198,39 @@ class TestDenseOracle:
             assert verdict.fixed_cell.margin > TOL_EIG
         if search_certificate(filt) is not None:
             assert off_the_circle(verdict.fixed_cell)
+
+
+    @pytest.mark.parametrize(
+        "name, build",
+        ORACLE_CASES + SEEDED_DRAWS,
+        ids=[n for n, _ in ORACLE_CASES + SEEDED_DRAWS],
+    )
+    def test_passing_flags_equal_the_dense_reference(self, name, build):
+        filt = build()
+        spectrum = transfer_spectrum(filt)
+        reference = dense_reference(filt)
+        assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+        assert np.array_equal(spectrum.passing_flags, reference.passing_flags)
+
+    def test_spectrum_makes_no_second_solve(self, monkeypatch):
+        filt = planted_filter(seeded(0), 2, 9, 1.0)[0]
+        shapes = []
+        null_vectors = smallmat.null_vectors
+
+        def recorded(matrix, *args):
+            shapes.append(matrix.shape)
+            return null_vectors(matrix, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transfer_spectrum took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(smallmat, "null_vectors", recorded)
+        spectrum = transfer_spectrum(filt)
+        assert len(spectrum.eigenvalues) == 512
+        assert np.flatnonzero(spectrum.passing_flags).tolist() == [0]
+        # only H(0)^T, the 1 x 1 cell 0 matrix, ever meets null_vectors
+        assert shapes == [(1, 1)]
 
 
 def coarsening_levels(name, filt):
@@ -1138,11 +1262,11 @@ def repeated(samples, scale, depth, chain=None):
     return FilterMatrix(scale, chain, grid, values)
 
 
-def full_grid_spectrum(filt, monkeypatch):
-    """``transfer_spectrum`` with ``_coarsest`` faked to coarsen nothing."""
+def full_grid_spectrum(filt, monkeypatch, solve=transfer_spectrum):
+    """``solve`` with ``_coarsest`` faked to coarsen nothing."""
     with monkeypatch.context() as patch:
         patch.setattr("gmrafilters.ruelle._coarsest", lambda f: (f, 0))
-        return transfer_spectrum(filt)
+        return solve(filt)
 
 
 def count_retests(monkeypatch):
@@ -1191,6 +1315,9 @@ class TestCoarsest:
         assert np.abs(coarse.eigenvalues - dense.eigenvalues)[nonzero].max() <= 1e-12
         assert np.abs(dense.eigenvalues[~nonzero]).max() < DENSE_SMEAR
         assert np.array_equal(coarse.passing_flags, dense.passing_flags)
+        coarse = dense_reference(filt)
+        dense = full_grid_spectrum(filt, monkeypatch, dense_reference)
+        assert np.array_equal(coarse.passing_flags, dense.passing_flags)
         assert [k for k, _ in coarse.candidates] == [k for k, _ in dense.candidates]
         for (_, p), (_, q) in zip(coarse.candidates, dense.candidates):
             assert p.fld.grid == filt.coarse_grid()
@@ -1217,8 +1344,11 @@ class TestCoarsest:
         filt = build()
         grids = count_retests(monkeypatch)
         spectrum = transfer_spectrum(filt)
-        assert len(spectrum.candidates) == calls
+        assert len(spectrum.fixed_cell.candidates) == calls
         assert grids == [filt.grid] * calls
+        reference = dense_reference(filt)
+        assert len(reference.candidates) == calls
+        assert grids == [filt.grid] * 2 * calls
 
     def test_signed_zero_in_a_block_does_not_repeat(self):
         filt = make_shannon(depth=3)
@@ -1279,23 +1409,26 @@ class TestPlantedFilters:
         assert verdict.martingale_max_dev is not None
         assert search_certificate(filt) is None
 
+    @pytest.mark.parametrize("channels", [2, 3])
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("depth", [2, 3])
     @pytest.mark.parametrize("scale", [2, 3])
-    def test_planted_two_channel_eigenspace_is_found(self, scale, depth, seed):
+    def test_planted_eigenspace_is_found(self, scale, depth, seed, channels):
         rng = np.random.default_rng(seed)
-        filt, columns = planted_unitary_filter(rng, scale, depth, PLANTED_LAMBDA)
+        filt, columns = planted_unitary_filter(
+            rng, scale, depth, PLANTED_LAMBDA, channels
+        )
         assert filter_equation_residual(filt).max_abs_residual <= 1e-12
         assert search_certificate(filt) is None
         verdict = classify_purity(filt)
         assert verdict.status == NOT_PURE_CERTIFIED
         assert not off_the_circle(verdict.fixed_cell)
-        assert len(verdict.eigenpairs) == 2
+        assert len(verdict.eigenpairs) == channels
         for pair in verdict.eigenpairs:
             assert abs(pair.eigenvalue - PLANTED_LAMBDA) <= 1e-12
         fields = [p.fld for p in verdict.eigenpairs]
         gram = np.array([[f.inner(g) for g in fields] for f in fields])
-        assert np.abs(gram - np.eye(2)).max() <= 1e-12
+        assert np.abs(gram - np.eye(channels)).max() <= 1e-12
         for f in fields:
             projection = sum(f.inner(w) * w.values for w in columns)
             assert np.abs(f.values - projection).max() <= 1e-12

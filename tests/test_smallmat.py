@@ -20,6 +20,7 @@ from gmrafilters import (
     GridSpec,
     SigmaChain,
     assemble_transfer_matrix,
+    make_journe_step,
     transfer_spectrum,
 )
 from gmrafilters.ruelle import (
@@ -79,6 +80,65 @@ class TestSingularValueKernel:
         assert np.array_equal(
             singular_values(blocks), np.linalg.svd(blocks, compute_uv=False)
         )
+
+
+def stacked_singular_values(blocks: np.ndarray) -> np.ndarray:
+    """The 2 x 2 kernel as it stacked a, b, c and d into one copy, the reference.
+
+    Each block is scaled, moved to (4, cells) by ``moveaxis`` and
+    ``reshape``, and the four moduli are stacked and squared at once.
+    ``singular_values`` reads a, b, c and d as views instead and must
+    give the same bits.
+    """
+    scale = np.ldexp(1.0, np.minimum(np.frexp(np.abs(blocks).max(axis=(1, 2)))[1], 1023))
+    a, b, c, d = np.moveaxis(blocks / scale[:, None, None], 0, 2).reshape(4, -1)
+    sq = np.abs(np.stack([a, b, c, d])) ** 2
+    p, r = sq[0] + sq[2], sq[1] + sq[3]
+    q = np.abs(np.conj(a) * b + np.conj(c) * d)
+    smax = np.sqrt((p + r + np.hypot(p - r, 2.0 * q)) / 2.0)
+    det = np.abs(a * d - b * c)
+    smin = np.divide(det, smax, out=np.zeros_like(det), where=smax > 0)
+    return np.stack([smax, np.minimum(smin, smax)], axis=1) * scale[:, None]
+
+
+class TestViewKernel:
+    """``singular_values`` against the stacked kernel, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "zero", "rank_one", "triangular", "scaled", "tied"]
+    )
+    def test_seeded_kinds(self, kind):
+        blocks = two_by_two_blocks(kind)
+        got = singular_values(blocks)
+        assert got.tobytes() == stacked_singular_values(blocks).tobytes()
+
+    def test_fifty_thousand_random_blocks(self):
+        rng = np.random.default_rng(28)
+        shape = (50_000, 2, 2)
+        blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        blocks *= 10.0 ** rng.uniform(-300, 300, shape)
+        got = singular_values(blocks)
+        assert got.tobytes() == stacked_singular_values(blocks).tobytes()
+
+    def test_strided_blocks_of_a_filter(self):
+        # The certificate search hands over the leading 2 x 2 blocks as a
+        # strided view of the samples (c, c, M) moved to (M, c, c).
+        samples = make_journe_step(depth=6).samples
+        blocks = np.transpose(samples, (2, 0, 1))[:, :2, :2]
+        assert not blocks.flags.c_contiguous
+        got = singular_values(blocks)
+        assert got.tobytes() == stacked_singular_values(blocks).tobytes()
+
+    @pytest.mark.parametrize(
+        "big", [1e308, float(np.finfo(np.float64).max), -(2.0**1023), 1e308j]
+    )
+    def test_at_the_cap(self, big):
+        blocks = np.array(
+            [[[big, 0], [0, 1]], [[big, 1], [1, 2]], [[1, big], [0, 1]]],
+            dtype=np.complex128,
+        )
+        got = singular_values(blocks)
+        assert got.tobytes() == stacked_singular_values(blocks).tobytes()
 
 
 class TestTopOfTheFloatRange:

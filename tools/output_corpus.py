@@ -97,11 +97,12 @@ def _signed_zero_and_nan_runs(h, rng):
 # verdict decided at cell 0 by a margin of 1e-3, pure_at_resolution, a
 # coarsened spectrum that lifts a two-member cluster (H = I, c = 2), a
 # dense two-channel filter at N = 3 (the orbit product of the generalized
-# identity off N = 2), a certificate whose leading block is the full 2 x 2
-# block (diag(h, h) for Haar h), and three bundles that fail the verification
-# gate: a sample breaking the column support rule, a finite sample whose
-# square overflows, and long runs of -0.0 and of NaNs with other payloads
-# and signs, which bundle text reads and writes one run at a time.
+# identity off N = 2), three pairs for one eigenvalue at c = 3, a
+# certificate whose leading block is the full 2 x 2 block (diag(h, h) for
+# Haar h), and three bundles that fail the verification gate: a sample
+# breaking the column support rule, a finite sample whose square
+# overflows, and long runs of -0.0 and of NaNs with other payloads and
+# signs, which bundle text reads and writes one run at a time.
 BUILT_JOBS = [
     ("planted_scale_3", lambda h, rng: h.planted_filter(rng, 3, 3, PLANTED_LAMBDA)[0]),
     ("planted_lambda_1", lambda h, rng: h.planted_filter(rng, 2, 4, 1.0)[0]),
@@ -112,6 +113,10 @@ BUILT_JOBS = [
     (
         "planted_two_channel_scale_3",
         lambda h, rng: h.planted_unitary_filter(rng, 3, 3, PLANTED_LAMBDA)[0],
+    ),
+    (
+        "planted_three_channel",
+        lambda h, rng: h.planted_unitary_filter(rng, 2, 3, PLANTED_LAMBDA, 3)[0],
     ),
     ("near_constant", lambda h, rng: h.near_constant_filter(rng)),
     ("unimodular", lambda h, rng: h.near_constant_filter(rng, eps=0.0)),
