@@ -340,8 +340,10 @@ def _by_modulus(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _clusters(eigenvalues: np.ndarray, rows: np.ndarray, tol_res: float) -> list:
-    """Group candidate rows in order: a row joins the first cluster whose leader
-    lies within ``tol_res`` of it, so only agreeing eigenvalues share an eigenspace."""
+    """Group candidate rows, in order: a row joins the first cluster whose
+    leading eigenvalue lies within ``tol_res`` of its own, so only
+    eigenvalues that agree to the acceptance tolerance share an eigenspace.
+    """
     clusters: list[list[int]] = []
     for k in rows.tolist():
         for cluster in clusters:
@@ -446,10 +448,12 @@ def transfer_spectrum(
     tm = assemble_transfer_matrix(coarse)
     matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
     solved = _by_modulus(smallmat.eigenvalues(matrix))
-    # The fine spectrum: K's eigenvalues, then the zeros only the fine space
-    # carries, which sort after K's own and are never candidates; zero could
-    # not pass, as ||S_H f|| = ||f|| = 1.
-    eigenvalues = np.zeros(tm.fine_dimension * filt.scale**levels, dtype=solved.dtype)
+    block = filt.scale**levels
+    # The fine spectrum: K's eigenvalues, then the zeros only the fine
+    # space carries, which sort after every nonzero eigenvalue and after
+    # K's own zeros.  They are never candidates; zero could not pass, as
+    # ||S_H f|| = ||f|| = 1.
+    eigenvalues = np.zeros(tm.fine_dimension * block, dtype=solved.dtype)
     eigenvalues[: len(solved)] = solved
     passing_flags = np.zeros(len(eigenvalues), dtype=bool)
     cell = _fixed_cell(filt, tol_eig, tol_res, TOL_NORM)
@@ -571,8 +575,9 @@ def _fixed_cell(
     residuals and its values outside the supports are stacked as one
     column, and the stack's right singular vectors, smallest first, mix
     the cell 0 values into the members' own.  Each member's field is
-    propagated with its own eigenvalue, made canonical (``_canonical_field``), and
-    passes when ``_retest`` finds a residual within ``tol_res``.
+    propagated with its own eigenvalue, made canonical
+    (``_canonical_field``), and passes when ``_retest`` finds a residual
+    within ``tol_res``.
     """
     samples = filt.samples
     eigenvalues, margin, allowance = _cell_zero_spectrum(samples[:, :, 0])

@@ -46,6 +46,27 @@ def singular_values(blocks: np.ndarray) -> np.ndarray:
     return np.stack([smax, np.minimum(smin, smax)], axis=1) * scale[:, None]
 
 
+def _bundled_blas() -> tuple:
+    """The get and set thread-count calls of the OpenBLAS numpy's wheel bundles.
+
+    numpy 2 wheels carry scipy-openblas in ``numpy.libs`` (Linux, Windows)
+    or in ``numpy/.dylibs`` (macOS).  A numpy that links a system BLAS,
+    MKL or Accelerate (distribution, conda and source builds) has none,
+    and this raises ``OSError``.
+    """
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for folder in ("numpy.libs", os.path.join("numpy", ".dylibs")):
+        path = os.path.join(site, folder)
+        names = os.listdir(path) if os.path.isdir(path) else []
+        for name in sorted(n for n in names if n.startswith("libscipy_openblas64_")):
+            blas = ctypes.CDLL(os.path.join(path, name))
+            get = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+            pin = getattr(blas, "scipy_openblas_set_num_threads64_", None)
+            if get and pin:
+                return get, pin
+    raise OSError(f"cannot hold BLAS to one thread: numpy at {site} bundles no OpenBLAS")
+
+
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvals`` on one BLAS thread; a finite 1 x 1 gives its entry.
 
@@ -53,18 +74,11 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     [6.7e-139, 1.5e138]; outside that range LAPACK rescales the matrix
     first and can round the last bit scaling back.  LAPACK's last bits
     follow the OpenBLAS thread count, so numpy's bundled OpenBLAS is held
-    to one thread; without it, or its thread calls, this raises ``OSError``.
+    to one thread; without it (``_bundled_blas``) this raises ``OSError``.
     """
     if matrix.shape == (1, 1) and np.isfinite(matrix).all():
         return matrix[0]
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    try:
-        (name,) = [n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_")]
-        blas = ctypes.CDLL(os.path.join(libs, name))
-        get = blas.scipy_openblas_get_num_threads64_
-        pin = blas.scipy_openblas_set_num_threads64_
-    except (OSError, ValueError, AttributeError):
-        raise OSError(f"cannot hold BLAS to one thread: no OpenBLAS in {libs}") from None
+    get, pin = _bundled_blas()
     threads = get()
     pin(1)
     try:

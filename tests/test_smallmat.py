@@ -11,6 +11,7 @@ within the fixed cell's rounding allowance r.
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from gmrafilters.ruelle import (
     _cell_zero_spectrum,
     _coarsest,
 )
-from gmrafilters.smallmat import eigen_condition, null_vectors, singular_values
+from gmrafilters.smallmat import (
+    _bundled_blas,
+    eigen_condition,
+    eigenvalues,
+    null_vectors,
+    singular_values,
+)
 
 
 def two_by_two_blocks(kind: str) -> np.ndarray:
@@ -319,3 +326,30 @@ class TestEigenvalues:
         )
         assert transfer_spectrum(filt).eigenvalues[0] == h
         assert np.linalg.eigvals([[h]])[0] != h
+
+
+class TestBundledBlas:
+    """The thread pin around eigvals, on the OpenBLAS numpy 2 wheels bundle."""
+
+    @pytest.mark.parametrize("folder", ["numpy.libs", "numpy/.dylibs"])
+    def test_found_in_either_wheel_folder(self, tmp_path, monkeypatch, folder):
+        site = Path(np.__file__).parents[1]
+        real = [*site.glob("numpy.libs/libscipy_openblas64_*")]
+        real += site.glob("numpy/.dylibs/libscipy_openblas64_*")
+        fake = tmp_path / "site"
+        (fake / "numpy").mkdir(parents=True)
+        (fake / folder).mkdir(exist_ok=True)
+        (fake / folder / "libscipy_openblas64_-0.so").symlink_to(real[0])
+        threads = _bundled_blas()[0]()
+        monkeypatch.setattr(np, "__file__", str(fake / "numpy" / "__init__.py"))
+        assert _bundled_blas()[0]() == threads
+
+    def test_eigvals_restores_the_thread_count(self):
+        get, pin = _bundled_blas()
+        threads = get()
+        pin(2)
+        try:
+            eigenvalues(np.random.default_rng(3).standard_normal((40, 40)))
+            assert get() == 2
+        finally:
+            pin(threads)
