@@ -278,9 +278,9 @@ def cmd_classify(args) -> int:
                 {
                     "eigenvalue": complex_pair(p.eigenvalue),
                     "residual": float_str(p.residual),
-                    "passed": bool(cell.passing_flags[row]),
+                    "passed": p.passed,
                 }
-                for row, p in cell.candidates
+                for p in cell.candidates
             ],
             "anomalies": list(verdict.anomalies),
             "fixed_cell": {

@@ -326,6 +326,7 @@ class EigenPair(NamedTuple):
     residual: float
     unit_norm_dev: float
     unit_norm_ok: bool
+    passed: bool
 
 
 def _candidate_rows(eigenvalues: np.ndarray, tol_eig: float) -> np.ndarray:
@@ -371,14 +372,15 @@ def _unit(f: VecField) -> VecField:
 
 
 def _retest(
-    filt: FilterMatrix, f: VecField, lam: complex, tol_norm: float
+    filt: FilterMatrix, f: VecField, lam: complex, tol_res: float, tol_norm: float
 ) -> EigenPair:
     """Re-test a coarse field directly against S_H f = lam f.
 
-    The pair records the quadrature residual ||S_H f - lam f|| and the
-    largest deviation of ||f(cell)|| from one over the cells of sigma_1,
-    where an eigenvector of a non-pure operator must have unit pointwise
-    norm, judged against ``tol_norm``.
+    The pair records the quadrature residual ||S_H f - lam f||, and passes
+    when it is within ``tol_res`` (a NaN residual fails).  It also records
+    the largest deviation of ||f(cell)|| from one over the cells of
+    sigma_1, where an eigenvector of a non-pure operator must have unit
+    pointwise norm, judged against ``tol_norm``.
     """
     image = _pull(filt.samples, f.values)
     residual = float(
@@ -386,7 +388,7 @@ def _retest(
     )
     norms = f.pointwise_norms()[filt.chain.positive_set().cell_mask(f.grid)]
     dev = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
-    return EigenPair(lam, f, residual, dev, dev <= tol_norm)
+    return EigenPair(lam, f, residual, dev, dev <= tol_norm, residual <= tol_res)
 
 
 class TransferSpectrum(NamedTuple):
@@ -457,7 +459,7 @@ def transfer_spectrum(
     eigenvalues[: len(solved)] = solved
     passing_flags = np.zeros(len(eigenvalues), dtype=bool)
     cell = _fixed_cell(filt, tol_eig, tol_res, TOL_NORM)
-    free = [p.eigenvalue for row, p in cell.candidates if cell.passing_flags[row]]
+    free = [p.eigenvalue for p in cell.candidates if p.passed]
     for k in _candidate_rows(solved, tol_eig).tolist():
         lam = complex(solved[k]).conjugate()
         near = [mu for mu in free if abs(mu - lam) <= tol_res]
@@ -472,16 +474,15 @@ class FixedCell(NamedTuple):
 
     ``eigenvalues`` (spec H(0)^T, ordered as in ``TransferSpectrum``),
     ``margin`` and ``allowance`` are those of ``_cell_zero_spectrum``.
-    ``candidates`` pairs each eigenvalue within tol_eig of the circle, by
-    row, with the re-tested pair of the field propagated from it, and
-    ``passing_flags`` marks the rows whose candidate passed.
+    ``candidates`` holds, for each eigenvalue within tol_eig of the
+    circle, in cluster order, the re-tested pair of the field propagated
+    from it; its ``passed`` is the verdict.
     """
 
     eigenvalues: np.ndarray
     margin: float
     allowance: float
-    candidates: tuple[tuple[int, EigenPair], ...]
-    passing_flags: np.ndarray
+    candidates: tuple[EigenPair, ...]
 
 
 def _cell_zero_spectrum(h0: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -581,7 +582,6 @@ def _fixed_cell(
     """
     samples = filt.samples
     eigenvalues, margin, allowance = _cell_zero_spectrum(samples[:, :, 0])
-    passing_flags = np.zeros(len(eigenvalues), dtype=bool)
     tested = []
     clusters = _clusters(eigenvalues, _candidate_rows(eigenvalues, tol_eig), tol_res)
     if clusters:
@@ -606,10 +606,8 @@ def _fixed_cell(
             with np.errstate(all="ignore"):
                 values = _propagate(samples, n, levels, cell_zero[None], lam)[0]
                 f = _canonical_field(filt.chain, coarse, values)
-                pair = _retest(filt, f, lam, tol_norm)
-            passing_flags[k] = pair.residual <= tol_res
-            tested.append((k, pair))
-    return FixedCell(eigenvalues, margin, allowance, tuple(tested), passing_flags)
+                tested.append(_retest(filt, f, lam, tol_res, tol_norm))
+    return FixedCell(eigenvalues, margin, allowance, tuple(tested))
 
 
 class PurityVerdict(NamedTuple):
@@ -635,12 +633,14 @@ class PurityVerdict(NamedTuple):
 
     @property
     def diagnostics(self) -> MappingProxyType:
-        """Read-only ``passing_flags`` and ``candidates_tested`` of ``fixed_cell``.
+        """``fixed_cell.candidates`` and their ``passed``, read-only.
 
-        The only readers are ``clibench/spans.py::_count_classify`` and
-        criterion 04 of ``tests/test_acceptance.py``.
+        Keyed ``candidates_tested`` and ``passing_flags`` for the only readers,
+        ``clibench/spans.py::_count_classify`` and criterion 04 of
+        ``tests/test_acceptance.py``.
         """
-        flags, tested = self.fixed_cell.passing_flags, self.fixed_cell.candidates
+        tested = self.fixed_cell.candidates
+        flags = tuple(p.passed for p in tested)
         return MappingProxyType({"passing_flags": flags, "candidates_tested": tested})
 
 
@@ -685,17 +685,11 @@ def classify_purity(
     start = time.perf_counter()
     cell = _fixed_cell(filt, tol_eig, tol_res, tol_norm)
     fixed_cell_s = time.perf_counter() - start
-    anomalies: list[str] = []
-    pairs: list[EigenPair] = []
-    for row, pair in cell.candidates:
-        if not cell.passing_flags[row]:
-            continue
-        if not pair.unit_norm_ok:
-            anomalies.append(
-                f"accepted eigenpair violates the unit-norm law "
-                f"(deviation {pair.unit_norm_dev:.3e})"
-            )
-        pairs.append(pair)
+    pairs = [p for p in cell.candidates if p.passed]
+    anomalies = [
+        f"accepted eigenpair violates the unit-norm law (deviation {p.unit_norm_dev:.3e})"
+        for p in pairs if not p.unit_norm_ok
+    ]
 
     if pairs and certificate is not None:
         status = INCONCLUSIVE

@@ -30,20 +30,24 @@ def singular_values(blocks: np.ndarray) -> np.ndarray:
     half the digits of two nearly tied values to the difference.)  Each
     block is first divided by the power of two at or above its largest
     modulus, exactly, so that no square overflows or underflows; the
-    power is capped at 2^1023, the largest finite one.
+    power is capped at 2^1023, the largest finite one, which also scales
+    a block whose finite entries have a modulus past the float range.  A
+    sigma_max past that range comes back infinite.
     """
     if blocks.shape[1:] == (1, 1):
         return np.abs(blocks[:, 0])
     if blocks.shape[1:] != (2, 2):
         return np.linalg.svd(blocks, compute_uv=False)
-    scale = np.ldexp(1.0, np.minimum(np.frexp(np.abs(blocks).max(axis=(1, 2)))[1], 1023))
+    top = np.minimum(np.abs(blocks).max(axis=(1, 2)), np.finfo(np.float64).max)
+    scale = np.ldexp(1.0, np.minimum(np.frexp(top)[1], 1023))
     a, b, c, d = (blocks[:, i, j] / scale for i in (0, 1) for j in (0, 1))
     p, r = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
     q = np.abs(np.conj(a) * b + np.conj(c) * d)
     smax = np.sqrt((p + r + np.hypot(p - r, 2.0 * q)) / 2.0)
     det = np.abs(a * d - b * c)
     smin = np.divide(det, smax, out=np.zeros_like(det), where=smax > 0)
-    return np.stack([smax, np.minimum(smin, smax)], axis=1) * scale[:, None]
+    with np.errstate(over="ignore"):
+        return np.stack([smax, np.minimum(smin, smax)], axis=1) * scale[:, None]
 
 
 def _bundled_blas() -> tuple:

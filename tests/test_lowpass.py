@@ -238,6 +238,13 @@ def loop_reference_filters() -> list:
         ("haar_1e200", with_sample(make_haar(), 0, 0, 3, 1e200)),
         ("journe_step_lead_1e308", with_sample(make_journe_step(), 0, 0, 0, 1e308)),
         ("journe_step_corner_1e308", with_sample(make_journe_step(), 1, 1, 0, 1e308)),
+        # A finite sample whose modulus, sqrt(2) * 1.5e308, is past the
+        # float range: its 2 x 2 block's sigma_max is infinite, without a
+        # warning (which this suite would raise).
+        (
+            "journe_step_corner_overflow",
+            with_sample(make_journe_step(), 1, 1, 0, 1.5e308 + 1.5e308j),
+        ),
         ("haar_pair_top", with_sample(haar_pair(6), 1, 1, 0, -top)),
         ("haar_pair_off_top", with_sample(haar_pair(6), 0, 1, 5, top)),
     ]

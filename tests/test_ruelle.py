@@ -559,10 +559,9 @@ class TestClassification:
         filt = FilterMatrix(2, SigmaChain.full_circle(2), grid, samples)
         verdict = classify_purity(filt, **tols)
         assert verdict.status == NOT_PURE_CERTIFIED
-        flags = verdict.fixed_cell.passing_flags
         tested = verdict.fixed_cell.candidates
-        assert [bool(flags[row]) for row, _ in tested] == [True, True]
-        assert max(p.residual for _, p in tested) <= 1e-12
+        assert [p.passed for p in tested] == [True, True]
+        assert max(p.residual for p in tested) <= 1e-12
         assert len(verdict.eigenpairs) == 2
         fields = [p.fld for p in verdict.eigenpairs]
         gram = np.array([[f.inner(g) for g in fields] for f in fields])
@@ -631,17 +630,17 @@ class TestClassification:
         assert pair.residual <= 1e-12
         assert pair.unit_norm_ok
         verdict = classify_purity(filt)
-        ((_, mine),) = spectrum.fixed_cell.candidates
+        (mine,) = spectrum.fixed_cell.candidates
         assert mine.eigenvalue == verdict.eigenpairs[0].eigenvalue
         assert np.array_equal(mine.fld.values, verdict.eigenpairs[0].fld.values)
         assert set(verdict.diagnostics) == {"passing_flags", "candidates_tested"}
-        assert verdict.diagnostics["passing_flags"] is verdict.fixed_cell.passing_flags
+        assert verdict.diagnostics["passing_flags"] == (True,)
         assert verdict.diagnostics["candidates_tested"] is verdict.fixed_cell.candidates
         assert verdict.dimension == 8
         cell = verdict.fixed_cell
         assert cell.eigenvalues.tolist() == [1.0]
-        assert cell.passing_flags.tolist() == [True]
-        assert cell.passing_flags[cell.candidates[0][0]]
+        assert [p.passed for p in cell.candidates] == [True]
+        assert cell.candidates[0] is verdict.eigenpairs[0]
 
     def test_constant_eigenvector_martingale_is_flat(self):
         verdict = classify_purity(make_constant())
@@ -824,7 +823,13 @@ class TestContraction:
                 warnings.simplefilter("error")
                 verdict = classify_purity(filt, tol_eig=tol_eig)
             assert verdict.status == PURE_AT_RESOLUTION
-            assert not np.any(verdict.fixed_cell.passing_flags)
+            assert not any(p.passed for p in verdict.fixed_cell.candidates)
+        # The last filter is journe_step: its lambda = 0 candidate is kept,
+        # and its NaN residual fails.
+        zero = [p for p in verdict.fixed_cell.candidates if p.eigenvalue == 0]
+        assert [(math.isnan(p.residual), p.passed) for p in zero] == (
+            [(True, False)] if tol_eig >= 1 else []
+        )
 
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), complex(0, float("nan"))]
@@ -863,7 +868,7 @@ class TestContraction:
         assert verdict.status == PURE_AT_RESOLUTION
         cell = verdict.fixed_cell
         assert cell.margin <= TOL_EIG
-        assert [bool(cell.passing_flags[row]) for row, _ in cell.candidates] == [False]
+        assert [p.passed for p in cell.candidates] == [False]
 
     def test_near_constant_filter_is_certified_at_the_fixed_cell(self):
         # |H(0)| = sqrt(2) cos(pi/4 + 1e-3), about 1e-3 inside the circle:
@@ -1000,7 +1005,8 @@ class TestFixedCell:
         assert spectrum.eigenvalues[0] == 1.0
         assert not spectrum.eigenvalues[1:].any()
         assert np.flatnonzero(spectrum.passing_flags).tolist() == [0]
-        ((_, cell_pair),) = spectrum.fixed_cell.candidates
+        (cell_pair,) = spectrum.fixed_cell.candidates
+        assert cell_pair.passed
         assert np.array_equal(cell_pair.fld.values, pair.fld.values)
         reference = dense_reference(make_constant(depth=depth))
         ((row, dense_pair),) = reference.candidates
@@ -1146,7 +1152,7 @@ def dense_reference(filt, tol_eig=TOL_EIG, tol_res=TOL_RES):
         values[tm.basis[:, 0], tm.basis[:, 1]] = vectors[k]
         values = _canonical_field(filt.chain, grid, values).values
         f = VecField(filt.chain, filt.coarse_grid(), np.repeat(values, block, axis=1))
-        pair = ruelle._retest(filt, f, np.conj(complex(solved[k])), TOL_NORM)
+        pair = ruelle._retest(filt, f, np.conj(complex(solved[k])), tol_res, TOL_NORM)
         passing_flags[k] = pair.residual <= tol_res
         tested.append((k, pair))
     return DenseReference(eigenvalues, passing_flags, tuple(tested))

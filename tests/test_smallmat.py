@@ -167,6 +167,21 @@ class TestTopOfTheFloatRange:
         assert got[0].tolist() == [abs(big), 1.0]
         assert np.array_equal(got, np.linalg.svd(blocks, compute_uv=False))
 
+    @pytest.mark.parametrize(
+        "block, expected",
+        [
+            ([[1.5e308 + 1.5e308j, 0], [0, 1]], [math.inf, 1.0]),
+            ([[1.5e308 + 1.5e308j, 1], [1, 2]], [math.inf, 2.0]),
+            ([[1.5e308 + 1.5e308j, 0], [0, 1.5e308 + 1.5e308j]], [math.inf, math.inf]),
+        ],
+    )
+    def test_finite_block_whose_modulus_overflows(self, block, expected):
+        # |1.5e308 + 1.5e308i| is past the float range, so the block scales
+        # by 2^1023 too, and a sigma past the range comes back infinite.
+        # (LAPACK gives NaN for both.)
+        got = singular_values(np.array([block], dtype=np.complex128))
+        assert got.tolist() == [expected]
+
     @pytest.mark.parametrize("big", [1e308, float(np.finfo(np.float64).max)])
     def test_eigen_condition_is_finite(self, big):
         matrix = np.array([[big, 1], [1, 2]], dtype=np.complex128)

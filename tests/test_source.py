@@ -27,6 +27,9 @@ RESULT_RECORDS = [
     "IntersectionReport",
     "TransferMatrix",
     "EigenPair",
+    "TransferSpectrum",
+    "FixedCell",
+    "PurityVerdict",
 ]
 
 
@@ -83,6 +86,17 @@ def test_result_records_are_named_tuples(name):
     cls = getattr(gmrafilters, name)
     assert issubclass(cls, tuple)
     assert cls._fields
+
+
+def test_every_named_tuple_is_a_listed_record():
+    named = {
+        node.name
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+    }
+    assert named == set(RESULT_RECORDS)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
