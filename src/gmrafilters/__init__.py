@@ -14,7 +14,14 @@ dataclass with a ``__post_init__``; every plain result record is a
 ``typing.NamedTuple``, whose class costs a fraction of a dataclass's to
 create at import.  A value derived from an immutable input is cached on
 that input rather than passed in by the caller.
+
+The names of ``lowpass`` (the block-expansion certificate) and ``gmra``
+(the intersection report) load on first access: of the command line's
+calls only ``classify`` and ``generate journe`` run them, and every other
+call would compile them for nothing.
 """
+
+import importlib
 
 from .bundleio import (
     canonical_json,
@@ -50,17 +57,6 @@ from .filters import (
     refine,
     support_violations,
 )
-from .gmra import IntersectionReport, intersection_report
-from .lowpass import (
-    BoundCheck,
-    Certificate,
-    CertificateFailure,
-    JourneDerivation,
-    certificate_eps,
-    check_certificate,
-    derive_journe,
-    search_certificate,
-)
 from .ruelle import (
     INCONCLUSIVE,
     NOT_PURE_CERTIFIED,
@@ -85,6 +81,38 @@ from .ruelle import (
 from .torus import GridSpec, IntervalSet, SigmaChain, rat_str
 
 __version__ = "0.1.0"
+
+# Name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    **dict.fromkeys(
+        [
+            "BoundCheck",
+            "Certificate",
+            "CertificateFailure",
+            "JourneDerivation",
+            "certificate_eps",
+            "check_certificate",
+            "derive_journe",
+            "search_certificate",
+        ],
+        "lowpass",
+    ),
+    **dict.fromkeys(["IntersectionReport", "intersection_report"], "gmra"),
+}
+
+
+def __getattr__(name: str):
+    if name in ("gmra", "lowpass"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "BoundCheck",

@@ -483,36 +483,34 @@ class JourneParams:
     @cached_property
     def _profile(self) -> np.ndarray:
         # Each piece starts at b = p M, an integer (``__post_init__`` checks
-        # it), so x < p is t < b and a ramp argument is the int quotient
-        # (t - b_a)/(b_b - b_a), correctly rounded like float(Fraction).
-        # ``_transition`` (libm exp) and the complement's x ** 2 (libm pow)
-        # stay scalar: array forms may round apart.
+        # it), so x < p is t < b.  The complement's x ** 2 (libm pow) stays
+        # scalar: an array square may round apart.
         m = self.grid.cells
         r = float(self.r)
         b1, b2, b3, b4, b5, b6, half = (int(p * m) for p in self.breakpoints()[:7])
-
-        def ramp(a: int, b: int) -> np.ndarray:
-            return np.array([_transition((t - a) / (b - a)) for t in range(a, b)])
         q = np.zeros(m)
-        q[:b1] = SQRT2 * math.sqrt(1.0 - r * r) * (1.0 - ramp(0, b1))
-        q[b2:b3] = SQRT2 * ramp(b2, b3)
+        q[:b1] = SQRT2 * math.sqrt(1.0 - r * r) * (1.0 - _ramp(b1))
+        q[b2:b3] = SQRT2 * _ramp(b3 - b2)
         q[b3:b4] = SQRT2
-        q[b4:b5] = SQRT2 * (1.0 - ramp(b4, b5))
-        q[b6:half] = SQRT2 * r * ramp(b6, half)
+        q[b4:b5] = SQRT2 * (1.0 - _ramp(b5 - b4))
+        q[b6:half] = SQRT2 * r * _ramp(half - b6)
         q[half:] = [math.sqrt(max(0.0, 2.0 - x**2)) for x in q[:half].tolist()]
         q.flags.writeable = False
         return q
 
 
-def _transition(t: float) -> float:
-    """Smooth monotone interpolant from 0 at t = 0 to 1 at t = 1."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    g0 = math.exp(-1.0 / t)
-    g1 = math.exp(-1.0 / (1.0 - t))
-    return g0 / (g0 + g1)
+def _ramp(n: int) -> np.ndarray:
+    """The smooth monotone step g0 / (g0 + g1), g0 = exp(-1/t) and
+    g1 = exp(-1/(1 - t)), at t = k/n for k = 0, ..., n - 1; 0 at t = 0.
+
+    Each t is the int quotient k/n, correctly rounded like float(Fraction),
+    and each exp is libm's through ``math.exp``, since numpy's may round
+    apart.
+    """
+    t = np.arange(1, n) / n
+    g0 = np.fromiter(map(math.exp, (-1.0 / t).tolist()), float, n - 1)
+    g1 = np.fromiter(map(math.exp, (-1.0 / (1.0 - t)).tolist()), float, n - 1)
+    return np.concatenate(([0.0], g0 / (g0 + g1)))
 
 
 def journe_profile(params: JourneParams) -> np.ndarray:

@@ -1,11 +1,15 @@
-"""Shared builders for randomized but exactly valid filters, and an exact
-membership oracle for interval sets."""
+"""Shared builders for randomized but exactly valid filters, an exact
+membership oracle for interval sets, and a fresh-process runner."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 
+import gmrafilters
 from gmrafilters import (
     FilterMatrix,
     GridSpec,
@@ -15,9 +19,38 @@ from gmrafilters import (
     VecField,
     make_haar,
 )
-from gmrafilters.filters import _transition
 
 SQRT2 = math.sqrt(2.0)
+
+
+def run_python(script: str) -> str:
+    """The standard output of ``python -c script`` in a fresh process that
+    imports this checkout's package on one BLAS thread; the process must
+    exit 0 with nothing on stderr."""
+    src = os.path.dirname(os.path.dirname(gmrafilters.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+def _transition(t: float) -> float:
+    """The scalar reference of ``filters._ramp``: the smooth monotone step
+    from 0 at t = 0 to 1 at t = 1, one float at a time."""
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    g0 = math.exp(-1.0 / t)
+    g1 = math.exp(-1.0 / (1.0 - t))
+    return g0 / (g0 + g1)
 
 
 def random_scalar_filter(rng: np.random.Generator, depth: int = 4) -> FilterMatrix:

@@ -44,7 +44,7 @@ from gmrafilters.cli import (
 )
 from gmrafilters.filters import _coset_deviation
 
-from helpers import near_constant_filter, planted_filter, random_scalar_filter
+from helpers import near_constant_filter, planted_filter, random_scalar_filter, run_python
 
 
 def generate(tmp_path, name, *extra):
@@ -73,6 +73,18 @@ def count_coset_grams(monkeypatch) -> list[int]:
 
 def report_of(path):
     return json.loads(path.read_text())
+
+
+# The stages each report times, in order; they sum to about total_s.
+VERIFY_STAGES = ("parse_s", "residual_s", "generalized_s", "isometry_s")
+CLASSIFY_STAGES = ("parse_s", "residual_s", "analysis_s")
+
+
+def assert_stages_sum_to_total(timings, stages):
+    parts = [timings[key] for key in stages]
+    assert all(part >= 0.0 for part in parts)
+    # What is left is building the report dict, well under a millisecond.
+    assert -1e-9 <= timings["total_s"] - sum(parts) < 0.01
 
 
 class TestGenerate:
@@ -218,7 +230,7 @@ class TestVerify:
         assert report["isometry"]["max_deviation"] == "0.0"
         assert float(report["isometry"]["worst_case_deviation"]) <= 1e-12
         timings = report["timings"]
-        assert set(timings) == {"parse_s", "total_s"}
+        assert set(timings) == set(VERIFY_STAGES) | {"total_s"}
         assert 0.0 < timings["parse_s"] <= timings["total_s"]
 
     def test_corrupted_sample_fails_with_witness(self, tmp_path):
@@ -437,7 +449,7 @@ class TestClassify:
         report = report_of(out)
         assert report["status"] == "verification_failed"
         assert "purity" not in report
-        assert set(report["timings"]) == {"parse_s", "total_s"}
+        assert set(report["timings"]) == {"parse_s", "residual_s", "total_s"}
 
     def test_nan_sample_fails_closed(self, tmp_path, capsys):
         bundle = generate(tmp_path, "haar")
@@ -577,7 +589,7 @@ class TestClassify:
                 "anomalies", "fixed_cell"}
         assert set(report["purity"]) == keys
         timings = report["timings"]
-        assert set(timings) == {"fixed_cell_s", "parse_s", "total_s"}
+        assert set(timings) == set(CLASSIFY_STAGES) | {"fixed_cell_s", "total_s"}
         assert 0.0 < timings["fixed_cell_s"] <= timings["total_s"]
         assert 0.0 < timings["parse_s"] <= timings["total_s"]
         bundle = generate(tmp_path, "constant")
@@ -786,6 +798,28 @@ class TestSpectrum:
         assert main(["classify", str(bundle), "--out", str(tmp_path / "c.json")]) == 0
 
 
+class TestStageTimings:
+    @pytest.mark.parametrize("name", ["haar", "journe"])
+    def test_verify_stages_sum_to_the_total(self, tmp_path, name):
+        bundle = generate(tmp_path, name)
+        out = tmp_path / "verify.json"
+        assert main(["verify", str(bundle), "--out", str(out)]) == EXIT_OK
+        timings = report_of(out)["timings"]
+        assert set(timings) == set(VERIFY_STAGES) | {"total_s"}
+        assert_stages_sum_to_total(timings, VERIFY_STAGES)
+
+    @pytest.mark.parametrize("name, code", [("haar", EXIT_OK), ("constant", EXIT_NOT_PURE)])
+    def test_classify_stages_sum_to_the_total(self, tmp_path, name, code):
+        bundle = generate(tmp_path, name)
+        out = tmp_path / "classify.json"
+        assert main(["classify", str(bundle), "--out", str(out)]) == code
+        timings = report_of(out)["timings"]
+        assert set(timings) == set(CLASSIFY_STAGES) | {"fixed_cell_s", "total_s"}
+        assert_stages_sum_to_total(timings, CLASSIFY_STAGES)
+        # The cell 0 analysis is part of the analysis stage.
+        assert 0.0 <= timings["fixed_cell_s"] <= timings["analysis_s"]
+
+
 class TestImportFootprint:
     # Seeding numpy.random imports OpenSSL's libcrypto through secrets and
     # hmac, about 5.4 MB of peak RSS; verify's isometry probe once did.
@@ -798,24 +832,90 @@ class TestImportFootprint:
         else:
             argv = [command, str(generate(tmp_path, "journe"))]
         argv += ["--out", str(tmp_path / "out")]
-        script = (
+        out = run_python(
             "import sys\n"
             "from gmrafilters.cli import main\n"
             f"code = main({argv!r})\n"
             f"print(code, [m for m in {self.FORBIDDEN!r} if m in sys.modules])\n"
         )
-        src = os.path.dirname(os.path.dirname(ruelle.__file__))
-        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-            check=False,
+        assert out == f"{EXIT_OK} []\n"
+
+    # The block-expansion certificate and the intersection report, which
+    # only classify and generate journe run; no other call compiles them.
+    CERTIFICATE = ("gmrafilters.gmra", "gmrafilters.lowpass")
+
+    @pytest.mark.parametrize(
+        "argv, loads",
+        [
+            (["generate", "haar"], []),
+            (["verify", "BUNDLE"], []),
+            (["spectrum", "BUNDLE"], []),
+            # derive_journe searches a certificate; gmra stays out.
+            (["generate", "journe"], ["gmrafilters.lowpass"]),
+            (["classify", "BUNDLE"], list(CERTIFICATE)),
+        ],
+    )
+    def test_only_classify_and_generate_journe_load_the_certificate(
+        self, tmp_path, argv, loads
+    ):
+        bundle = str(generate(tmp_path, "journe"))
+        argv = [bundle if a == "BUNDLE" else a for a in argv]
+        argv += ["--out", str(tmp_path / "out")]
+        out = run_python(
+            "import sys\n"
+            "from gmrafilters.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(code, [m for m in {self.CERTIFICATE!r} if m in sys.modules])\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{EXIT_OK} []\n"
+        assert out == f"{EXIT_OK} {loads}\n"
+
+    @pytest.mark.parametrize("module", ["gmrafilters", "gmrafilters.cli"])
+    def test_import_loads_no_certificate_module(self, module):
+        out = run_python(
+            f"import sys, {module}\n"
+            f"print([m for m in {self.CERTIFICATE!r} if m in sys.modules])\n"
+        )
+        assert out == "[]\n"
+
+    @pytest.mark.parametrize("entry", ["console_main", "python_m"])
+    @pytest.mark.parametrize(
+        "argv, loads",
+        [
+            (["classify", "BUNDLE"], list(CERTIFICATE)),
+            (["generate", "journe"], ["gmrafilters.lowpass"]),
+            (["generate", "haar"], []),
+        ],
+    )
+    def test_the_certificate_is_imported_before_the_last_freeze(
+        self, tmp_path, entry, argv, loads
+    ):
+        # A stand-in gc.freeze records sys.modules: a module first imported
+        # after the last freeze would compile on top of the bundle, untrimmed.
+        bundle = str(generate(tmp_path, "journe"))
+        argv = [bundle if a == "BUNDLE" else a for a in argv]
+        argv = ["gmrafilters", *argv, "--out", str(tmp_path / "out")]
+        if entry == "console_main":
+            run = "import gmrafilters.cli as cli\ncode = cli.console_main()\n"
+        else:
+            run = (
+                "import runpy\n"
+                "try:\n"
+                "    runpy.run_module('gmrafilters.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n"
+                "    code = exc.code\n"
+            )
+        out = run_python(
+            "import gc, sys\n"
+            "frozen = []\n"
+            "freeze = gc.freeze\n"
+            "gc.freeze = lambda: frozen.append(set(sys.modules)) or freeze()\n"
+            f"sys.argv = {argv!r}\n"
+            + run
+            + "late = [m for m in sys.modules if m.startswith('gmrafilters')\n"
+            "        and m not in frozen[-1]]\n"
+            f"print(code, [m for m in {self.CERTIFICATE!r} if m in frozen[-1]], late)\n"
+        )
+        assert out == f"{EXIT_OK} {loads} []\n"
 
     # The first LAPACK call pages in OpenBLAS, 0.9-1.6 MB of peak RSS; at
     # c <= 2 classify, and spectrum on a filter that coarsens to one cell,

@@ -31,9 +31,10 @@ from gmrafilters import (
     refine,
     support_violations,
 )
-from gmrafilters.filters import _journe_sets
+from gmrafilters.filters import _journe_sets, _ramp
 
 from helpers import (
+    _transition,
     journe_profile_reference,
     member,
     planted_filter,
@@ -396,8 +397,7 @@ class TestJourneGeometry:
 # derive_journe(0.1).r and derive_journe(0.05).r, then three round values.
 PROFILE_RS = [0.003125, 0.0015625, 0.05, 0.1, 0.3]
 PROFILE_CASES = [(r, depth) for depth in range(1, 9) for r in PROFILE_RS] + [
-    (0.003125, 10),
-    (0.1, 10),
+    (r, depth) for depth in (9, 10) for r in (0.003125, 0.1)
 ]
 
 
@@ -447,6 +447,17 @@ class TestJourneFamily:
         q = journe_profile(params)
         assert q.dtype == np.float64
         assert q.tobytes() == journe_profile_reference(params).tobytes()
+
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_array_ramps_match_the_scalar_step_bit_for_bit(self, depth):
+        # All four ramp lengths of the profile, at 56 * 2**depth cells.
+        m = GridSpec(2, 56, depth).cells
+        b1, b2, b3, b4, b5, b6, half = (
+            int(p * m) for p in JourneParams(r=0.1).breakpoints()[:7]
+        )
+        for n in (b1, b3 - b2, b5 - b4, half - b6):
+            scalar = np.array([_transition(k / n) for k in range(n)])
+            assert _ramp(n).tobytes() == scalar.tobytes()
 
     def test_assembled_entries_follow_the_band_layout(self):
         params = JourneParams(r=0.05)

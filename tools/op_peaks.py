@@ -1,19 +1,22 @@
-"""Peak RSS of every command line operation, for two checkouts side by side.
+"""Peak RSS and wall time of every command line operation, for two
+checkouts side by side.
 
 Usage::
 
     python3 tools/op_peaks.py OLD NEW [--repeat N]
 
 OLD and NEW are checkouts of this repository.  For each, the script runs
-the operations of the ``spectral`` and ``defaults`` workloads of
-``clibench/run.py`` (the ``generate`` that writes each input bundle, then
-the subcommands run on it) as ``python3 -m gmrafilters.cli`` with that
-checkout's ``src`` on the path and one BLAS thread, each in a fresh child,
-and reads the child's ``ru_maxrss`` with ``os.wait4``.  Operations
-alternate between the two checkouts, ``--repeat`` times each (default 3),
-and the median is printed, in MB of 1024 KiB as ``peak_rss_mb`` counts
-them, with each workload's largest: the op that sets its ``peak_rss_mb``.
-The last line of standard output is the same table as JSON.
+the operations of the ``spectral``, ``fine_grid`` and ``defaults``
+workloads of ``clibench/run.py`` (the ``generate`` that writes each input
+bundle, then the subcommands run on it) as ``python3 -m gmrafilters.cli``
+with that checkout's ``src`` on the path and one BLAS thread, each in a
+fresh child, reads the child's ``ru_maxrss`` with ``os.wait4`` and times
+it from spawn to reap.  Operations alternate between the two checkouts,
+``--repeat`` times each (default 3), and the medians are printed: the
+peak in MB of 1024 KiB, as ``peak_rss_mb`` counts them, and the wall time
+in seconds, unscaled.  Each workload's ``all ops`` row holds its largest
+peak (the op that sets its ``peak_rss_mb``) and the sum of its ops'
+times.  The last line of standard output is the same table as JSON.
 
 A child's peak includes its parent's resident set at ``exec``, so this
 script imports nothing beyond the standard modules it needs, and reads
@@ -31,6 +34,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # (generator, depth or None for the default, subcommands run on its
@@ -40,6 +44,11 @@ WORKLOADS = {
         ("haar", 10, ("classify",)),
         ("constant", 10, ("classify", "spectrum")),
         ("journe", 5, ("classify",)),
+    ],
+    "fine_grid": [
+        ("haar", 16, ("verify",)),
+        ("shannon", 14, ("verify",)),
+        ("journe", 9, ("verify",)),
     ],
     "defaults": [
         (gen, None, ("verify", "classify", "spectrum"))
@@ -66,20 +75,22 @@ def operations(work: Path) -> list[tuple[str, str, list[str]]]:
     return ops
 
 
-def peak_kib(checkout: Path, argv: list[str], work: Path) -> int:
-    """The ru_maxrss, in KiB, of one CLI call in a fresh child."""
+def peak_and_wall(checkout: Path, argv: list[str], work: Path) -> tuple[int, float]:
+    """The ru_maxrss, in KiB, and the wall time of one CLI call in a fresh child."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("GMRAFILTERS_")}
     env.update({var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = str(checkout / "src")
+    t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "gmrafilters.cli", *argv],
                             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE, env=env, cwd=work)
     stderr = proc.stderr.read()
     _, _, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
     proc.stderr.close()
     if stderr:
         raise RuntimeError(f"{checkout}: {' '.join(argv)}: {stderr.decode()[-300:]}")
-    return usage.ru_maxrss
+    return usage.ru_maxrss, wall
 
 
 def main(argv: list[str]) -> int:
@@ -102,26 +113,35 @@ def main(argv: list[str]) -> int:
         for work in works:
             work.mkdir()
         plans = [operations(work) for work in works]
-        peaks = [[[] for _ in plans[0]] for _ in trees]
+        runs = [[[] for _ in plans[0]] for _ in trees]  # (KiB, s) per call
         for _ in range(repeat):
             for k in range(len(plans[0])):
                 for side in (0, 1) if k % 2 == 0 else (1, 0):
                     argv = plans[side][k][2]
-                    peaks[side][k].append(peak_kib(trees[side], argv, works[side]))
+                    runs[side][k].append(peak_and_wall(trees[side], argv, works[side]))
     rows = []
     for k, (workload, label, _) in enumerate(plans[0]):
-        old, new = (statistics.median(p[k]) / 1024.0 for p in peaks)
-        rows.append({"workload": workload, "op": label, "old_mb": old, "new_mb": new})
+        row = {"workload": workload, "op": label}
+        for side, name in enumerate(("old", "new")):
+            kib, wall = zip(*runs[side][k])
+            row[f"{name}_mb"] = statistics.median(kib) / 1024.0
+            row[f"{name}_s"] = statistics.median(wall)
+        rows.append(row)
     for workload in WORKLOADS:
         mine = [r for r in rows if r["workload"] == workload]
-        rows.append({"workload": workload, "op": "max",
-                     "old_mb": max(r["old_mb"] for r in mine),
-                     "new_mb": max(r["new_mb"] for r in mine)})
-    print(f"old: {trees[0]}\nnew: {trees[1]}\nmedian of {repeat} per op, MB")
-    print(f"{'workload':<10}{'op':<28}{'old':>8}{'new':>8}{'new-old':>9}")
+        rows.append({"workload": workload, "op": "all ops",
+                     **{f"{name}_mb": max(r[f"{name}_mb"] for r in mine)
+                        for name in ("old", "new")},
+                     **{f"{name}_s": sum(r[f"{name}_s"] for r in mine)
+                        for name in ("old", "new")}})
+    print(f"old: {trees[0]}\nnew: {trees[1]}\nmedian of {repeat} per op: peak in MB, "
+          "wall time in s (all ops: largest peak, summed time)")
+    print(f"{'workload':<10}{'op':<28}{'old MB':>8}{'new MB':>8}{'new-old':>9}"
+          f"{'old s':>9}{'new s':>9}{'new-old':>9}")
     for r in rows:
         print(f"{r['workload']:<10}{r['op']:<28}{r['old_mb']:8.2f}{r['new_mb']:8.2f}"
-              f"{r['new_mb'] - r['old_mb']:+9.2f}")
+              f"{r['new_mb'] - r['old_mb']:+9.2f}{r['old_s']:9.4f}{r['new_s']:9.4f}"
+              f"{r['new_s'] - r['old_s']:+9.4f}")
     print(json.dumps({"old": str(trees[0]), "new": str(trees[1]), "repeat": repeat,
                       "rows": rows}))
     return 0
