@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import gc
-import importlib
 import math
 import sys
 import time
@@ -61,8 +60,8 @@ from .ruelle import (
 from .torus import MAX_CELLS_LOG2, GridSpec, rat_str
 
 # Functions of the certificate modules, which only ``classify`` and
-# ``generate journe`` run: each is imported, and bound here, on first use.
-_LATE = {"derive_journe": ".lowpass", "intersection_report": ".gmra"}
+# ``generate journe`` run: bound here on first use from the package.
+_LATE = ("derive_journe", "intersection_report")
 
 
 def _late(name: str):
@@ -72,8 +71,7 @@ def _late(name: str):
     traced replay puts on this module's attribute is the one called.
     """
     if name not in globals():
-        module = importlib.import_module(_LATE[name], __package__)
-        globals()[name] = getattr(module, name)
+        globals()[name] = getattr(sys.modules[__package__], name)
     return globals()[name]
 
 

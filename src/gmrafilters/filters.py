@@ -168,17 +168,34 @@ def _report_from_residuals(res: np.ndarray) -> ResidualReport:
 def filter_equation_residual(filt: FilterMatrix) -> ResidualReport:
     """Exact cell-level check of the defining coset identity.
 
-    For a fine cell t the coset translates are the cells t mod M' + k M'
-    with M' = M / N, and the dilation sends cell t onto coarse cell
-    t mod M'.  Both sides of the identity are therefore constant on each
-    residue class of cells, and the report indexes witnesses by the lowest
-    cell of the class.
+    The coset translates of a fine cell are its fiber (``_fibers``), so
+    both sides of the identity are constant on each fiber, and the report
+    indexes witnesses by the lowest cell of the fiber.
 
     The deviation behind the report is cached on the filter, read-only, and
     ``generalized_filter_residual(filt, 1)`` and ``isometry_defect`` read
     it too, so a command forms the order-1 coset Gram matrix once.
     """
     return filt._residual
+
+
+def _fibers(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fiber rule of x -> n x on the last axis of ``a``, M cells.
+
+    x -> n x maps fine cell s onto coarse cell s mod M/n, and s lies
+    inside coarse cell s // n.  Every map in the package between a grid
+    and its n-times coarser one reads it here: as the view (..., n, M/n),
+    whose entry [k, u] is s = k M/n + u, so column u is the fiber over
+    coarse cell u; as the view (..., M/n, n), whose row u holds the n
+    cells inside u; or, for a few cells, as ``_inside(k, u, n, M)``.
+    """
+    *lead, m = a.shape
+    return a.reshape(*lead, n, m // n), a.reshape(*lead, m // n, n)
+
+
+def _inside(k, u, n: int, cells: int):
+    """The coarse cell that fiber entry [k, u] lies inside (``_fibers``)."""
+    return (k * (cells // n) + u) // n
 
 
 def _coset_deviation(filt: FilterMatrix, order: int = 1) -> np.ndarray:
@@ -191,20 +208,18 @@ def _coset_deviation(filt: FilterMatrix, order: int = 1) -> np.ndarray:
     G(u) = sum_k Q(u + k M') Q(u + k M')* is the coset Gram matrix and
     chi the support masks on the M'-cell grid.
     """
-    n, c, m = filt.scale, filt.count, filt.cells
-    block = n**order
+    n = filt.scale
     product = filt.samples
     for k in range(1, order):
-        # Cell b M/N^k + t maps to cell N^k t under x -> N^k x, so
-        # H(N^k x) is every N^k-th sample, repeated over the blocks b.
-        blocks = product.reshape(c, c, n**k, m // n**k)
-        step = filt.samples[:, :, :: n**k]
-        product = np.einsum("ijt,jkbt->ikbt", step, blocks).reshape(c, c, m)
-    grouped = product.reshape(c, c, block, m // block)
-    gram = np.einsum("ijkt,pjkt->ipt", grouped, np.conj(grouped))
+        # H(N^k x) is the first sample inside the M/N^k cell x maps onto.
+        step = _fibers(filt.samples, n**k)[1][..., 0]
+        over, _ = _fibers(product, n**k)
+        product = np.einsum("ijt,jkbt->ikbt", step, over).reshape(product.shape)
+    over, _ = _fibers(product, n**order)
+    gram = np.einsum("ijkt,pjkt->ipt", over, np.conj(over))
     target = GridSpec(n, filt.grid.base, filt.grid.depth - order)
     for i, mask in enumerate(filt.sigma_masks(target)):
-        gram[i, i] -= block * mask
+        gram[i, i] -= n**order * mask
     return gram
 
 
@@ -298,7 +313,8 @@ def support_violations(filt: FilterMatrix) -> SupportReport:
     nz = filt.samples != 0
     # argwhere lists (i, j, cell) in row-major order: by i, then j, then cell.
     column = np.argwhere(nz & ~fine[None])
-    dilated_row = np.argwhere(nz & ~np.tile(coarse, filt.scale)[:, None])
+    over, _ = _fibers(nz, filt.scale)
+    dilated_row = np.argwhere((over & ~coarse[:, None, None]).reshape(nz.shape))
     return SupportReport(
         tuple(map(tuple, column.tolist())), tuple(map(tuple, dilated_row.tolist()))
     )
@@ -312,12 +328,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def refine(filt: FilterMatrix) -> FilterMatrix:
     """Re-sample on the next finer grid; values are duplicated bit for bit."""
-    return FilterMatrix(
-        filt.scale,
-        filt.chain,
-        filt.grid.finer(),
-        _frozen(np.repeat(filt.samples, filt.scale, axis=2)),
-    )
+    grid = filt.grid.finer()
+    samples = np.empty((filt.count, filt.count, grid.cells), dtype=np.complex128)
+    _fibers(samples, filt.scale)[1][...] = filt.samples[..., None]
+    return FilterMatrix(filt.scale, filt.chain, grid, _frozen(samples))
 
 
 # ---------------------------------------------------------------------------

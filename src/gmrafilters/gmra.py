@@ -70,7 +70,7 @@ def intersection_report(
     are consistent.  A ``pure_certified`` verdict is narrated through the
     block certificate when the search found one, and otherwise through
     the verdict's cell 0 spectrum; a non-pure one adds a concrete model
-    when an accepted pair is exactly (1, chi).
+    when chi is an eigenvector for 1 (``closed_form_pairs``).
     """
     certificate = search_certificate(filt)
     verdict = classify_purity(

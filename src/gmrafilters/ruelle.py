@@ -14,11 +14,12 @@ precisely when it has an eigenvector of modulus-one eigenvalue, and any
 such eigenvector has pointwise norm one almost everywhere.  For a filter
 constant on the cells of grid M, every such eigenvector is a step field
 f on the coarse grid M/N, and S_H f = lam f reads, fine cell by fine
-cell, H(s)^T f(s mod M/N) = lam f(s // N).  Fine cell 0 is the
-dilation's fixed point: there the relation is H(0)^T f(0) = lam f(0),
-and every other coarse cell follows from f(0), so lam is an eigenvalue
-of the c x c matrix H(0)^T (the cocycle picture of Bratteli and
-Jorgensen, Wavelets through a Looking Glass, 2002).
+cell, H(s)^T f(s mod M/N) = lam f(s // N) by the fiber rule that every
+map here reads from ``filters._fibers``.  Fine cell 0 is the dilation's
+fixed point: there the relation is H(0)^T f(0) = lam f(0), and every
+other coarse cell follows from f(0), so lam is an eigenvalue of the
+c x c matrix H(0)^T (the cocycle picture of Bratteli and Jorgensen,
+Wavelets through a Looking Glass, 2002).
 
 ``classify_purity`` decides at that cell (see ``FixedCell``) and builds
 no matrix of the operator.  ``transfer_spectrum``, the dense path of the
@@ -41,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionCapError, ParameterError, ResolutionError
-from .filters import FilterMatrix, StepFn, filter_equation_residual
+from .filters import FilterMatrix, StepFn, _fibers, _inside, filter_equation_residual
 from . import smallmat
 from .torus import GridSpec, SigmaChain
 
@@ -149,11 +150,10 @@ class VecField:
         return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=0))
 
     def refine(self) -> "VecField":
-        return VecField(
-            self.chain,
-            self.grid.finer(),
-            np.repeat(self.values, self.grid.scale, axis=1),
-        )
+        grid = self.grid.finer()
+        values = np.empty((self.chain.count, grid.cells), dtype=np.complex128)
+        _fibers(values, self.grid.scale)[1][...] = self.values[:, :, None]
+        return VecField(self.chain, grid, values)
 
     def scaled(self, factor: complex) -> "VecField":
         return VecField(self.chain, self.grid, self.values * factor)
@@ -189,37 +189,45 @@ class _MersenneUniform:
         return (words * 2.0**-32).reshape(shape)
 
 
-def _pull(samples: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Fine values sum_i samples[i, j, t] values[i, t mod M/N] of coarse ones.
+def _pull(filt: FilterMatrix, values: np.ndarray) -> np.ndarray:
+    """Fine values sum_i H_ij(x) values_i(x^N) of coarse values (c, M/N);
+    H is read fiber by fiber (``filters._fibers``), so nothing is tiled."""
+    over, _ = _fibers(filt.samples, filt.scale)
+    return np.einsum("ijkt,it->jkt", over, values).reshape(len(values), -1)
 
-    Cell t mod M/N for t = 0, ..., M - 1 is the coarse row N times over,
-    so the values are tiled rather than gathered through an index array.
-    """
-    tiled = np.tile(values, (1, samples.shape[2] // values.shape[1]))
-    return np.einsum("ijt,it->jt", samples, tiled)
+
+def _eigen_residual(filt: FilterMatrix, f: np.ndarray, lam: complex) -> np.ndarray:
+    """S_H f - lam f on the fine grid, for the coarse values (c, M/N) of f."""
+    image = _pull(filt, f)
+    _fibers(image, filt.scale)[1][...] -= lam * f[:, :, None]
+    return image
 
 
 def ruelle_apply(filt: FilterMatrix, f: VecField) -> VecField:
     """Apply the operator: (S_H f)_j(x) = sum_i H_{i,j}(x) f_i(x^N).
 
-    The input lives on the coarser grid of the filter; cell t of the fine
-    grid dilates onto coarse cell t mod M/N, so the output is a fine step
-    field, supported in sigma_j column by column whenever the filter obeys
-    its support rule.
+    The input lives on the coarser grid of the filter, and the output is
+    a fine step field, supported in sigma_j column by column whenever the
+    filter obeys its support rule.
     """
     if f.grid != filt.coarse_grid():
         raise ResolutionError("input field must live on the filter's coarse grid")
-    return VecField(filt.chain, filt.grid, _pull(filt.samples, f.values))
+    return VecField(filt.chain, filt.grid, _pull(filt, f.values))
+
+
+def _adjoint_weights(filt: FilterMatrix) -> np.ndarray:
+    """The adjoint's entry rule: fine coordinate (j, s) enters coarse
+    coordinate (i, u), u the cell s maps onto, with weight conj(H_ij(s))/N,
+    held at [i, j, k, u] for the fiber entry [k, u] of s (``_fibers``)."""
+    return _fibers(np.conj(filt.samples) / filt.scale, filt.scale)[0]
 
 
 def transfer_apply(filt: FilterMatrix, g: VecField) -> VecField:
     """Apply the adjoint: average conj(H) against g over each dilation fiber."""
     if g.grid != filt.grid:
         raise ResolutionError("input field must live on the filter's fine grid")
-    c, n = filt.count, filt.scale
-    mp = filt.cells // n
-    conj = np.conj(filt.samples).reshape(c, c, n, mp)
-    out = np.einsum("ijkt,jkt->it", conj, g.values.reshape(c, n, mp)) / n
+    over, _ = _fibers(g.values, filt.scale)
+    out = np.einsum("ijkt,jkt->it", _adjoint_weights(filt), over)
     return VecField(filt.chain, filt.coarse_grid(), out)
 
 
@@ -258,7 +266,7 @@ def isometry_residual(
     for _ in range(trials):
         f = random_vecfield(filt.chain, coarse, rng)
         with np.errstate(over="ignore", invalid="ignore"):
-            image = _pull(filt.samples, f.values)
+            image = _pull(filt, f.values)
             image_norm = float(np.sqrt(np.sum(np.abs(image) ** 2) / filt.cells))
         deviations.append(abs(image_norm**2 - f.norm() ** 2))
     return float(np.max(deviations, initial=0.0))
@@ -287,31 +295,28 @@ class TransferMatrix(NamedTuple):
 def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     """Build the dense quotient matrix K on the coarse step space.
 
-    This is the fiber rule of ``transfer_apply`` written as a matrix: fine
-    coordinate (j, s) enters coarse cell s mod M/N of every row component
-    i with weight conj(H_{i,j}(s))/N, and it is read from coarse cell
-    s // N, the block it refines.  Weights landing on one entry are summed,
-    which happens when the coarse grid has fewer than N cells.  ``DIM_CAP``
-    applies to the dimension of the fine step space of ``filt``.
+    This is ``_adjoint_weights`` written as a matrix, each fine
+    coordinate read from the coarse cell it lies inside (``_fibers``).
+    Weights landing on one entry are summed, which happens when the
+    coarse grid has fewer than N cells.  ``DIM_CAP`` applies to the
+    dimension of the fine step space of ``filt``.
     """
-    # The (component i, fine cell) rows of the fine step space: sigma_i's cells.
-    fine = np.argwhere(np.array(filt.sigma_masks()))
+    n = filt.scale
+    over, inside = _fibers(np.array(filt.sigma_masks()), n)
+    # The fine step space's (component j, fiber entry [k, u]): sigma_j's cells.
+    fine = np.argwhere(over)
     if len(fine) > DIM_CAP:
         raise DimensionCapError(
             f"transfer matrix dimension {len(fine)} exceeds cap {DIM_CAP}"
         )
-    n = filt.scale
-    c = filt.count
-    mp = filt.cells // n
-    comp, cell = fine.T
-    coarse = np.zeros((c, mp), dtype=bool)
-    coarse[comp, cell // n] = True
+    comp, k, u = fine.T
+    coarse = inside.any(axis=-1)
     basis = np.argwhere(coarse)
-    position = np.full((c, mp), -1)
+    position = np.full(coarse.shape, -1)
     position[coarse] = np.arange(len(basis))
-    rows = position[:, cell % mp]
-    cols = np.broadcast_to(position[comp, cell // n], rows.shape)
-    weights = np.conj(filt.samples[:, comp, cell]) / n
+    rows = position[:, u]
+    cols = np.broadcast_to(position[comp, _inside(k, u, n, filt.cells)], rows.shape)
+    weights = _adjoint_weights(filt)[:, comp, k, u]
     keep = rows >= 0
     matrix = np.zeros((len(basis), len(basis)), dtype=np.complex128)
     np.add.at(matrix, (rows[keep], cols[keep]), weights[keep])
@@ -382,10 +387,8 @@ def _retest(
     sigma_1, where an eigenvector of a non-pure operator must have unit
     pointwise norm, judged against ``tol_norm``.
     """
-    image = _pull(filt.samples, f.values)
-    residual = float(
-        np.sqrt(np.sum(np.abs(image - lam * f.refine().values) ** 2) / filt.cells)
-    )
+    deviation = np.abs(_eigen_residual(filt, f.values, lam))
+    residual = float(np.sqrt(np.sum(deviation**2) / filt.cells))
     norms = f.pointwise_norms()[filt.chain.positive_set().cell_mask(f.grid)]
     dev = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
     return EigenPair(lam, f, residual, dev, dev <= tol_norm, residual <= tol_res)
@@ -415,14 +418,13 @@ def _coarsest(filt: FilterMatrix) -> tuple[FilterMatrix, int]:
     with that filter's own coarse grid.  The raw bytes keep -0.0 beside
     0.0 from repeating, and the values a NaN block.
     """
-    n, c, levels = filt.scale, filt.count, 0
+    levels = 0
     while filt.grid.depth >= 2 and filt.chain.aligned(filt.grid.coarser().coarser()):
-        mp = filt.cells // n
-        blocks = np.ascontiguousarray(filt.samples).reshape(c, c, mp, n)
-        raw = blocks.view(np.uint64).reshape(c, c, mp, n, 2)
-        if not ((raw == raw[:, :, :, :1]).all() and (blocks == blocks[..., :1]).all()):
+        _, blocks = _fibers(filt.samples, filt.scale)
+        raw = np.ascontiguousarray(blocks).view(np.uint64).reshape(*blocks.shape, 2)
+        if not ((raw == raw[..., :1, :]).all() and (blocks == blocks[..., :1]).all()):
             break
-        filt = FilterMatrix(n, filt.chain, filt.grid.coarser(), filt.samples[:, :, ::n])
+        filt = FilterMatrix(filt.scale, filt.chain, filt.grid.coarser(), blocks[..., 0])
         levels += 1
     return filt, levels
 
@@ -521,46 +523,33 @@ def _rules_out_the_circle(margin: float, allowance: float, tol_eig: float) -> bo
     return bool(tol_eig >= 0.0 and margin > tol_eig + allowance)
 
 
-def _propagation_schedule(scale: int, cells: int) -> list[np.ndarray]:
-    """The fine cells that carry coarse cell 0 to every other, level by level.
-
-    Fine cell s carries coarse cell s mod M/N to s // N; each level holds
-    one such fine cell for every coarse cell first reached from the level
-    before.  All are reached: each coarse cell has N fine cells in and N
-    out, and the block u N ... u N + N - 1 all lead to u, so the graph is
-    connected and, being balanced, strongly connected.
-    """
-    mp = cells // scale
-    known = np.zeros(mp, dtype=bool)
-    known[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    levels = []
-    while frontier.size:
-        s = (frontier[:, None] + mp * np.arange(scale)).ravel()
-        s = s[~known[s // scale]]
-        targets, first = np.unique(s // scale, return_index=True)
-        known[targets] = True
-        levels.append(s[first])
-        frontier = targets
-    return levels
-
-
-def _propagate(
-    samples: np.ndarray, scale: int, levels: list, start: np.ndarray, lam: complex
-) -> np.ndarray:
+def _propagate(filt: FilterMatrix, start: np.ndarray, lam: complex) -> np.ndarray:
     """Coarse fields (m, c, M/N) from their cell 0 values ``start`` (m, c).
 
-    Each level of ``_propagation_schedule`` sets f(s // N) =
-    H(s)^T f(s mod M/N) / lam, the eigenvector relation at fine cell s.
+    Fine cell s carries the eigenvector relation H(s)^T f(N s) = lam f(t)
+    from its image N s to the coarse cell t it lies inside (``_fibers``).
+    Level by level from cell 0, each coarse cell first reached from the
+    level before is set through the first fine cell reaching it, over the
+    fibers of that level's cells in ascending order.  All are reached:
+    each coarse cell has N fine cells in and N out, and the N inside u
+    all lead to u: a balanced connected graph is strongly connected.
     """
-    c, _, cells = samples.shape
-    mp = cells // scale
-    values = np.zeros((len(start), c, mp), dtype=np.complex128)
+    n = filt.scale
+    over, _ = _fibers(filt.samples, n)
+    values = np.zeros((len(start), filt.count, filt.coarse_grid().cells), complex)
     values[:, :, 0] = start
-    for s in levels:
-        values[:, :, s // scale] = (
-            np.einsum("ijs,kis->kjs", samples[:, :, s], values[:, :, s % mp]) / lam
-        )
+    known = np.zeros(values.shape[2], dtype=bool)
+    known[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        k, u = np.meshgrid(np.arange(n), frontier)
+        inside = _inside(k, u, n, filt.cells)
+        new = ~known[inside]
+        frontier, first = np.unique(inside[new], return_index=True)
+        known[frontier] = True
+        k, u = k[new][first], u[new][first]
+        step = np.einsum("ijs,kis->kjs", over[:, :, k, u], values[:, :, u])
+        values[:, :, frontier] = step / lam
     return values
 
 
@@ -585,8 +574,6 @@ def _fixed_cell(
     tested = []
     clusters = _clusters(eigenvalues, _candidate_rows(eigenvalues, tol_eig), tol_res)
     if clusters:
-        n = filt.scale
-        levels = _propagation_schedule(n, filt.cells)
         coarse = filt.coarse_grid()
         outside = ~np.array(filt.sigma_masks(coarse))
     for cluster in clusters:
@@ -594,8 +581,8 @@ def _fixed_cell(
         start = smallmat.null_vectors(samples[:, :, 0].T, lead, len(cluster))
         if len(cluster) > 1:
             columns = []
-            for f in _propagate(samples, n, levels, start, lead):
-                residual = _pull(samples, f) - lead * f.repeat(n, 1)
+            for f in _propagate(filt, start, lead):
+                residual = _eigen_residual(filt, f, lead)
                 columns.append(np.concatenate([residual.ravel(), f[outside]]))
             vh = np.linalg.svd(np.stack(columns, axis=1), full_matrices=False)[2]
             start = np.conj(vh[::-1]) @ start
@@ -604,7 +591,7 @@ def _fixed_cell(
             # A zero lam, a candidate only for tol_eig >= 1, propagates to
             # a non-finite field, whose NaN residual fails the re-test.
             with np.errstate(all="ignore"):
-                values = _propagate(samples, n, levels, cell_zero[None], lam)[0]
+                values = _propagate(filt, cell_zero[None], lam)[0]
                 f = _canonical_field(filt.chain, coarse, values)
                 tested.append(_retest(filt, f, lam, tol_res, tol_norm))
     return FixedCell(eigenvalues, margin, allowance, tuple(tested))
@@ -615,8 +602,9 @@ class PurityVerdict(NamedTuple):
 
     ``fixed_cell`` is the cell 0 analysis that decided, ``fixed_cell_s``
     its wall time, and ``dimension`` the fine step space's.
-    ``closed_form_pairs`` counts the accepted pairs equal bit for bit to
-    (1, chi), chi the unit field constant on every support.
+    ``closed_form_pairs`` is 1 if an accepted pair has eigenvalue exactly 1
+    and chi, the unit field constant on every support, passes the re-test
+    at 1, and 0 otherwise.
     ``martingale_max_dev`` (None with no accepted pair) is the largest
     deviation from ||f||^2 of each martingale order for the first pair.
     """
@@ -709,10 +697,9 @@ def classify_purity(
     closed_form = 0
     martingale_max_dev = None
     if pairs:
-        chi = _unit(VecField.ones(filt.chain, filt.coarse_grid())).values
-        closed_form = sum(
-            p.eigenvalue == 1.0 and np.array_equal(p.fld.values, chi) for p in pairs
-        )
+        if any(p.eigenvalue == 1.0 for p in pairs):
+            chi = _unit(VecField.ones(filt.chain, filt.coarse_grid()))
+            closed_form = int(_retest(filt, chi, 1.0, tol_res, tol_norm).passed)
         f = pairs[0].fld
         seq = martingale_sequence(f, f, filt.scale, _max_martingale_order(f.grid))
         martingale_max_dev = [
@@ -749,9 +736,9 @@ def martingale_sequence(
     w = np.sum(f.values * np.conj(g.values), axis=0)
     out = []
     for n in range(n_max + 1):
-        block = scale**n
-        class_means = w.reshape(block, m // block).mean(axis=0)
-        out.append(StepFn(f.grid, np.tile(class_means, block)))
+        spread = np.empty_like(w)
+        _fibers(spread, scale**n)[0][...] = _fibers(w, scale**n)[0].mean(axis=0)
+        out.append(StepFn(f.grid, spread))
     return out
 
 

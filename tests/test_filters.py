@@ -31,7 +31,7 @@ from gmrafilters import (
     refine,
     support_violations,
 )
-from gmrafilters.filters import _journe_sets, _ramp
+from gmrafilters.filters import _fibers, _inside, _journe_sets, _ramp
 
 from helpers import (
     _transition,
@@ -512,3 +512,27 @@ class TestJourneFamily:
         params = JourneParams(r=0.1)
         assert float(params.r) == 0.1
         assert params.r == Fraction(0.1)
+
+
+@pytest.mark.parametrize("base", [1, 4, 7, 28])
+@pytest.mark.parametrize("scale", [2, 3, 4])
+def test_fiber_rule_follows_the_dilation(scale, base):
+    # From the geometry, not the formula: the midpoint x of fine cell s
+    # lies inside the coarse cell that the second view puts s in, and
+    # N x mod 1 lies in the coarse cell that the first view puts s over.
+    for depth in range(1, 5):
+        cells = base * scale**depth
+        grid = np.arange(cells)
+        over, inside = _fibers(grid, scale)
+        assert np.shares_memory(over, grid) and np.shares_memory(inside, grid)
+        k, u = np.indices(over.shape)
+        image = np.empty(cells, dtype=np.int64)
+        image[over] = u
+        block = np.empty(cells, dtype=np.int64)
+        block[inside] = np.indices(inside.shape)[0]
+        assert np.array_equal(_inside(k, u, scale, cells), block[over])
+        width = Fraction(scale, cells)
+        for s in range(cells):
+            x = (s + Fraction(1, 2)) / cells
+            assert math.floor(x / width) == block[s]
+            assert math.floor(scale * x % 1 / width) == image[s]

@@ -24,6 +24,7 @@ from gmrafilters import (
     decay_probe,
     derive_journe,
     filter_equation_residual,
+    intersection_report,
     isometry_defect,
     isometry_residual,
     make_journe_step,
@@ -53,7 +54,6 @@ from gmrafilters.ruelle import (
     _clusters,
     _cell_zero_spectrum,
     _coarsest,
-    _propagation_schedule,
     _rules_out_the_circle,
 )
 
@@ -589,6 +589,15 @@ class TestClassification:
         assert abs(verdict.eigenpairs[0].eigenvalue - lam) <= 1e-12
         assert verdict.closed_form_pairs == 0
 
+    def test_closed_form_on_a_two_dimensional_eigenspace(self):
+        # H = I at c = 2 accepts e_1 and e_2 for the eigenvalue 1; chi is
+        # neither, but it lies in their span and passes the re-test.
+        filt = identity_two_channel()
+        verdict = classify_purity(filt)
+        assert [p.eigenvalue for p in verdict.eigenpairs] == [1.0, 1.0]
+        assert verdict.closed_form_pairs == 1
+        assert "A concrete model fits this case." in intersection_report(filt).narrative
+
     @pytest.mark.parametrize("depth", [4, 5, 6])
     def test_haar_verdict_is_stable_across_resolutions(self, depth):
         # No block certificate is passed in: the fixed cell alone
@@ -941,14 +950,27 @@ class TestFixedCell:
         "scale, base", [(2, 1), (2, 7), (2, 56), (3, 1), (3, 4), (4, 1), (4, 28)]
     )
     @pytest.mark.parametrize("depth", [1, 2, 3, 5])
-    def test_propagation_reaches_every_coarse_cell(self, scale, base, depth):
+    def test_propagation_reaches_every_coarse_cell(
+        self, scale, base, depth, monkeypatch
+    ):
         grid = GridSpec(scale, base, depth)
-        levels = _propagation_schedule(scale, grid.cells)
+        ones = np.ones((1, 1, grid.cells), dtype=np.complex128)
+        filt = FilterMatrix(scale, SigmaChain.full_circle(1), grid, ones)
+        levels = []
+        inside = ruelle._inside
+
+        def counted(*args):
+            levels.append(args)
+            return inside(*args)
+
+        monkeypatch.setattr("gmrafilters.ruelle._inside", counted)
+        # With H = 1 and lam = 1, every coarse cell reached is set to 1.
+        values = ruelle._propagate(filt, np.ones((1, 1)), 1.0)
         coarse_cells = grid.cells // scale
-        reached = np.concatenate([[0]] + [s // scale for s in levels])
-        assert sorted(reached.tolist()) == list(range(coarse_cells))
-        # at most ceil(log_N(M/N)) + 1 levels carry a cell
-        assert sum(s.size > 0 for s in levels) <= math.ceil(
+        assert np.array_equal(values, np.ones((1, 1, coarse_cells)))
+        # at most ceil(log_N(M/N)) + 1 levels carry a cell, and one more
+        # finds that none is left
+        assert len(levels) - 1 <= math.ceil(
             math.log(coarse_cells, scale) - 1e-9
         ) + 1
 

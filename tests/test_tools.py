@@ -1,0 +1,65 @@
+"""The scripts under ``tools/``, run on this checkout."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exit codes of every job of tools/output_corpus.py: (verify, classify,
+# spectrum), after a ``generate`` that exits 0 for the jobs it writes.
+CORPUS_CODES = {
+    **dict.fromkeys(
+        ["haar", "haar_8", "haar_10", "shannon", "shannon_7", "journe",
+         "journe_4", "journe_5", "journe_half_turn", "journe_delta_0.05",
+         "journe_step", "journe_step_4", "journe_step_8",
+         "journe_step_half_turn"],
+        (0, 0, 0, 0),
+    ),
+    **dict.fromkeys(
+        ["constant", "constant_8", "constant_10", "constant_13"], (0, 0, 3, 0)
+    ),
+    **dict.fromkeys(
+        ["haar_13", "journe_10", "journe_delta_0.05_10"], (0, 0, 0, 2)
+    ),
+    **dict.fromkeys(
+        ["planted_scale_3", "planted_lambda_1", "planted_two_channel",
+         "planted_two_channel_scale_3", "planted_three_channel",
+         "identity_two_channel"],
+        (0, 3, 0),
+    ),
+    "near_constant": (0, 0, 0),
+    "unimodular": (0, 4, 0),
+    "haar_pair": (0, 0, 0),
+    **dict.fromkeys(
+        ["journe_step_column_violation", "haar_huge_sample",
+         "signed_zero_and_nan_runs"],
+        (1, 1, 1),
+    ),
+}
+
+
+def test_output_corpus_writes_every_job(tmp_path):
+    out = tmp_path / "corpus"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_corpus.py"), str(ROOT), str(out)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes: dict = {}
+    for line in (out / "exit_codes.txt").read_text(encoding="utf-8").splitlines():
+        job, step, code = line.split()
+        codes.setdefault(job, {})[step] = int(code)
+    steps = ("generate", "verify", "classify", "spectrum")
+    assert codes == {
+        job: dict(zip(steps[-len(expected):], expected))
+        for job, expected in CORPUS_CODES.items()
+    }
+    for job, by_step in codes.items():
+        files = {"bundle.json", "verify.json", "classify.json"}
+        if by_step["spectrum"] == 0:
+            files.add("spectrum.csv")
+        assert {p.name for p in (out / job).iterdir()} == files, job
