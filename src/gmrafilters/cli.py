@@ -10,18 +10,28 @@ verification failure, 2 usage or parse problems (including a grid too
 large to allocate, and a tolerance or count out of range), 3 a certified
 non-pure verdict, 4 a verdict that is neither certified outcome.  Every
 exit 2 after argument parsing prints one ``gmrafilters: ...`` line on
-stderr.
+stderr, and so does output that cannot be written: a closed pipe, or no
+standard output at all.
+
+A process ends at its last write (``run_and_exit``): the ``atexit``
+handlers run and the streams are flushed, but the interpreter's
+finalization, which would tear down every module and free every object
+the import made, is skipped.  ``main`` and ``console_main`` return their
+codes, so code that calls them in process sees no difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import ctypes
+import errno
 import gc
 import math
+import os
 import sys
 import time
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .bundleio import (
     canonical_json,
@@ -105,6 +115,9 @@ def _write_text(out: Optional[str], text: str) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             _write_slices(fh, text)
+    elif sys.stdout is None:
+        # Started with its standard output closed (``>&-``).
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     else:
         _write_slices(sys.stdout, text)
 
@@ -348,7 +361,11 @@ def cmd_classify(args) -> int:
             "dimension_caution": rep.dimension_caution,
         },
         "provenance": provenance,
-        "timings": {**laps.report(), "fixed_cell_s": verdict.fixed_cell_s},
+        "timings": {
+            **laps.report(),
+            "certificate_s": rep.certificate_s,
+            "fixed_cell_s": verdict.fixed_cell_s,
+        },
     }
     if verdict.martingale_max_dev is not None:
         report["purity"]["martingale_max_dev"] = [
@@ -508,12 +525,12 @@ def _release_free_heap() -> None:
 
 
 def console_main() -> int:
-    """The process entry point: freeze and trim the import-time heap, then
-    run ``main``.
+    """Freeze and trim the import-time heap, then run ``main`` and return
+    its code; the process entry point ``run_and_exit`` starts here.
 
     After ``import gmrafilters.cli`` every object numpy and this package
-    keep is live, so the collector's passes during the call and at
-    interpreter exit would rescan them and free nothing.  ``gc.freeze``
+    keep is live, so the collector's passes during the call would rescan
+    them and free nothing.  ``gc.freeze``
     moves them to the permanent generation those passes skip; objects
     allocated later are collected as before.  The heap the import left
     free is then returned (``_release_free_heap``), so it adds nothing to
@@ -539,5 +556,42 @@ def console_main() -> int:
     return main()
 
 
+def run_and_exit() -> NoReturn:
+    """The process entry point: run ``console_main``, then end the process.
+
+    Nothing waits on the interpreter's finalization once the output is
+    written, yet it would tear down the modules of numpy and this package
+    and free every object the import made.  So this does only what
+    finalization does first: it runs the ``atexit`` handlers (site hooks
+    and coverage register there), then flushes stdout and stderr, and
+    ends with ``os._exit``, which skips the teardown.  Output that cannot
+    be flushed, such as a report left for a closed pipe, ends in exit 2
+    with one ``gmrafilters: ...`` line; a write that failed inside
+    ``main`` has printed its line already.  An exception that escapes
+    ``console_main`` ends the process the usual way, traceback and all.
+    A profiler that reports after the module returns (``python -m
+    cProfile -m gmrafilters.cli``) is ended before it reports; profile
+    ``console_main`` instead.
+    """
+    code = console_main()
+    atexit._run_exitfuncs()
+    try:
+        _flush(sys.stdout)
+    except (OSError, ValueError) as exc:
+        if code != EXIT_USAGE:
+            print(f"gmrafilters: {exc}", file=sys.stderr)
+            code = EXIT_USAGE
+    try:
+        _flush(sys.stderr)
+    except (OSError, ValueError):
+        pass  # nowhere left to report it
+    os._exit(code)
+
+
+def _flush(stream) -> None:
+    if stream is not None:
+        stream.flush()
+
+
 if __name__ == "__main__":
-    sys.exit(console_main())
+    run_and_exit()

@@ -18,6 +18,7 @@ printing one would mislead.
 
 from __future__ import annotations
 
+import time
 from typing import NamedTuple, Optional
 
 from .filters import FilterMatrix
@@ -37,10 +38,14 @@ from .ruelle import (
 
 
 class IntersectionReport(NamedTuple):
-    """The purity dichotomy phrased for the tower's common intersection."""
+    """The purity dichotomy phrased for the tower's common intersection.
+
+    ``certificate_s`` is the certificate search's wall time.
+    """
 
     verdict: PurityVerdict
     certificate: Optional[Certificate]
+    certificate_s: float
     equivalence: dict[str, object]
     narrative: str
     dimension_caution: str
@@ -72,7 +77,9 @@ def intersection_report(
     the verdict's cell 0 spectrum; a non-pure one adds a concrete model
     when chi is an eigenvector for 1 (``closed_form_pairs``).
     """
+    start = time.perf_counter()
     certificate = search_certificate(filt)
+    certificate_s = time.perf_counter() - start
     verdict = classify_purity(
         filt,
         tol_eig=tol_eig,
@@ -171,6 +178,7 @@ def intersection_report(
     return IntersectionReport(
         verdict=verdict,
         certificate=certificate,
+        certificate_s=certificate_s,
         equivalence=table,
         narrative=narrative,
         dimension_caution=_CAUTION,

@@ -18,6 +18,13 @@ import os
 import numpy as np
 
 
+# Blocks per pass of the 2 x 2 singular values: a longer stack is solved
+# a chunk at a time, so its temporaries stay a few times a chunk's bytes
+# (about 12 MB) however deep the grid.  Every operation is per block, so
+# the chunks change no bit.
+_CHUNK = 1 << 16
+
+
 def singular_values(blocks: np.ndarray) -> np.ndarray:
     """Per-cell singular values of a stack of blocks, descending.
 
@@ -38,6 +45,11 @@ def singular_values(blocks: np.ndarray) -> np.ndarray:
         return np.abs(blocks[:, 0])
     if blocks.shape[1:] != (2, 2):
         return np.linalg.svd(blocks, compute_uv=False)
+    if len(blocks) > _CHUNK:
+        values = np.empty((len(blocks), 2))
+        for start in range(0, len(blocks), _CHUNK):
+            values[start : start + _CHUNK] = singular_values(blocks[start : start + _CHUNK])
+        return values
     top = np.minimum(np.abs(blocks).max(axis=(1, 2)), np.finfo(np.float64).max)
     scale = np.ldexp(1.0, np.minimum(np.frexp(top)[1], 1023))
     a, b, c, d = (blocks[:, i, j] / scale for i in (0, 1) for j in (0, 1))

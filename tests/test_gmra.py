@@ -1,10 +1,12 @@
 """The refinement tower behind the dichotomy, and the intersection report."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gmrafilters import gmra
 from gmrafilters import (
     NOT_PURE_CERTIFIED,
     PURE_CERTIFIED,
@@ -154,6 +156,18 @@ class TestIntersectionReport:
         rep = intersection_report(filt)
         assert rep.verdict.status == PURE_CERTIFIED
         assert rep.equivalence["consistent"] is True
+
+    def test_certificate_search_is_timed(self, monkeypatch):
+        search = gmra.search_certificate
+
+        def slow(filt):
+            time.sleep(0.02)
+            return search(filt)
+
+        monkeypatch.setattr(gmra, "search_certificate", slow)
+        rep = intersection_report(make_haar())
+        assert rep.certificate == search(make_haar())
+        assert rep.certificate_s >= 0.02
 
     def test_dimension_caution_is_always_present(self):
         for filt in (make_haar(), make_constant()):

@@ -30,6 +30,7 @@ from gmrafilters.ruelle import (
     _cell_zero_spectrum,
     _coarsest,
 )
+from gmrafilters import smallmat
 from gmrafilters.smallmat import (
     _bundled_blas,
     eigen_condition,
@@ -116,6 +117,24 @@ class TestViewKernel:
     )
     def test_seeded_kinds(self, kind):
         blocks = two_by_two_blocks(kind)
+        got = singular_values(blocks)
+        assert got.tobytes() == stacked_singular_values(blocks).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "zero", "rank_one", "triangular", "scaled", "tied"]
+    )
+    def test_seeded_kinds_in_small_chunks(self, kind, monkeypatch):
+        # Chunk boundaries fall inside every stack but the zero one.
+        monkeypatch.setattr(smallmat, "_CHUNK", 7)
+        blocks = two_by_two_blocks(kind)
+        got = singular_values(blocks)
+        assert got.tobytes() == stacked_singular_values(blocks).tobytes()
+
+    def test_stack_spanning_several_chunks(self):
+        kinds = ["random", "zero", "rank_one", "triangular", "scaled", "tied"]
+        mixed = np.concatenate([two_by_two_blocks(kind) for kind in kinds])
+        count = 2 * smallmat._CHUNK + 123
+        blocks = np.tile(mixed, (count // len(mixed) + 1, 1, 1))[:count]
         got = singular_values(blocks)
         assert got.tobytes() == stacked_singular_values(blocks).tobytes()
 

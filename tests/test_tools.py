@@ -1,8 +1,11 @@
 """The scripts under ``tools/``, run on this checkout."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,3 +66,37 @@ def test_output_corpus_writes_every_job(tmp_path):
         if by_step["spectrum"] == 0:
             files.add("spectrum.csv")
         assert {p.name for p in (out / job).iterdir()} == files, job
+
+
+def _load(path: Path, name: str, monkeypatch):
+    """The script at ``path`` imported as module ``name``; nothing runs."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _calls(argvs) -> set:
+    """(subcommand, generator, depth) of each CLI call; a call on a bundle
+    takes the generator and depth of the ``generate`` that wrote it."""
+    written, calls = {}, set()
+    for argv in argvs:
+        if argv[0] == "generate":
+            depth = int(argv[argv.index("--depth") + 1]) if "--depth" in argv else None
+            key = written[argv[argv.index("--out") + 1]] = (argv[1], depth)
+        else:
+            key = written[argv[1]]
+        calls.add((argv[0], *key))
+    return calls
+
+
+@pytest.mark.parametrize("workload", ["spectral", "fine_grid", "defaults"])
+def test_op_peaks_runs_the_benchmark_operations(tmp_path, monkeypatch, workload):
+    bench = _load(ROOT / "clibench" / "run.py", "clibench_run", monkeypatch)
+    peaks = _load(ROOT / "tools" / "op_peaks.py", "op_peaks", monkeypatch)
+    assert set(peaks.WORKLOADS) == set(bench.INPUTS)
+    plan = bench.make_workload(workload, 1, tmp_path)
+    expected = _calls(op.command() for op in plan.setup + plan.rounds)
+    got = _calls(argv for name, _, argv in peaks.operations(tmp_path) if name == workload)
+    assert got == expected
