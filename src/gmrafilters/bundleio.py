@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .errors import BundleFormatError, GmraFilterError
-from .filters import FilterMatrix
+from .filters import FilterMatrix, _run_starts
 from .torus import GridSpec, IntervalSet, SigmaChain, rat_str
 
 FORMAT_VERSION = "1"
@@ -71,23 +71,10 @@ _NO_SAMPLES = '"samples": []'
 _PIECE_RUNS = 4096
 
 
-def _run_starts(bits: np.ndarray) -> Optional[np.ndarray]:
-    """The first cell of each run of an entry's (cells, 2) float64 bits.
-
-    A run is a maximal stretch of cells whose (re, im) bits equal the
-    previous cell's.  None when every cell starts one.
-    """
-    changes = bits[1:, 0] != bits[:-1, 0]
-    changes |= bits[1:, 1] != bits[:-1, 1]
-    if np.count_nonzero(changes) == len(changes):
-        return None
-    return np.concatenate(([0], np.flatnonzero(changes) + 1))
-
-
 def _samples_text(row: np.ndarray) -> list[str]:
     """``"samples": [...]`` for one entry, as canonical_json writes it, in pieces.
 
-    The text is laid out per run (see ``_run_starts``).  ``repr`` runs
+    The text is laid out per run (``filters._run_starts``).  ``repr`` runs
     once per distinct bit pattern among the runs' first cells, since step
     filters repeat values heavily.  Distinct by bits, not by value: -0.0
     equals 0.0 but prints otherwise, so only bits give each sample
@@ -98,13 +85,14 @@ def _samples_text(row: np.ndarray) -> list[str]:
     with the whole bundle, once these distinct texts are gone.
     """
     bits = np.ascontiguousarray(row).view(np.uint64).reshape(-1, 2)
-    starts = _run_starts(bits)
-    if starts is None:
+    starts = _run_starts(row)
+    if len(starts) == len(bits):
         # Every cell starts a run (haar): lay out the cells themselves.
         heads, repeats = bits, None
     else:
         heads = bits[starts]
         repeats = np.diff(starts, append=len(bits)) - 1
+    del starts  # one index per cell on haar: not held through np.unique
     distinct, index = np.unique(heads.ravel(), return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), object)
     pieces = [_SAMPLES_OPEN]

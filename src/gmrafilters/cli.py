@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import NoReturn, Optional
 
 from .bundleio import (
@@ -44,8 +45,8 @@ from .errors import GmraFilterError, GridAlignmentError, ResolutionError
 from .filters import (
     JOURNE_EPS_SMOOTH,
     FilterMatrix,
-    ResidualReport,
-    SupportReport,
+    _JOURNE_GRID,
+    _verification_failure,
     filter_equation_residual,
     generalized_filter_residual,
     isometry_defect,
@@ -67,7 +68,7 @@ from .ruelle import (
     isometry_residual,
     transfer_spectrum,
 )
-from .torus import MAX_CELLS_LOG2, GridSpec, rat_str
+from .torus import MAX_CELLS_LOG2, rat_str
 
 # Functions of the certificate modules, which only ``classify`` and
 # ``generate journe`` run: bound here on first use from the package.
@@ -97,13 +98,7 @@ EXIT_USAGE = 2
 EXIT_NOT_PURE = 3
 EXIT_UNDECIDED = 4
 
-GENERATOR_DEPTHS = {
-    "haar": 4,
-    "shannon": 4,
-    "constant": 4,
-    "journe_step": 2,
-    "journe": 2,
-}
+GENERATORS = ("constant", "haar", "journe", "journe_step", "shannon")
 
 
 # Characters per write: a text stream encodes each write whole, so one
@@ -133,19 +128,20 @@ def _interval_parts(intervals) -> list[list[str]]:
 
 def _build_filter(args) -> tuple[FilterMatrix, dict]:
     name = args.generator
-    depth = args.depth if args.depth is not None else GENERATOR_DEPTHS[name]
-    provenance: dict = {"generator": name, "depth": depth}
+    depth = {} if args.depth is None else {"depth": args.depth}
+    provenance: dict = {"generator": name}
     if name == "haar":
-        filt = make_haar(depth=depth)
+        filt = make_haar(**depth)
     elif name == "shannon":
-        filt = make_shannon(depth=depth)
+        filt = make_shannon(**depth)
     elif name == "constant":
-        filt = make_constant(depth=depth)
+        filt = make_constant(**depth)
     elif name == "journe_step":
-        filt = make_journe_step(depth=depth, half_turn_phases=args.half_turn_phases)
+        filt = make_journe_step(**depth, half_turn_phases=args.half_turn_phases)
         provenance["half_turn_phases"] = args.half_turn_phases
     else:
-        derivation = _late("derive_journe")(args.delta, grid=GridSpec(2, 56, depth))
+        grid = {"grid": replace(_JOURNE_GRID, **depth)} if depth else {}
+        derivation = _late("derive_journe")(args.delta, **grid)
         filt = make_journe_family(
             derivation.params, half_turn_phases=args.half_turn_phases
         )
@@ -162,7 +158,7 @@ def _build_filter(args) -> tuple[FilterMatrix, dict]:
                 "transition": "exp_bump",
             }
         )
-    return filt, provenance
+    return filt, {**provenance, "depth": filt.grid.depth}
 
 
 def cmd_generate(args) -> int:
@@ -171,9 +167,8 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _equation_section(
-    filt: FilterMatrix,
-) -> tuple[dict, ResidualReport, SupportReport]:
+def _equation_section(filt: FilterMatrix, tol: float) -> tuple[dict, Optional[str]]:
+    """A report's ``filter_equation`` section, and the gate's failure or None."""
     eq = filter_equation_residual(filt)
     sup = support_violations(filt)
     section = {
@@ -188,14 +183,7 @@ def _equation_section(
             "dilated_row_violations": [list(v) for v in sup.dilated_row],
         },
     }
-    return section, eq, sup
-
-
-def _fails_verification(
-    eq: ResidualReport, sup: SupportReport, verify_tol: float
-) -> bool:
-    """The gate of verify, classify and spectrum; a NaN residual fails it."""
-    return not sup.clean() or not (eq.max_abs_residual <= verify_tol)
+    return section, _verification_failure(eq, sup, tol)
 
 
 class _Laps:
@@ -220,8 +208,8 @@ def cmd_verify(args) -> int:
     filt, provenance = load_bundle(args.bundle)
     laps.lap("parse_s")
     tol = args.tol
-    section, eq, sup = _equation_section(filt)
-    ok = not _fails_verification(eq, sup, tol)
+    section, failure = _equation_section(filt, tol)
+    ok = failure is None
     laps.lap("residual_s")
 
     generalized = []
@@ -278,9 +266,9 @@ def cmd_classify(args) -> int:
     laps = _Laps()
     filt, provenance = load_bundle(args.bundle)
     laps.lap("parse_s")
-    section, eq, sup = _equation_section(filt)
+    section, failure = _equation_section(filt, args.verify_tol)
     laps.lap("residual_s")
-    if _fails_verification(eq, sup, args.verify_tol):
+    if failure:
         report = {
             "command": "classify",
             "bundle": args.bundle,
@@ -381,14 +369,11 @@ def cmd_classify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     filt, _ = load_bundle(args.bundle)
-    section, eq, sup = _equation_section(filt)
-    if _fails_verification(eq, sup, args.verify_tol):
-        print(
-            f"gmrafilters: {args.bundle} fails verification: defining "
-            f"identity residual {section['max_residual']}, support rule "
-            f"{'clean' if sup.clean() else 'violated'}",
-            file=sys.stderr,
-        )
+    eq, sup = filter_equation_residual(filt), support_violations(filt)
+    failure = _verification_failure(eq, sup, args.verify_tol)
+    if failure:
+        message = f"gmrafilters: {args.bundle} fails verification: {failure}"
+        print(message, file=sys.stderr)
         return EXIT_VERIFY_FAIL
     spectrum = transfer_spectrum(filt, tol_eig=args.tol_eig, tol_res=args.tol_res)
     lines = ["eigenvalue_re,eigenvalue_im,modulus,passes_eigen_test"]
@@ -441,9 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a filter bundle")
-    gen.add_argument(
-        "generator", choices=sorted(GENERATOR_DEPTHS), help="filter family"
-    )
+    gen.add_argument("generator", choices=GENERATORS, help="filter family")
     gen.add_argument("--depth", type=int, default=None, help="grid refinement depth")
     gen.add_argument(
         "--delta",

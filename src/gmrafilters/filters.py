@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -132,6 +132,19 @@ class FilterMatrix:
     def _residual(self) -> ResidualReport:
         return _report_from_residuals(np.abs(self._deviation))
 
+    @cached_property
+    def _support(self) -> SupportReport:
+        fine = np.array(self.sigma_masks())
+        coarse = np.array(self.sigma_masks(self.coarse_grid()))
+        nz = self.samples != 0
+        # argwhere lists (i, j, cell) in row-major order: by i, then j, then cell.
+        column = np.argwhere(nz & ~fine[None])
+        over, _ = _fibers(nz, self.scale)
+        dilated_row = np.argwhere((over & ~coarse[:, None, None]).reshape(nz.shape))
+        return SupportReport(
+            tuple(map(tuple, column.tolist())), tuple(map(tuple, dilated_row.tolist()))
+        )
+
 
 class ResidualReport(NamedTuple):
     """Worst-case deviation from an identity, with a witness location.
@@ -196,6 +209,20 @@ def _fibers(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _inside(k, u, n: int, cells: int):
     """The coarse cell that fiber entry [k, u] lies inside (``_fibers``)."""
     return (k * (cells // n) + u) // n
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """The cells of complex ``a``'s last axis where a run starts: cell t
+    continues cell t - 1's run when it equals it in value and in bits at
+    every index of the leading axes, so -0.0 never continues 0.0 nor a NaN
+    anything."""
+    with np.errstate(invalid="ignore"):  # a signaling NaN compares unequal
+        same = a[..., 1:] == a[..., :-1]
+    for part in (a.real, a.imag):
+        bits = part.view(np.uint64)
+        same &= bits[..., 1:] == bits[..., :-1]
+    same = same.all(axis=tuple(range(same.ndim - 1)))
+    return np.flatnonzero(np.concatenate(([True], ~same)))
 
 
 def _coset_deviation(filt: FilterMatrix, order: int = 1) -> np.ndarray:
@@ -297,7 +324,7 @@ class SupportReport(NamedTuple):
     ``column`` lists (i, j, cell) with a nonzero sample outside sigma_j;
     ``dilated_row`` lists those whose dilated cell leaves sigma_i.  Both
     are checked: ``clean()`` requires both to be empty, and it is the
-    support half of the gate that verify, classify and spectrum share.
+    support half of ``_verification_failure``.
     """
 
     column: tuple[tuple[int, int, int], ...]
@@ -308,16 +335,20 @@ class SupportReport(NamedTuple):
 
 
 def support_violations(filt: FilterMatrix) -> SupportReport:
-    fine = np.array(filt.sigma_masks())
-    coarse = np.array(filt.sigma_masks(filt.coarse_grid()))
-    nz = filt.samples != 0
-    # argwhere lists (i, j, cell) in row-major order: by i, then j, then cell.
-    column = np.argwhere(nz & ~fine[None])
-    over, _ = _fibers(nz, filt.scale)
-    dilated_row = np.argwhere((over & ~coarse[:, None, None]).reshape(nz.shape))
-    return SupportReport(
-        tuple(map(tuple, column.tolist())), tuple(map(tuple, dilated_row.tolist()))
-    )
+    """Every cell where the filter breaks a support rule; the report is
+    cached on the filter, as ``filter_equation_residual``'s is."""
+    return filt._support
+
+
+def _verification_failure(eq, sup, verify_tol: float) -> Optional[str]:
+    """The verification gate of every command and of the library's verdicts,
+    given a filter's ``filter_equation_residual`` and ``support_violations``:
+    the support rule is clean and the defining identity residual is within
+    ``verify_tol``, a NaN failing.  None on a pass, else the reason."""
+    if sup.clean() and eq.max_abs_residual <= verify_tol:
+        return None
+    rule = "clean" if sup.clean() else "violated"
+    return f"defining identity residual {eq.max_abs_residual!r}, support rule {rule}"
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -446,6 +477,8 @@ def make_journe_step(depth: int = 2, half_turn_phases: bool = False) -> FilterMa
 
 # Half-width of the smoothed transitions of the Journe deformation.
 JOURNE_EPS_SMOOTH = Fraction(1, 56)
+# The grid of the Journe deformation unless a caller names another.
+_JOURNE_GRID = GridSpec(2, 56, 2)
 
 
 @dataclass(frozen=True)
@@ -459,7 +492,7 @@ class JourneParams:
     """
 
     r: Union[RatLike, float]
-    grid: GridSpec = GridSpec(2, 56, 2)
+    grid: GridSpec = _JOURNE_GRID
 
     def __post_init__(self) -> None:
         r = self.r

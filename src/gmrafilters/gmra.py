@@ -33,6 +33,7 @@ from .ruelle import (
     TOL_RES,
     VERIFY_TOL,
     PurityVerdict,
+    _require_verified,
     classify_purity,
 )
 
@@ -75,8 +76,10 @@ def intersection_report(
     are consistent.  A ``pure_certified`` verdict is narrated through the
     block certificate when the search found one, and otherwise through
     the verdict's cell 0 spectrum; a non-pure one adds a concrete model
-    when chi is an eigenvector for 1 (``closed_form_pairs``).
+    when chi is an eigenvector for 1 (``closed_form_pairs``).  A filter
+    that ``classify_purity`` would refuse is refused before the search.
     """
+    _require_verified(filt, verify_tol)
     start = time.perf_counter()
     certificate = search_certificate(filt)
     certificate_s = time.perf_counter() - start

@@ -25,15 +25,15 @@ import numpy as np
 
 from .errors import GridAlignmentError, ParameterError
 from .filters import (
+    SQRT2,
     FilterMatrix,
     JourneParams,
+    _JOURNE_GRID,
     _journe_sets,
     journe_profile,
 )
 from .smallmat import singular_values
 from .torus import GridSpec, IntervalSet
-
-SQRT2 = math.sqrt(2.0)
 
 # The smallest margin a certificate may claim.  Moduli and singular values
 # are taken in floating point, and a product of unit phases such as
@@ -259,9 +259,7 @@ class JourneDerivation(NamedTuple):
     checks: dict[str, BoundCheck]
 
 
-def derive_journe(
-    delta: float, grid: GridSpec = GridSpec(2, 56, 2)
-) -> JourneDerivation:
+def derive_journe(delta: float, grid: GridSpec = _JOURNE_GRID) -> JourneDerivation:
     """Derive the deformation size r and region for a requested delta.
 
     Two constraints cap r: the off-blocks must stay under

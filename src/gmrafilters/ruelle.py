@@ -42,7 +42,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionCapError, ParameterError, ResolutionError
-from .filters import FilterMatrix, StepFn, _fibers, _inside, filter_equation_residual
+from .filters import (
+    FilterMatrix,
+    StepFn,
+    _fibers,
+    _inside,
+    _run_starts,
+    _verification_failure,
+    filter_equation_residual,
+    support_violations,
+)
 from . import smallmat
 from .torus import GridSpec, SigmaChain
 
@@ -231,6 +240,8 @@ def transfer_apply(filt: FilterMatrix, g: VecField) -> VecField:
     return VecField(filt.chain, filt.coarse_grid(), out)
 
 
+
+
 def isometry_residual(
     filt: FilterMatrix, trials: int = 20, seed: int = 0
 ) -> float:
@@ -413,20 +424,23 @@ class TransferSpectrum(NamedTuple):
 def _coarsest(filt: FilterMatrix) -> tuple[FilterMatrix, int]:
     """The coarsest filter whose ``refine``s give ``filt``, and how many levels.
 
-    A level down is taken while every block of N samples repeats bit for
-    bit, the coarser filter keeps depth >= 1, and the support chain aligns
-    with that filter's own coarse grid.  The raw bytes keep -0.0 beside
-    0.0 from repeating, and the values a NaN block.
+    It is L levels down for the largest L at which every run of the
+    samples (``filters._run_starts``) starts at a multiple of N^L, the
+    coarser filter keeps depth >= 1, and the support chain aligns with its
+    own coarse grid.  A run never joins -0.0 to 0.0, nor a NaN to anything.
     """
-    levels = 0
-    while filt.grid.depth >= 2 and filt.chain.aligned(filt.grid.coarser().coarser()):
-        _, blocks = _fibers(filt.samples, filt.scale)
-        raw = np.ascontiguousarray(blocks).view(np.uint64).reshape(*blocks.shape, 2)
-        if not ((raw == raw[..., :1, :]).all() and (blocks == blocks[..., :1]).all()):
-            break
-        filt = FilterMatrix(filt.scale, filt.chain, filt.grid.coarser(), blocks[..., 0])
-        levels += 1
-    return filt, levels
+    n, grid, step = filt.scale, filt.grid, 1
+    starts = _run_starts(filt.samples)
+    while (
+        grid.depth >= 2
+        and filt.chain.aligned(grid.coarser().coarser())
+        and not np.any(starts % (step * n))
+    ):
+        grid, step = grid.coarser(), step * n
+    if step == 1:
+        return filt, 0
+    coarse = FilterMatrix(n, filt.chain, grid, filt.samples[..., ::step])
+    return coarse, filt.grid.depth - grid.depth
 
 
 def transfer_spectrum(
@@ -638,6 +652,16 @@ def _max_martingale_order(grid: GridSpec) -> int:
     return max(n for n in orders if grid.cells % grid.scale**n == 0)
 
 
+def _require_verified(filt: FilterMatrix, verify_tol: float) -> None:
+    """Refuse a filter that fails the gate, ``filters._verification_failure``."""
+    eq, sup = filter_equation_residual(filt), support_violations(filt)
+    failure = _verification_failure(eq, sup, verify_tol)
+    if failure:
+        raise ParameterError(
+            f"purity analysis needs a filter verified at {verify_tol!r}; {failure}"
+        )
+
+
 def classify_purity(
     filt: FilterMatrix,
     tol_eig: float = TOL_EIG,
@@ -659,17 +683,11 @@ def classify_purity(
     tol_eig.  A certificate together with an accepted pair is
     contradictory and comes back ``inconclusive`` with an anomaly.
 
-    The filter passes the gate when its ``filter_equation_residual`` is
-    within ``verify_tol``; that report is cached on the filter, so a
-    caller that gated it already does not pay for it again.
+    A filter that fails the commands' verification gate at ``verify_tol``
+    (its support rule, and its defining identity residual) is refused with
+    ``ParameterError``; both reports are cached on the filter.
     """
-    pre = filter_equation_residual(filt)
-    # Written so that a NaN residual fails closed.
-    if not (pre.max_abs_residual <= verify_tol):
-        raise ParameterError(
-            "purity analysis needs a verified filter; defining identity "
-            f"residual {pre.max_abs_residual:.3e} exceeds {verify_tol:.3e}"
-        )
+    _require_verified(filt, verify_tol)
     start = time.perf_counter()
     cell = _fixed_cell(filt, tol_eig, tol_res, tol_norm)
     fixed_cell_s = time.perf_counter() - start

@@ -18,9 +18,13 @@ from gmrafilters import (
     SigmaChain,
     VecField,
     make_haar,
+    make_journe_step,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+# Each builder's default depth, which ``generate`` takes without ``--depth``.
+DEFAULT_DEPTHS = {"constant": 4, "haar": 4, "journe": 2, "journe_step": 2, "shannon": 4}
 
 
 def run_python(script: str) -> str:
@@ -136,6 +140,20 @@ def with_sample(filt: FilterMatrix, i: int, j: int, cell: int, value) -> FilterM
     """Copy of a filter with one sample overwritten."""
     samples = filt.samples.copy()
     samples[i, j, cell] = value
+    return FilterMatrix(filt.scale, filt.chain, filt.grid, samples)
+
+
+def column_violation_filter() -> FilterMatrix:
+    """journe_step at depth 3 with h_11's sqrt(2) at cell 56 moved to h_12.
+
+    Moving a sample within a row keeps the coset identity to rounding
+    (residual 4.4e-16), but cell 56 (x = 1/4) lies outside sigma_2, so
+    column 2 breaks the support rule there: (0, 1, 56).  Only the support
+    half of the verification gate refuses it.
+    """
+    filt = make_journe_step(depth=3)
+    samples = filt.samples.copy()
+    samples[0, 1, 56], samples[0, 0, 56] = samples[0, 0, 56], 0.0
     return FilterMatrix(filt.scale, filt.chain, filt.grid, samples)
 
 

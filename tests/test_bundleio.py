@@ -32,18 +32,20 @@ from gmrafilters import (
     parse_bundle,
 )
 from gmrafilters.bundleio import FORMAT_VERSION, KIND, canonical_json, complex_pair
-from gmrafilters.cli import EXIT_OK, EXIT_USAGE, GENERATOR_DEPTHS, main
+from gmrafilters.cli import EXIT_OK, EXIT_USAGE, main
 from gmrafilters.torus import rat_str
+
+from helpers import DEFAULT_DEPTHS
 
 # Every generator at its default depth and one deeper, and both generators
 # that take --half-turn-phases (journe's half-turn bundle carries "-0.0").
 # haar, shannon and constant have one channel, journe_step and journe two.
 GENERATE_ARGS = [
     [name, "--depth", str(depth + extra)]
-    for name, depth in sorted(GENERATOR_DEPTHS.items())
+    for name, depth in sorted(DEFAULT_DEPTHS.items())
     for extra in (0, 1)
 ] + [
-    [name, "--half-turn-phases", "--depth", str(GENERATOR_DEPTHS[name] + extra)]
+    [name, "--half-turn-phases", "--depth", str(DEFAULT_DEPTHS[name] + extra)]
     for name in ("journe_step", "journe")
     for extra in (0, 1)
 ]

@@ -39,12 +39,19 @@ from gmrafilters.cli import (
     EXIT_UNDECIDED,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
-    GENERATOR_DEPTHS,
+    GENERATORS,
     main,
 )
 from gmrafilters.filters import _coset_deviation
 
-from helpers import near_constant_filter, planted_filter, random_scalar_filter, run_python
+from helpers import (
+    DEFAULT_DEPTHS,
+    column_violation_filter,
+    near_constant_filter,
+    planted_filter,
+    random_scalar_filter,
+    run_python,
+)
 
 
 def generate(tmp_path, name, *extra):
@@ -167,10 +174,18 @@ class TestGenerate:
         params = derive_journe(0.1, grid=GridSpec(2, 56, 5)).params
         assert np.array_equal(filt.samples, make_journe_family(params).samples)
 
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_no_depth_is_the_builders_default(self, tmp_path, name):
+        assert sorted(DEFAULT_DEPTHS) == list(GENERATORS)
+        text = generate(tmp_path, name).read_text()
+        depth = str(DEFAULT_DEPTHS[name])
+        assert text == generate(tmp_path, name, "--depth", depth).read_text()
+        assert json.loads(text)["provenance"]["depth"] == DEFAULT_DEPTHS[name]
+
     def test_unknown_generator_is_a_usage_error(self):
         assert main(["generate", "daubechies"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("name", sorted(GENERATOR_DEPTHS))
+    @pytest.mark.parametrize("name", GENERATORS)
     def test_depth_zero_is_a_usage_error(self, name, capsys):
         capsys.readouterr()
         assert main(["generate", name, "--depth", "0"]) == EXIT_USAGE
@@ -181,7 +196,7 @@ class TestGenerate:
         assert lines[0].startswith("gmrafilters: ")
 
     @pytest.mark.parametrize("depth", [40, 60, 64, 100])
-    @pytest.mark.parametrize("name", sorted(GENERATOR_DEPTHS))
+    @pytest.mark.parametrize("name", GENERATORS)
     def test_grid_too_large_to_allocate_is_a_usage_error(self, name, depth):
         # Depth 40 asks for terabytes.  An address-space limit on the child
         # makes that allocation fail at once whatever the host's overcommit
@@ -306,6 +321,30 @@ class TestVerify:
         report = report_of(out)
         assert report["ok"] is False
         assert report["filter_equation"]["support"]["column_violations"] == [[0, 1, 58]]
+
+    def test_support_rule_alone_fails_every_command(self, tmp_path, capsys):
+        # The residual is within tolerance; only the support rule fails.
+        bundle = tmp_path / "moved.json"
+        bundle.write_text(emit_bundle(column_violation_filter()))
+        reports = []
+        for command in ("verify", "classify"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(bundle), "--out", str(out)]) == EXIT_VERIFY_FAIL
+            reports.append(report_of(out))
+        for report in reports:
+            assert report["ok"] is False
+            section = report["filter_equation"]
+            assert float(section["max_residual"]) <= ruelle.VERIFY_TOL
+            assert section["support"]["column_violations"] == [[0, 1, 56]]
+        assert reports[1]["status"] == "verification_failed"
+        capsys.readouterr()
+        assert main(["spectrum", str(bundle)]) == EXIT_VERIFY_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gmrafilters: {bundle} fails verification: defining identity "
+            f"residual {section['max_residual']}, support rule violated\n"
+        )
 
     @pytest.mark.parametrize(
         "text",

@@ -10,6 +10,7 @@ from gmrafilters import gmra
 from gmrafilters import (
     NOT_PURE_CERTIFIED,
     PURE_CERTIFIED,
+    ParameterError,
     VecField,
     assemble_transfer_matrix,
     derive_journe,
@@ -25,7 +26,13 @@ from gmrafilters import (
 
 from gmrafilters.ruelle import TOL_EIG
 
-from helpers import planted_filter, planted_unitary_filter, random_scalar_filter
+from helpers import (
+    column_violation_filter,
+    planted_filter,
+    planted_unitary_filter,
+    random_scalar_filter,
+    with_sample,
+)
 
 PLANTED_LAMBDA = np.exp(2j * np.pi * 0.3)
 
@@ -168,6 +175,24 @@ class TestIntersectionReport:
         rep = intersection_report(make_haar())
         assert rep.certificate == search(make_haar())
         assert rep.certificate_s >= 0.02
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            column_violation_filter,
+            lambda: with_sample(make_haar(), 0, 0, 3, 2.0),
+            lambda: with_sample(make_haar(), 0, 0, 3, float("nan")),
+        ],
+        ids=["support_rule", "residual", "nan_residual"],
+    )
+    def test_refuses_before_the_certificate_search(self, build, monkeypatch):
+        # As classify_purity refuses them, and verify, classify and spectrum.
+        def search(filt):
+            raise AssertionError("search_certificate ran on an unverified filter")
+
+        monkeypatch.setattr("gmrafilters.gmra.search_certificate", search)
+        with pytest.raises(ParameterError):
+            intersection_report(build())
 
     def test_dimension_caution_is_always_present(self):
         for filt in (make_haar(), make_constant()):

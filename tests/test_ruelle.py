@@ -41,7 +41,7 @@ from gmrafilters import (
     transfer_spectrum,
 )
 from gmrafilters import ruelle, smallmat
-from gmrafilters.filters import FilterMatrix
+from gmrafilters.filters import FilterMatrix, _fibers
 from gmrafilters.ruelle import (
     TOL_EIG,
     TOL_NORM,
@@ -58,6 +58,7 @@ from gmrafilters.ruelle import (
 )
 
 from helpers import (
+    column_violation_filter,
     identity_two_channel,
     near_constant_filter,
     planted_filter,
@@ -524,6 +525,14 @@ class TestClassification:
     def test_nan_sample_fails_closed(self):
         bad = with_sample(make_haar(), 0, 0, 3, float("nan"))
         with pytest.raises(ParameterError):
+            classify_purity(bad)
+
+    def test_requires_the_support_rule(self):
+        # The residual passes the gate; only the support rule fails it,
+        # as it fails verify, classify and spectrum.
+        bad = column_violation_filter()
+        assert filter_equation_residual(bad).max_abs_residual <= VERIFY_TOL
+        with pytest.raises(ParameterError, match="support rule violated"):
             classify_purity(bad)
 
     def test_constant_filter_is_not_pure(self):
@@ -1290,6 +1299,70 @@ def repeated(samples, scale, depth, chain=None):
     return FilterMatrix(scale, chain, grid, values)
 
 
+def loop_coarsest(filt):
+    """``_coarsest`` a level at a time, for comparison.
+
+    A level down is taken while every block of N samples repeats the
+    block's first in bits and in value, the coarser filter keeps depth
+    >= 1, and the support chain aligns with its own coarse grid; each level
+    copies the blocks' bits and builds a filter.
+    """
+    levels = 0
+    while filt.grid.depth >= 2 and filt.chain.aligned(filt.grid.coarser().coarser()):
+        _, blocks = _fibers(filt.samples, filt.scale)
+        raw = np.ascontiguousarray(blocks).view(np.uint64).reshape(*blocks.shape, 2)
+        if not ((raw == raw[..., :1, :]).all() and (blocks == blocks[..., :1]).all()):
+            break
+        filt = FilterMatrix(filt.scale, filt.chain, filt.grid.coarser(), blocks[..., 0])
+        levels += 1
+    return filt, levels
+
+
+def loop_coarsest_cases():
+    """Every generator at depths 1 to 10, constants at N = 3 and 4, random
+    scalar filters, refines, and samples that must not repeat."""
+    cases = []
+    for d in range(1, 11):
+        cases += [
+            (f"haar_{d}", lambda d=d: make_haar(depth=d)),
+            (f"shannon_{d}", lambda d=d: make_shannon(depth=d)),
+            (f"constant_{d}", lambda d=d: make_constant(depth=d)),
+            (f"journe_step_{d}", lambda d=d: make_journe_step(depth=d)),
+            (
+                f"journe_step_half_turn_{d}",
+                lambda d=d: make_journe_step(depth=d, half_turn_phases=True),
+            ),
+            (f"journe_{d}", lambda d=d: journe_at(d)),
+        ]
+    for n in (3, 4):
+        for d in range(1, 7):
+            cases.append((f"constant_n{n}_{d}", lambda n=n, d=d: make_constant(d, n)))
+    cases += [
+        (f"random_scalar_{k}", lambda k=k: random_scalar_filter(seeded(300 + k), 1 + k % 6))
+        for k in range(40)
+    ]
+    cases += [
+        ("refined_shannon", lambda: refine(make_shannon(depth=2))),
+        ("refined_journe_step", lambda: refine(refine(make_journe_step(depth=1)))),
+        ("refined_random", lambda: refine(refine(random_scalar_filter(seeded(7), 3)))),
+        ("refined_haar", lambda: refine(make_haar(depth=3))),
+        # shannon 3 is zero on cells 8 to 23: -0.0 inside a block, then a block of it
+        ("signed_zero", lambda: with_sample(make_shannon(depth=3), 0, 0, 9, -0.0)),
+        (
+            "signed_zero_block",
+            lambda: with_sample(
+                with_sample(make_shannon(depth=3), 0, 0, 8, -0.0), 0, 0, 9, -0.0
+            ),
+        ),
+        ("nan_block", lambda: repeated(np.full((1, 1, 2), complex(math.nan, 0.0)), 2, 3)),
+        ("nan_cell", lambda: with_sample(make_constant(depth=5), 0, 0, 8, math.nan)),
+    ]
+    return cases
+
+
+LOOP_COARSEST_CASES = loop_coarsest_cases()
+
+
 def full_grid_spectrum(filt, monkeypatch, solve=transfer_spectrum):
     """``solve`` with ``_coarsest`` faked to coarsen nothing."""
     with monkeypatch.context() as patch:
@@ -1377,6 +1450,18 @@ class TestCoarsest:
         reference = dense_reference(filt)
         assert len(reference.candidates) == calls
         assert grids == [filt.grid] * 2 * calls
+
+    @pytest.mark.parametrize(
+        "name, build", LOOP_COARSEST_CASES, ids=[n for n, _ in LOOP_COARSEST_CASES]
+    )
+    def test_matches_the_level_by_level_loop(self, name, build):
+        filt = build()
+        coarse, levels = _coarsest(filt)
+        reference, reference_levels = loop_coarsest(filt)
+        assert (levels, coarse.grid) == (reference_levels, reference.grid)
+        assert (coarse is filt) == (reference is filt)
+        bits = [np.ascontiguousarray(f.samples).view(np.uint64) for f in (coarse, reference)]
+        assert np.array_equal(*bits)
 
     def test_signed_zero_in_a_block_does_not_repeat(self):
         filt = make_shannon(depth=3)

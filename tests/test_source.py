@@ -1,10 +1,13 @@
 """Checks on the package source itself, read with ``ast``.
 
-Two rules hold across ``src/gmrafilters``.  A record type is a frozen
+Three rules hold across ``src/gmrafilters``.  A record type is a frozen
 dataclass only when it validates its fields in ``__post_init__``; a plain
-result record is a ``typing.NamedTuple``.  And no module imports a name it
+result record is a ``typing.NamedTuple``.  No module imports a name it
 never uses, apart from names listed in its ``__all__`` (the package's
-re-exports) and aliases whose line carries ``# noqa``.
+re-exports) and aliases whose line carries ``# noqa``.  And whether a
+filter is verified is decided in one place, the gate
+``filters._verification_failure``: no other function asks a support
+report whether it is ``clean()``.
 """
 
 import ast
@@ -118,3 +121,26 @@ def test_the_scan_finds_an_unused_import(tmp_path):
         "x: Optional[int] = None\n"
     )
     assert unused_imports(module) == ["os (line 1)", "np (line 2)"]
+
+
+def clean_calls() -> list[str]:
+    """``module.function`` for each function that calls ``.clean()``."""
+    callers = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "clean"
+                ):
+                    callers.append(f"{path.stem}.{node.name}")
+    return callers
+
+
+def test_the_support_rule_is_judged_only_by_the_gate():
+    assert set(clean_calls()) == {"filters._verification_failure"}
+    for path in MODULES:
+        assert "_fails_verification" not in path.read_text(encoding="utf-8")
