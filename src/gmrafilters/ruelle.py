@@ -22,11 +22,12 @@ c x c matrix H(0)^T (the cocycle picture of Bratteli and Jorgensen,
 Wavelets through a Looking Glass, 2002).
 
 ``classify_purity`` decides at that cell (see ``FixedCell``) and builds
-no matrix of the operator.  ``transfer_spectrum``, the dense path of the
+no matrix of the operator.  ``transfer_spectrum``, the path of the
 ``spectrum`` command, solves the quotient matrix K = adjoint o include
 on the coarse step space for its eigenvalues, for the coarsest filter
-that refines to the given one, and takes its eigenpairs on the circle
-from the same cell 0 analysis.
+that refines to the given one, one strongly connected component of K's
+graph at a time, and takes its eigenpairs on the circle from the same
+cell 0 analysis.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ TOL_RES = 1e-9
 TOL_NORM = 1e-6
 VERIFY_TOL = 1e-10
 
-# The largest fine dimension the dense path of ``spectrum`` solves.
+# The largest dense block ``spectrum`` solves, counted in the fine
+# coordinates its rows of K stand for.
 DIM_CAP = 4096
 
 # Unit roundoff of float64, the u of the rounding allowance.
@@ -284,17 +286,20 @@ def isometry_residual(
 
 
 class TransferMatrix(NamedTuple):
-    """Dense matrix K of "include, then apply the adjoint" on a coarse space.
+    """The quotient matrix K of "include, then apply the adjoint", as triplets.
 
-    The basis is a (dimension, 2) array of (component i, coarse cell u)
-    rows, lexicographic, holding the cells of the filter's coarse grid
-    whose block of N fine cells meets sigma_i.  K and the fine matrix
-    "apply the adjoint, then include" are BA and AB for the same pair of
-    maps, so the fine spectrum is K's followed by
-    ``fine_dimension - dimension`` zeros.
+    K[rows[t], cols[t]] = weights[t], one triplet per entry that any
+    weight lands on, every other entry zero.  The basis is a
+    (dimension, 2) array of (component i, coarse cell u) rows,
+    lexicographic, holding the cells of the filter's coarse grid whose
+    block of N fine cells meets sigma_i.  K and the fine matrix "apply the
+    adjoint, then include" are BA and AB for the same pair of maps, so the
+    fine spectrum is K's followed by ``fine_dimension - dimension`` zeros.
     """
 
-    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
     basis: np.ndarray
     fine_dimension: int
 
@@ -302,24 +307,37 @@ class TransferMatrix(NamedTuple):
     def dimension(self) -> int:
         return len(self.basis)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """K as a dense array, built on each read; ``DIM_CAP`` binds the
+        fine dimension, and ``transfer_spectrum`` never reads it."""
+        _check_cap(self.fine_dimension)
+        matrix = np.zeros((self.dimension, self.dimension), dtype=np.complex128)
+        matrix[self.rows, self.cols] = self.weights
+        return matrix
+
+
+def _check_cap(dimension: int) -> None:
+    if dimension > DIM_CAP:
+        raise DimensionCapError(
+            f"transfer matrix dimension {dimension} exceeds cap {DIM_CAP}"
+        )
+
 
 def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
-    """Build the dense quotient matrix K on the coarse step space.
+    """The quotient matrix K on the coarse step space, as summed triplets.
 
     This is ``_adjoint_weights`` written as a matrix, each fine
     coordinate read from the coarse cell it lies inside (``_fibers``).
-    Weights landing on one entry are summed, which happens when the
-    coarse grid has fewer than N cells.  ``DIM_CAP`` applies to the
-    dimension of the fine step space of ``filt``.
+    Weights landing on one entry are summed in the order ``np.add.at``
+    adds them, which happens when the coarse grid has fewer than N cells;
+    a sum can be exactly zero, and entries in the supports can be zero
+    samples.  Nothing dense is allocated, so no cap applies here.
     """
     n = filt.scale
     over, inside = _fibers(np.array(filt.sigma_masks()), n)
     # The fine step space's (component j, fiber entry [k, u]): sigma_j's cells.
     fine = np.argwhere(over)
-    if len(fine) > DIM_CAP:
-        raise DimensionCapError(
-            f"transfer matrix dimension {len(fine)} exceeds cap {DIM_CAP}"
-        )
     comp, k, u = fine.T
     coarse = inside.any(axis=-1)
     basis = np.argwhere(coarse)
@@ -329,9 +347,21 @@ def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     cols = np.broadcast_to(position[comp, _inside(k, u, n, filt.cells)], rows.shape)
     weights = _adjoint_weights(filt)[:, comp, k, u]
     keep = rows >= 0
-    matrix = np.zeros((len(basis), len(basis)), dtype=np.complex128)
-    np.add.at(matrix, (rows[keep], cols[keep]), weights[keep])
-    return TransferMatrix(matrix, basis, len(fine))
+    triplets = _summed(len(basis), rows[keep], cols[keep], weights[keep])
+    return TransferMatrix(*triplets, basis, len(fine))
+
+
+def _summed(size: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray):
+    """One triplet per entry of a size x size matrix, in row-major order,
+    its weights summed as ``np.add.at`` on the dense matrix sums them."""
+    keys = rows * size + cols
+    order = np.argsort(keys, kind="stable")
+    new = np.diff(keys[order], prepend=-1) != 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(new) - 1
+    summed = np.zeros(int(new.sum()), dtype=weights.dtype)
+    np.add.at(summed, slot, weights)
+    return *np.divmod(keys[order][new], max(size, 1)), summed
 
 
 class EigenPair(NamedTuple):
@@ -406,7 +436,7 @@ def _retest(
 
 
 class TransferSpectrum(NamedTuple):
-    """The dense spectrum of K and the rows the operator's eigenpairs carry.
+    """The spectrum of K and the rows the operator's eigenpairs carry.
 
     ``eigenvalues`` is the fine spectrum, one row per coordinate of the
     given filter's fine step space: the solved K's eigenvalues by
@@ -414,11 +444,14 @@ class TransferSpectrum(NamedTuple):
     zero for every coordinate the fine space adds.  ``fixed_cell`` is the
     filter's cell 0 analysis, as ``classify_purity`` carries it, and
     ``passing_flags`` marks the rows its accepted pairs vouch for.
+    ``components`` holds the sizes, in coordinates of K, of the nontrivial
+    strongly connected components K was solved on, largest first.
     """
 
     eigenvalues: np.ndarray
     passing_flags: np.ndarray
     fixed_cell: FixedCell
+    components: tuple[int, ...]
 
 
 def _coarsest(filt: FilterMatrix) -> tuple[FilterMatrix, int]:
@@ -450,22 +483,35 @@ def transfer_spectrum(
 
     A filter that is the ``refine`` of a coarser one (see ``_coarsest``)
     has the coarser filter's K spectrum plus zeros: its detail part is
-    nilpotent, by (I - E_{L/N}) S_H* = S_H* (I - E_L).  So K (from
-    ``assemble_transfer_matrix``, whose cap binds the coarsest filter's
-    dimension) is solved there, eigenvalues only, in real arithmetic when
-    it is real, and the fine spectrum is padded with exact zeros up to
-    this filter's own fine dimension; solving the fine K instead would
-    smear those zeros, a Jordan block of size k to about u^(1/k).  Every
-    eigenvalue lambda of K within ``tol_eig`` of the unit circle is a
-    candidate, and no eigenvector of K is computed: each eigenpair of the
-    operator on the circle is fixed at cell 0 (``_fixed_cell``, run on
-    this filter).  In row order, a candidate passes when an accepted pair
-    not yet taken lies within ``tol_res`` of conj(lambda).
+    nilpotent, by (I - E_{L/N}) S_H* = S_H* (I - E_L).  So K is solved
+    there, eigenvalues only, and the fine spectrum is padded with exact
+    zeros up to this filter's own fine dimension; solving the fine K
+    instead would smear those zeros, a Jordan block of size k to about
+    u^(1/k).  K is solved as the diagonal blocks of its Frobenius normal
+    form: each nontrivial strongly connected component (more than one
+    node, or a self-loop) of the graph of its nonzero entries is a dense
+    block, in real arithmetic when it is real, and every other node is an
+    exact zero.  ``DIM_CAP`` binds the largest such component, counted in
+    the fine coordinates its nodes stand for.  Every eigenvalue lambda of
+    K within ``tol_eig`` of the unit circle is a candidate, and no
+    eigenvector of K is computed: each eigenpair of the operator on the
+    circle is fixed at cell 0 (``_fixed_cell``, run on this filter).  In
+    row order, a candidate passes when an accepted pair not yet taken
+    lies within ``tol_res`` of conj(lambda).
     """
     coarse, levels = _coarsest(filt)
     tm = assemble_transfer_matrix(coarse)
-    matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
-    solved = _by_modulus(smallmat.eigenvalues(matrix))
+    edge = tm.weights != 0
+    rows, cols, weights = tm.rows[edge], tm.cols[edge], tm.weights[edge]
+    label = smallmat.strong_components(tm.dimension, rows, cols)
+    sizes = np.bincount(label)
+    nontrivial = sizes > 1
+    nontrivial[label[rows[rows == cols]]] = True
+    # A node (i, u) stands for sigma_i's fine cells inside coarse cell u.
+    stands = _fibers(np.array(coarse.sigma_masks()), coarse.scale)[1].sum(axis=-1)
+    fine = np.bincount(label, stands[tuple(tm.basis.T)])
+    _check_cap(int(fine[nontrivial].max(initial=0)))
+    solved = _by_modulus(smallmat.block_eigenvalues(label, nontrivial, rows, cols, weights))
     block = filt.scale**levels
     # The fine spectrum: K's eigenvalues, then the zeros only the fine
     # space carries, which sort after every nonzero eigenvalue and after
@@ -482,7 +528,8 @@ def transfer_spectrum(
         if near:
             free.remove(near[0])
             passing_flags[k] = True
-    return TransferSpectrum(eigenvalues, passing_flags, cell)
+    components = tuple(sorted(sizes[nontrivial].tolist(), reverse=True))
+    return TransferSpectrum(eigenvalues, passing_flags, cell, components)
 
 
 class FixedCell(NamedTuple):

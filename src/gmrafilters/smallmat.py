@@ -2,8 +2,9 @@
 
 The paper's multiplicity functions have c <= 2, so the analysis mostly
 solves 1 x 1 and 2 x 2 matrices: the blocks of the certificate search,
-H(0)^T at the fixed cell (its eigenvalues and null vectors), and K when
-a filter coarsens to one cell.  LAPACK would solve them too, but its
+H(0)^T at the fixed cell (its eigenvalues and null vectors), and the 1 x 1
+components of K (``block_eigenvalues`` solves K one strongly connected
+component of its graph at a time).  LAPACK would solve them too, but its
 first call pages in OpenBLAS, about 1-1.6 MB of peak RSS in a fresh
 process, for arithmetic a few lines can do.  These kernels do it and
 hand larger matrices to ``np.linalg``.  The package does not export them.
@@ -162,3 +163,83 @@ def null_vectors(matrix: np.ndarray, lam: complex, count: int) -> np.ndarray:
         return np.conj(np.ones((1, 1), shifted.dtype))
     vh = np.linalg.svd(shifted)[2]
     return np.conj(vh[::-1][:count])
+
+
+def strong_components(size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The strongly connected component of each of ``size`` nodes, for the
+    edges rows[t] -> cols[t] (``rows`` ascending), numbered in the order
+    they close.
+
+    Tarjan's algorithm (SIAM J. Comput. 1, 1972), its depth-first path
+    kept on lists rather than the call stack; a node visited but not yet
+    labelled is on Tarjan's stack.
+    """
+    heads = [0] + np.cumsum(np.bincount(rows, minlength=size)).tolist()
+    succ = cols.tolist()
+    index, low, label = [-1] * size, [0] * size, [-1] * size
+    stack: list[int] = []
+    visited = closed = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path, edges = [root], [heads[root]]
+        while path:
+            v, e = path[-1], edges[-1]
+            if e < heads[v + 1]:
+                edges[-1] = e + 1
+                w = succ[e]
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append(w)
+                    edges.append(heads[w])
+                elif label[w] < 0:
+                    low[v] = min(low[v], index[w])
+                continue
+            path.pop()
+            edges.pop()
+            if path:
+                low[path[-1]] = min(low[path[-1]], low[v])
+            if low[v] == index[v]:
+                w = -1
+                while w != v:
+                    w = stack.pop()
+                    label[w] = closed
+                closed += 1
+    return np.array(label, dtype=np.int64)
+
+
+def block_eigenvalues(
+    label: np.ndarray, nontrivial: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """The eigenvalues of the matrix with entries ``weights`` at (rows, cols),
+    one per entry, from the diagonal blocks of its Frobenius normal form.
+
+    ``label`` is each node's strongly connected component
+    (``strong_components``).  Each component flagged in ``nontrivial`` is
+    solved densely through ``eigenvalues``, in real arithmetic when its
+    block is real; every node of the others gives an exact zero.
+    """
+    sizes = np.bincount(label, minlength=len(nontrivial))
+    inner = label[rows] == label[cols]
+    # Renumbered component by component, each block is a range of rows,
+    # and sorted by row, each block's entries a range of entries.
+    per_block = np.bincount(label[rows[inner]], minlength=len(nontrivial))
+    rank = np.empty_like(label)
+    rank[np.argsort(label, kind="stable")] = np.arange(len(label))
+    order = np.argsort(rank[rows[inner]], kind="stable")
+    rows, cols, weights = (a[inner][order] for a in (rank[rows], rank[cols], weights))
+    ends, edges = np.cumsum(sizes), np.cumsum(per_block)
+    values = [np.zeros(len(label) - int(sizes[nontrivial].sum()))]
+    for c in np.flatnonzero(nontrivial).tolist():
+        start, size = int(ends[c] - sizes[c]), int(sizes[c])
+        part = slice(int(edges[c] - per_block[c]), int(edges[c]))
+        block = np.zeros((size, size), dtype=np.complex128)
+        block[rows[part] - start, cols[part] - start] = weights[part]
+        values.append(eigenvalues(block.real if not np.any(block.imag) else block))
+    return np.concatenate(values)

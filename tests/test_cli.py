@@ -511,8 +511,8 @@ class TestClassify:
     ):
         # The cap binds spectrum only: classify builds no matrix, even for
         # the constant filter, whose eigenpair it finds at the fixed cell.
-        # Haar does not coarsen, so spectrum solves all 16 of its fine
-        # coordinates.
+        # Haar does not coarsen; spectrum solves its 16 fine coordinates
+        # as K's components, the largest standing for 14 of them.
         haar = generate(tmp_path, "haar")
         constant = generate(tmp_path, "constant")
         out = tmp_path / "classify.json"
@@ -528,13 +528,14 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "gmrafilters: transfer matrix dimension 16 exceeds cap 8"
+            "gmrafilters: transfer matrix dimension 14 exceeds cap 8"
         ]
         assert main(["classify", str(haar), "--out", str(out)]) == EXIT_OK
         assert main(["classify", str(constant), "--out", str(out)]) == EXIT_NOT_PURE
         assert capsys.readouterr().err == ""
         # The cap is read on every spectrum call, one that coarsens too, and
-        # binds the dimension solved: constant's 2 coordinates at depth 1.
+        # binds the largest component solved: constant's 2 fine coordinates
+        # at depth 1, one node of K.
         monkeypatch.setattr(ruelle, "DIM_CAP", 1)
         assert main(["spectrum", str(constant)]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -563,14 +564,14 @@ class TestClassify:
         report = report_of(out)
         assert report["purity"]["dimension"] == 256
         capsys.readouterr()
-        # Haar's 256 fine coordinates are solved as they are; constant
-        # coarsens to depth 1 and solves 2.
+        # Haar's largest component stands for 254 of its 256 fine
+        # coordinates; constant coarsens to depth 1 and solves 2.
         assert main(["spectrum", str(bundle)]) == spectrum_code
         captured = capsys.readouterr()
         if spectrum_code == EXIT_USAGE:
             assert captured.out == ""
             assert captured.err.splitlines() == [
-                "gmrafilters: transfer matrix dimension 256 exceeds cap 64"
+                "gmrafilters: transfer matrix dimension 254 exceeds cap 64"
             ]
         else:
             assert captured.err == ""
@@ -601,14 +602,27 @@ class TestClassify:
         assert first == "1.0,0.0,1.0,true"
         assert len(rest) == 8191
         assert set(rest) == {"0.0,0.0,0.0,false"}
-        # Haar does not coarsen: past the dense cap, spectrum exits 2.
+        # Haar does not coarsen, and its largest component is past the
+        # dense cap: spectrum exits 2.
         haar = generate(tmp_path, "haar", "--depth", "13")
         assert main(["spectrum", str(haar)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "gmrafilters: transfer matrix dimension 8192 exceeds cap 4096"
+            "gmrafilters: transfer matrix dimension 8190 exceeds cap 4096"
         ]
+
+    def test_journe_past_the_dense_cap_is_solved(self, tmp_path, capsys):
+        # At depth 7 journe's 7,168 fine coordinates are past the cap, but
+        # its K splits into components of at most 26 nodes.
+        journe = generate(tmp_path, "journe", "--depth", "7")
+        capsys.readouterr()
+        assert main(["spectrum", str(journe)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, *rows = captured.out.splitlines()
+        assert len(rows) == 7168
+        assert not any(row.endswith(",true") for row in rows)
 
     def test_report_carries_the_contraction_and_no_spectrum(self, tmp_path):
         # The contraction rho(K) < 1 is carried as its proof at the fixed
@@ -963,8 +977,8 @@ class TestImportFootprint:
         assert out == f"{loads} []\n"
 
     # The first LAPACK call pages in OpenBLAS, 0.9-1.6 MB of peak RSS; at
-    # c <= 2 classify, and spectrum on a filter that coarsens to one cell,
-    # solve their 1 x 1 and 2 x 2 matrices in closed form instead.
+    # c <= 2 classify, and spectrum on a filter whose K has only 1 x 1
+    # components, solve their 1 x 1 and 2 x 2 matrices in closed form.
     LAPACK = ("eig", "eigvals", "eigvalsh", "svd", "cond")
 
     @pytest.mark.parametrize(
@@ -975,6 +989,9 @@ class TestImportFootprint:
             ("classify", "journe", "5", EXIT_OK),
             ("classify", "journe_step", None, EXIT_OK),
             ("spectrum", "constant", "10", EXIT_OK),
+            # K's components are all 1 x 1 here.
+            ("spectrum", "shannon", None, EXIT_OK),
+            ("spectrum", "journe_step", None, EXIT_OK),
         ],
     )
     def test_small_counts_call_no_lapack(

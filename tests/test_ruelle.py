@@ -422,6 +422,18 @@ def fine_transfer_matrix(filt):
     return out
 
 
+def assert_same_nonzero_spectrum(got, want, floor=1e-3, tol=1e-10):
+    """The eigenvalues of modulus above ``floor`` agree as multisets to ``tol``;
+    nilpotent parts smear zero eigenvalues to clusters of smaller radius."""
+    remaining = list(want[np.abs(want) > floor])
+    big = got[np.abs(got) > floor]
+    assert len(big) == len(remaining)
+    for lam in big:
+        nearest = min(remaining, key=lambda mu: abs(mu - lam))
+        assert abs(nearest - lam) <= tol
+        remaining.remove(nearest)
+
+
 class TestTransferMatrix:
     @pytest.mark.parametrize("make", QUOTIENT_CASES)
     def test_matrix_agrees_with_the_functional_adjoint(self, make):
@@ -461,17 +473,13 @@ class TestTransferMatrix:
         tm = assemble_transfer_matrix(filt)
         fine = np.linalg.eigvals(fine_transfer_matrix(filt))
         quotient = np.linalg.eigvals(tm.matrix)
-        fine_big = fine[np.abs(fine) > 1e-3]
-        remaining = list(quotient[np.abs(quotient) > 1e-3])
         # Equal counts above the cluster radius leave the fine matrix
         # exactly fine_dimension - dimension more zeros than K.
         assert len(fine) == tm.fine_dimension
-        assert len(fine_big) == len(remaining)
-        for lam in fine_big:
-            nearest = min(remaining, key=lambda mu: abs(mu - lam))
-            assert abs(nearest - lam) <= 1e-10
-            remaining.remove(nearest)
+        assert_same_nonzero_spectrum(fine, quotient)
+        # The solve by strongly connected components against the dense K.
         spectrum = transfer_spectrum(filt).eigenvalues
+        assert_same_nonzero_spectrum(spectrum, quotient)
         assert len(spectrum) == tm.fine_dimension
         assert np.all(spectrum[tm.dimension :] == 0)
 
@@ -487,13 +495,27 @@ class TestTransferMatrix:
         assert rows == sorted(rows)
 
     def test_dimension_cap(self, monkeypatch):
-        # the cap counts the 16 fine coordinates, not the 8 coarse ones
+        # The triplets hold no dense matrix, so assembly is never capped;
+        # the dense K is, at its 16 fine coordinates, not its 8 coarse ones.
         for cap in (8, 15):
             monkeypatch.setattr(ruelle, "DIM_CAP", cap)
+            tm = assemble_transfer_matrix(make_haar(depth=4))
+            assert tm.fine_dimension == 16
             with pytest.raises(DimensionCapError):
-                assemble_transfer_matrix(make_haar(depth=4))
+                tm.matrix
         monkeypatch.setattr(ruelle, "DIM_CAP", 16)
-        assert assemble_transfer_matrix(make_haar(depth=4)).fine_dimension == 16
+        assert assemble_transfer_matrix(make_haar(depth=4)).matrix.shape == (8, 8)
+
+    def test_triplets_are_the_summed_entries(self):
+        # Haar at depth 1 has one coarse cell, where two weights land on
+        # one entry; journe's zero samples give zero-weight entries.
+        for filt in (make_haar(depth=1), journe_filter()):
+            tm = assemble_transfer_matrix(filt)
+            keys = tm.rows * tm.dimension + tm.cols
+            assert np.all(np.diff(keys) > 0)
+            assert np.array_equal(tm.matrix[tm.rows, tm.cols], tm.weights)
+            assert np.count_nonzero(tm.matrix) == np.count_nonzero(tm.weights)
+        assert tm.weights.size > np.count_nonzero(tm.weights)
 
     @pytest.mark.parametrize(
         "make",
@@ -513,6 +535,87 @@ class TestTransferMatrix:
         tm = assemble_transfer_matrix(journe_filter())
         moduli = np.abs(np.linalg.eigvals(tm.matrix))
         assert moduli.max() == pytest.approx(INV_SQRT2, abs=1e-6)
+
+
+def closure_components(dense):
+    """Whether nodes u and v share a strongly connected component of the
+    graph of the nonzero entries: each reaches the other (Warshall)."""
+    reach = (dense != 0) | np.eye(len(dense), dtype=bool)
+    for k in range(len(dense)):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    return reach & reach.T
+
+
+class TestStrongComponents:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_components_match_the_reachability_closure(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 25))
+        count = int(rng.integers(0, 3 * size + 1))
+        rows, cols = rng.integers(0, size, (2, count))
+        weights = rng.choice([0.0, 1.0, -0.5, 2j], count)
+        # A third of the triplets come twice more, negated: duplicates whose
+        # entry sums to exactly zero, as self-loops too.
+        twice = rng.random(count) < 1 / 3
+        rows = np.concatenate([rows, rows[twice]])
+        cols = np.concatenate([cols, cols[twice]])
+        weights = np.concatenate([weights, -weights[twice]])
+        shuffle = rng.permutation(len(rows))
+        rows, cols, weights = rows[shuffle], cols[shuffle], weights[shuffle]
+        dense = np.zeros((size, size), dtype=np.complex128)
+        np.add.at(dense, (rows, cols), weights)
+        rows, cols, weights = ruelle._summed(size, rows, cols, weights)
+        assert np.array_equal(dense[rows, cols], weights)
+        assert np.count_nonzero(dense) == np.count_nonzero(weights)
+        edge = weights != 0
+        label = smallmat.strong_components(size, rows[edge], cols[edge])
+        assert np.array_equal(label[:, None] == label, closure_components(dense))
+        # Numbered as they close: an edge out of a component leads to one
+        # closed before it.
+        u, v = np.nonzero(dense)
+        assert np.all(label[v] <= label[u])
+        assert set(label.tolist()) == set(range(label.max() + 1))
+
+    def test_zero_entries_are_no_edges(self):
+        # journe's zero samples inside its supports give zero weights; as
+        # edges they would join its components into one.
+        tm = assemble_transfer_matrix(journe_filter())
+        edge = tm.weights != 0
+        label = smallmat.strong_components(tm.dimension, tm.rows[edge], tm.cols[edge])
+        joined = smallmat.strong_components(tm.dimension, tm.rows, tm.cols)
+        assert np.bincount(label).max() == 15
+        assert np.bincount(joined).max() > 15
+
+    @pytest.mark.parametrize(
+        "make, sizes",
+        [
+            (make_haar, (7, 1)),
+            (make_shannon, (1, 1)),
+            (make_constant, (1,)),
+            (make_journe_step, (1, 1)),
+            (journe_filter, (15, 3, 3, 1)),
+        ],
+    )
+    def test_components_at_the_default_depths(self, make, sizes):
+        spectrum = transfer_spectrum(make())
+        assert spectrum.components == sizes
+        # every row outside the components is an exact zero
+        zeros = np.count_nonzero(spectrum.eigenvalues == 0)
+        assert zeros >= len(spectrum.eigenvalues) - sum(sizes)
+
+    def test_cap_binds_the_largest_component(self, monkeypatch):
+        # haar's 7-node component stands for 14 of its 16 fine coordinates
+        monkeypatch.setattr(ruelle, "DIM_CAP", 14)
+        assert transfer_spectrum(make_haar()).components == (7, 1)
+        monkeypatch.setattr(ruelle, "DIM_CAP", 13)
+        with pytest.raises(DimensionCapError, match="dimension 14 exceeds cap 13"):
+            transfer_spectrum(make_haar())
+
+    def test_deep_journe_is_solved_past_the_dense_cap(self):
+        spectrum = transfer_spectrum(journe_at(7))
+        assert len(spectrum.eigenvalues) == 7168 > ruelle.DIM_CAP
+        assert spectrum.components == (26, 3, 3, 1, 1)
+        assert not spectrum.passing_flags.any()
 
 
 class TestClassification:
@@ -1246,7 +1349,11 @@ class TestDenseOracle:
         filt = build()
         spectrum = transfer_spectrum(filt)
         reference = dense_reference(filt)
-        assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+        # K is solved a strongly connected component at a time, so rows
+        # agree to rounding, and the smeared zeros of the dense solve are
+        # exact zeros outside the components.
+        assert len(spectrum.eigenvalues) == len(reference.eigenvalues)
+        assert_same_nonzero_spectrum(spectrum.eigenvalues, reference.eigenvalues)
         assert np.array_equal(spectrum.passing_flags, reference.passing_flags)
 
     def test_spectrum_makes_no_second_solve(self, monkeypatch):

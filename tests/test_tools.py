@@ -15,6 +15,7 @@ CORPUS_CODES = {
     **dict.fromkeys(
         ["haar", "haar_8", "haar_10", "shannon", "shannon_7", "journe",
          "journe_4", "journe_5", "journe_half_turn", "journe_delta_0.05",
+         "journe_10", "journe_delta_0.05_10",
          "journe_step", "journe_step_4", "journe_step_8",
          "journe_step_half_turn"],
         (0, 0, 0, 0),
@@ -22,9 +23,7 @@ CORPUS_CODES = {
     **dict.fromkeys(
         ["constant", "constant_8", "constant_10", "constant_13"], (0, 0, 3, 0)
     ),
-    **dict.fromkeys(
-        ["haar_13", "journe_10", "journe_delta_0.05_10"], (0, 0, 0, 2)
-    ),
+    "haar_13": (0, 0, 0, 2),
     **dict.fromkeys(
         ["planted_scale_3", "planted_lambda_1", "planted_two_channel",
          "planted_two_channel_scale_3", "planted_three_channel",

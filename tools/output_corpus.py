@@ -49,10 +49,13 @@ JOBS = [
     # solves the coarsest grid the filter repeats on and exits 0.
     ("constant_13", ["constant", "--depth", "13"]),
     ("journe_step_8", ["journe_step", "--depth", "8"]),
-    # Past the dense cap with no coarser grid: spectrum exits 2.
+    # Past the dense cap with no coarser grid, and K's largest strongly
+    # connected component past it too: spectrum exits 2.
     ("haar_13", ["haar", "--depth", "13"]),
     # Depth 10 reaches profile cells where an array square would round the
     # last bit apart from the scalar x ** 2 (see filters.journe_profile).
+    # Past the dense cap with no coarser grid, but K splits into small
+    # components: spectrum solves them and exits 0.
     ("journe_10", ["journe", "--depth", "10"]),
     ("journe_delta_0.05_10", ["journe", "--delta", "0.05", "--depth", "10"]),
 ]
