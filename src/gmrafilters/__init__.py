@@ -82,37 +82,24 @@ from .torus import GridSpec, IntervalSet, SigmaChain, rat_str
 
 __version__ = "0.1.0"
 
-# Name -> the submodule that defines it, imported on first access.
-_LAZY = {
-    **dict.fromkeys(
-        [
-            "BoundCheck",
-            "Certificate",
-            "CertificateFailure",
-            "JourneDerivation",
-            "certificate_eps",
-            "check_certificate",
-            "derive_journe",
-            "search_certificate",
-        ],
-        "lowpass",
-    ),
-    **dict.fromkeys(["IntersectionReport", "intersection_report"], "gmra"),
-}
-
 
 def __getattr__(name: str):
+    # A name of __all__ not bound above is lowpass's if lowpass has it,
+    # else gmra's (which imports lowpass), bound here on first access.
     if name in ("gmra", "lowpass"):
         return importlib.import_module(f"{__name__}.{name}")
-    if name not in _LAZY:
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    owner = importlib.import_module(f"{__name__}.lowpass")
+    if not hasattr(owner, name):
+        owner = importlib.import_module(f"{__name__}.gmra")
+    value = getattr(owner, name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(__all__))
 
 __all__ = [
     "BoundCheck",

@@ -14,7 +14,7 @@ class ResolutionError(GmraFilterError):
 
 
 class DimensionCapError(GmraFilterError):
-    """A dense matrix or block would exceed the dimension cap ``ruelle.DIM_CAP``."""
+    """A block of K to solve densely exceeds the dimension cap ``ruelle.DIM_CAP``."""
 
 
 class ParameterError(GmraFilterError):

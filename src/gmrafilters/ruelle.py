@@ -90,8 +90,8 @@ TOL_RES = 1e-9
 TOL_NORM = 1e-6
 VERIFY_TOL = 1e-10
 
-# The largest dense block ``spectrum`` solves, counted in the fine
-# coordinates its rows of K stand for.
+# The largest strongly connected component of K that ``transfer_spectrum``
+# solves, counted in the fine coordinates its nodes stand for.
 DIM_CAP = 4096
 
 # Unit roundoff of float64, the u of the rounding allowance.
@@ -307,22 +307,6 @@ class TransferMatrix(NamedTuple):
     def dimension(self) -> int:
         return len(self.basis)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """K as a dense array, built on each read; ``DIM_CAP`` binds the
-        fine dimension, and ``transfer_spectrum`` never reads it."""
-        _check_cap(self.fine_dimension)
-        matrix = np.zeros((self.dimension, self.dimension), dtype=np.complex128)
-        matrix[self.rows, self.cols] = self.weights
-        return matrix
-
-
-def _check_cap(dimension: int) -> None:
-    if dimension > DIM_CAP:
-        raise DimensionCapError(
-            f"transfer matrix dimension {dimension} exceeds cap {DIM_CAP}"
-        )
-
 
 def assemble_transfer_matrix(filt: FilterMatrix) -> TransferMatrix:
     """The quotient matrix K on the coarse step space, as summed triplets.
@@ -510,7 +494,9 @@ def transfer_spectrum(
     # A node (i, u) stands for sigma_i's fine cells inside coarse cell u.
     stands = _fibers(np.array(coarse.sigma_masks()), coarse.scale)[1].sum(axis=-1)
     fine = np.bincount(label, stands[tuple(tm.basis.T)])
-    _check_cap(int(fine[nontrivial].max(initial=0)))
+    largest = int(fine[nontrivial].max(initial=0))
+    if largest > DIM_CAP:
+        raise DimensionCapError(f"transfer matrix dimension {largest} exceeds cap {DIM_CAP}")
     solved = _by_modulus(smallmat.block_eigenvalues(label, nontrivial, rows, cols, weights))
     block = filt.scale**levels
     # The fine spectrum: K's eigenvalues, then the zeros only the fine

@@ -36,11 +36,9 @@ def singular_values(blocks: np.ndarray) -> np.ndarray:
     adds only non-negative terms, and sigma_min = |ad - bc| / sigma_max.
     (The form (sqrt(F + 2|det|) + sqrt(F - 2|det|)) / 2, F = p + r, loses
     half the digits of two nearly tied values to the difference.)  Each
-    block is first divided by the power of two at or above its largest
-    modulus, exactly, so that no square overflows or underflows; the
-    power is capped at 2^1023, the largest finite one, which also scales
-    a block whose finite entries have a modulus past the float range.  A
-    sigma_max past that range comes back infinite.
+    block is first divided exactly by ``_power_of_two`` of its largest
+    modulus, so that no square overflows or underflows.  A sigma_max past
+    the float range comes back infinite.
     """
     if blocks.shape[1:] == (1, 1):
         return np.abs(blocks[:, 0])
@@ -51,8 +49,7 @@ def singular_values(blocks: np.ndarray) -> np.ndarray:
         for start in range(0, len(blocks), _CHUNK):
             values[start : start + _CHUNK] = singular_values(blocks[start : start + _CHUNK])
         return values
-    top = np.minimum(np.abs(blocks).max(axis=(1, 2)), np.finfo(np.float64).max)
-    scale = np.ldexp(1.0, np.minimum(np.frexp(top)[1], 1023))
+    scale = _power_of_two(np.abs(blocks).max(axis=(1, 2)))
     a, b, c, d = (blocks[:, i, j] / scale for i in (0, 1) for j in (0, 1))
     p, r = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
     q = np.abs(np.conj(a) * b + np.conj(c) * d)
@@ -61,6 +58,14 @@ def singular_values(blocks: np.ndarray) -> np.ndarray:
     smin = np.divide(det, smax, out=np.zeros_like(det), where=smax > 0)
     with np.errstate(over="ignore"):
         return np.stack([smax, np.minimum(smin, smax)], axis=1) * scale[:, None]
+
+
+def _power_of_two(top):
+    """The power of two at or above each modulus in ``top``, capped at
+    2^1023, the largest finite one; the cap also takes a modulus past the
+    float range, which a matrix of finite entries can have."""
+    top = np.minimum(top, np.finfo(np.float64).max)
+    return np.ldexp(1.0, np.minimum(np.frexp(top)[1], 1023))
 
 
 def _bundled_blas() -> tuple:
@@ -109,10 +114,9 @@ def eigen_condition(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
     ``np.linalg.eig`` and ``np.linalg.cond``, in closed form for 2 x 2.
     A triangular 2 x 2 matrix gives its diagonal, as LAPACK does.
-    Otherwise, on the matrix divided exactly by the power of two at or
-    above its largest modulus (at most 2^1023), the root of the
-    characteristic polynomial that avoids cancellation comes first and
-    the other is det / mu_1.
+    Otherwise, on the matrix divided exactly by ``_power_of_two`` of its
+    largest modulus, the root of the characteristic polynomial that
+    avoids cancellation comes first and the other is det / mu_1.
     For unit eigenvectors v_1, v_2, cond_2 = sqrt((1 + g) / (1 - g)) with
     g = |v_1^H v_2|: 1 for a scalar matrix and infinite for any other
     repeated eigenvalue, which is defective.
@@ -120,7 +124,7 @@ def eigen_condition(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     if matrix.shape != (2, 2):
         values, vectors = np.linalg.eig(matrix)
         return values, float(np.linalg.cond(vectors))
-    scale = math.ldexp(1.0, min(math.frexp(float(np.abs(matrix).max()))[1], 1023))
+    scale = _power_of_two(np.abs(matrix).max())
     (a, b), (c, d) = (matrix / scale).tolist()
     if b == 0 or c == 0:
         values = np.array(matrix.diagonal(), dtype=np.complex128)

@@ -1,5 +1,6 @@
 """Shared builders for randomized but exactly valid filters, an exact
-membership oracle for interval sets, and a fresh-process runner."""
+membership oracle for interval sets, a dense reader of K's triplets, and a
+fresh-process runner."""
 
 import math
 import os
@@ -43,6 +44,13 @@ def run_python(script: str) -> str:
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
+
+
+def dense(tm) -> np.ndarray:
+    """K of a ``TransferMatrix`` as a dense array, read off its triplets."""
+    matrix = np.zeros((tm.dimension, tm.dimension), dtype=np.complex128)
+    matrix[tm.rows, tm.cols] = tm.weights
+    return matrix
 
 
 def _transition(t: float) -> float:

@@ -59,6 +59,7 @@ from gmrafilters.ruelle import (
 
 from helpers import (
     column_violation_filter,
+    dense,
     identity_two_channel,
     near_constant_filter,
     planted_filter,
@@ -444,7 +445,7 @@ class TestTransferMatrix:
         comp, cell = tm.basis.T
         direct = transfer_apply(filt, f.refine())
         assert np.allclose(
-            tm.matrix @ f.values[comp, cell], direct.values[comp, cell], atol=1e-14
+            dense(tm) @ f.values[comp, cell], direct.values[comp, cell], atol=1e-14
         )
 
     @pytest.mark.parametrize("make", QUOTIENT_CASES)
@@ -455,14 +456,14 @@ class TestTransferMatrix:
         mp = filt.cells // n
         position = {(i, u): q for q, (i, u) in enumerate(tm.basis)}
         fine = np.argwhere(np.array(filt.sigma_masks()))
-        expected = np.zeros_like(tm.matrix)
+        expected = np.zeros_like(dense(tm))
         for p, (i, u) in enumerate(tm.basis):
             for j, s in fine:
                 if s % mp == u:
                     expected[p, position[j, s // n]] += (
                         np.conj(filt.samples[i, j, s]) / n
                     )
-        assert np.array_equal(tm.matrix, expected)
+        assert np.array_equal(dense(tm), expected)
 
     @pytest.mark.parametrize("make", QUOTIENT_CASES)
     def test_nonzero_spectrum_matches_the_fine_matrix(self, make):
@@ -472,7 +473,7 @@ class TestTransferMatrix:
         filt = make()
         tm = assemble_transfer_matrix(filt)
         fine = np.linalg.eigvals(fine_transfer_matrix(filt))
-        quotient = np.linalg.eigvals(tm.matrix)
+        quotient = np.linalg.eigvals(dense(tm))
         # Equal counts above the cluster radius leave the fine matrix
         # exactly fine_dimension - dimension more zeros than K.
         assert len(fine) == tm.fine_dimension
@@ -495,16 +496,10 @@ class TestTransferMatrix:
         assert rows == sorted(rows)
 
     def test_dimension_cap(self, monkeypatch):
-        # The triplets hold no dense matrix, so assembly is never capped;
-        # the dense K is, at its 16 fine coordinates, not its 8 coarse ones.
-        for cap in (8, 15):
-            monkeypatch.setattr(ruelle, "DIM_CAP", cap)
-            tm = assemble_transfer_matrix(make_haar(depth=4))
-            assert tm.fine_dimension == 16
-            with pytest.raises(DimensionCapError):
-                tm.matrix
-        monkeypatch.setattr(ruelle, "DIM_CAP", 16)
-        assert assemble_transfer_matrix(make_haar(depth=4)).matrix.shape == (8, 8)
+        # The triplets hold no dense matrix, so assembly is never capped.
+        monkeypatch.setattr(ruelle, "DIM_CAP", 1)
+        tm = assemble_transfer_matrix(make_haar(depth=4))
+        assert (tm.dimension, tm.fine_dimension) == (8, 16)
 
     def test_triplets_are_the_summed_entries(self):
         # Haar at depth 1 has one coarse cell, where two weights land on
@@ -513,8 +508,9 @@ class TestTransferMatrix:
             tm = assemble_transfer_matrix(filt)
             keys = tm.rows * tm.dimension + tm.cols
             assert np.all(np.diff(keys) > 0)
-            assert np.array_equal(tm.matrix[tm.rows, tm.cols], tm.weights)
-            assert np.count_nonzero(tm.matrix) == np.count_nonzero(tm.weights)
+            matrix = dense(tm)
+            assert np.array_equal(matrix[tm.rows, tm.cols], tm.weights)
+            assert np.count_nonzero(matrix) == np.count_nonzero(tm.weights)
         assert tm.weights.size > np.count_nonzero(tm.weights)
 
     @pytest.mark.parametrize(
@@ -523,17 +519,17 @@ class TestTransferMatrix:
     )
     def test_spectrum_stays_in_the_closed_unit_disk(self, make):
         tm = assemble_transfer_matrix(make())
-        moduli = np.abs(np.linalg.eigvals(tm.matrix))
+        moduli = np.abs(np.linalg.eigvals(dense(tm)))
         assert moduli.max() <= 1.0 + 1e-10
 
     def test_shannon_spectrum_is_strictly_contractive(self):
         tm = assemble_transfer_matrix(make_shannon(depth=3))
-        moduli = np.abs(np.linalg.eigvals(tm.matrix))
+        moduli = np.abs(np.linalg.eigvals(dense(tm)))
         assert moduli.max() <= INV_SQRT2 + 1e-12
 
     def test_journe_top_modulus(self):
         tm = assemble_transfer_matrix(journe_filter())
-        moduli = np.abs(np.linalg.eigvals(tm.matrix))
+        moduli = np.abs(np.linalg.eigvals(dense(tm)))
         assert moduli.max() == pytest.approx(INV_SQRT2, abs=1e-6)
 
 
@@ -779,20 +775,20 @@ def journe_at(depth):
 
 def dense_majorant_bound(filt, steps):
     """sqrt(||A^k||_1 ||A^k||_inf) for A = |K|, from the dense matrix."""
-    a = np.abs(assemble_transfer_matrix(filt).matrix)
+    a = np.abs(dense(assemble_transfer_matrix(filt)))
     power = np.linalg.matrix_power(a, steps)
     return math.sqrt(power.sum(axis=0).max() * power.sum(axis=1).max())
 
 
 def unimodular_eigenvalues(filt):
     """K's eigenvalues within 1e-8 of the unit circle, in a canonical order."""
-    eigenvalues = np.linalg.eigvals(assemble_transfer_matrix(filt).matrix)
+    eigenvalues = np.linalg.eigvals(dense(assemble_transfer_matrix(filt)))
     near = eigenvalues[np.abs(np.abs(eigenvalues) - 1.0) <= 1e-8]
     return near[np.lexsort((near.imag, near.real))]
 
 
 def dense_radius(filt):
-    return np.abs(np.linalg.eigvals(assemble_transfer_matrix(filt).matrix)).max()
+    return np.abs(np.linalg.eigvals(dense(assemble_transfer_matrix(filt)))).max()
 
 
 def seeded(seed):
@@ -1269,7 +1265,8 @@ def dense_reference(filt, tol_eig=TOL_EIG, tol_res=TOL_RES):
     """
     coarse, levels = ruelle._coarsest(filt)
     tm = assemble_transfer_matrix(coarse)
-    matrix = tm.matrix.real if not np.any(tm.matrix.imag) else tm.matrix
+    matrix = dense(tm)
+    matrix = matrix.real if not np.any(matrix.imag) else matrix
     solved = _by_modulus(smallmat.eigenvalues(matrix))
     block = filt.scale**levels
     eigenvalues = np.zeros(tm.fine_dimension * block, dtype=solved.dtype)

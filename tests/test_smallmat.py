@@ -39,6 +39,8 @@ from gmrafilters.smallmat import (
     singular_values,
 )
 
+from helpers import dense
+
 
 def two_by_two_blocks(kind: str) -> np.ndarray:
     """A stack of 2 x 2 complex blocks of one kind, seeded."""
@@ -201,6 +203,26 @@ class TestTopOfTheFloatRange:
         got = singular_values(np.array([block], dtype=np.complex128))
         assert got.tolist() == [expected]
 
+    def test_eigen_condition_of_a_finite_matrix_whose_modulus_overflows(self):
+        # |1.5e308 + 1.5e308i| is past the float range: the matrix scales
+        # by 2^1023, as in ``singular_values``, instead of not at all.
+        matrix = np.array([[1.5e308 + 1.5e308j, 1], [1, 1]], dtype=np.complex128)
+        values, cond = eigen_condition(matrix)
+        assert values.tolist() == [1.5e308 + 1.5e308j, 1.0]
+        assert cond == 1.0
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_eigen_condition_commutes_with_a_power_of_two(self, k):
+        # Both matrices scale to the same one, so only the eigenvalues'
+        # exponents differ.
+        rng = np.random.default_rng(37)
+        for kind in ("complex", "real", "near_defective") * 20:
+            matrix = two_by_two(kind, rng)
+            values, cond = eigen_condition(matrix)
+            scaled_values, scaled_cond = eigen_condition(2.0**k * matrix)
+            assert np.array_equal(scaled_values, 2.0**k * values)
+            assert scaled_cond == cond
+
     @pytest.mark.parametrize("big", [1e308, float(np.finfo(np.float64).max)])
     def test_eigen_condition_is_finite(self, big):
         matrix = np.array([[big, 1], [1, 2]], dtype=np.complex128)
@@ -342,7 +364,7 @@ class TestEigenvalues:
         filt = FilterMatrix(
             2, SigmaChain.full_circle(1), GridSpec(2, 1, 3), np.full((1, 1, 8), h)
         )
-        matrix = assemble_transfer_matrix(_coarsest(filt)[0]).matrix
+        matrix = dense(assemble_transfer_matrix(_coarsest(filt)[0]))
         assert matrix.shape == (1, 1)
         matrix = matrix.real if not np.any(matrix.imag) else matrix
         lapack = _by_modulus(np.linalg.eigvals(matrix))

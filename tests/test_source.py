@@ -1,13 +1,14 @@
 """Checks on the package source itself, read with ``ast``.
 
-Three rules hold across ``src/gmrafilters``.  A record type is a frozen
+Four rules hold across ``src/gmrafilters``.  A record type is a frozen
 dataclass only when it validates its fields in ``__post_init__``; a plain
 result record is a ``typing.NamedTuple``.  No module imports a name it
 never uses, apart from names listed in its ``__all__`` (the package's
 re-exports) and aliases whose line carries ``# noqa``.  And whether a
 filter is verified is decided in one place, the gate
 ``filters._verification_failure``: no other function asks a support
-report whether it is ``clean()``.
+report whether it is ``clean()``.  Likewise ``DIM_CAP`` is applied in
+one place: only ``ruelle.transfer_spectrum`` raises ``DimensionCapError``.
 """
 
 import ast
@@ -144,3 +145,25 @@ def test_the_support_rule_is_judged_only_by_the_gate():
     assert set(clean_calls()) == {"filters._verification_failure"}
     for path in MODULES:
         assert "_fails_verification" not in path.read_text(encoding="utf-8")
+
+
+def raisers(error: str) -> list[str]:
+    """``module.function`` for each ``raise error(...)`` in the package."""
+    raised = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for stmt in ast.walk(node):
+                if (
+                    isinstance(stmt, ast.Raise)
+                    and isinstance(stmt.exc, ast.Call)
+                    and isinstance(stmt.exc.func, ast.Name)
+                    and stmt.exc.func.id == error
+                ):
+                    raised.append(f"{path.stem}.{node.name}")
+    return raised
+
+
+def test_the_dimension_cap_is_applied_in_one_place():
+    assert raisers("DimensionCapError") == ["ruelle.transfer_spectrum"]

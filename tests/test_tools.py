@@ -94,7 +94,6 @@ def _calls(argvs) -> set:
 def test_op_peaks_runs_the_benchmark_operations(tmp_path, monkeypatch, workload):
     bench = _load(ROOT / "clibench" / "run.py", "clibench_run", monkeypatch)
     peaks = _load(ROOT / "tools" / "op_peaks.py", "op_peaks", monkeypatch)
-    assert set(peaks.WORKLOADS) == set(bench.INPUTS)
     plan = bench.make_workload(workload, 1, tmp_path)
     expected = _calls(op.command() for op in plan.setup + plan.rounds)
     got = _calls(argv for name, _, argv in peaks.operations(tmp_path) if name == workload)

@@ -6,28 +6,32 @@ Usage::
     python3 tools/op_peaks.py OLD NEW [--repeat N]
 
 OLD and NEW are checkouts of this repository.  For each, the script runs
-the operations of the ``spectral``, ``fine_grid`` and ``defaults``
-workloads of ``clibench/run.py`` (the ``generate`` that writes each input
-bundle, then the subcommands run on it) as ``python3 -m gmrafilters.cli``
-with that checkout's ``src`` on the path and one BLAS thread, each in a
-fresh child, reads the child's ``ru_maxrss`` with ``os.wait4`` and times
-it from spawn to reap.  Operations alternate between the two checkouts,
-``--repeat`` times each (default 3), and the medians are printed: the
-peak in MB of 1024 KiB, as ``peak_rss_mb`` counts them, and the wall time
-in seconds, unscaled.  Each workload's ``all ops`` row holds its largest
+the benchmark's own operations: every setup and round operation of the
+``spectral``, ``fine_grid`` and ``defaults`` workloads, as
+``make_workload`` in this repository's ``clibench/run.py`` lays them out
+(round ``generate``s and ``verify --seed`` included, seed 1).  Each is
+run as ``python3 -m gmrafilters.cli`` with that checkout's ``src`` on the
+path and one BLAS thread, in a fresh child; the script reads the child's
+``ru_maxrss`` with ``os.wait4`` and times it from spawn to reap.
+Operations alternate between the two checkouts, ``--repeat`` times each
+(default 3), and the medians are printed by benchmark op key: the peak
+in MB of 1024 KiB, as ``peak_rss_mb`` counts them, and the wall time in
+seconds, unscaled.  Each workload's ``all ops`` row holds its largest
 peak (the op that sets its ``peak_rss_mb``) and the sum of its ops'
 times.  The last line of standard output is the same table as JSON.
 
 A child's peak includes its parent's resident set at ``exec``, so this
-script imports nothing beyond the standard modules it needs, and reads
-no bundle.  Per-op peaks also move by about 0.35 MB with the directory a
-tree sits in, the same tree reading differently at two paths, so the
-checkouts should have paths of equal length; the script warns when they
-differ.
+script loads ``clibench/run.py`` (without writing its bytecode) and
+nothing beyond the standard modules, and reads no bundle: it peaks near
+21 MB, below every CLI child's 30 MB or more.  Per-op peaks also move by
+about 0.35 MB with the directory a tree sits in, the same tree reading
+differently at two paths, so the checkouts should have paths of equal
+length; the script warns when they differ.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import statistics
@@ -37,41 +41,33 @@ import tempfile
 import time
 from pathlib import Path
 
-# (generator, depth or None for the default, subcommands run on its
-# bundle), as clibench/run.py's INPUTS and make_workload lay them out.
-WORKLOADS = {
-    "spectral": [
-        ("haar", 10, ("classify",)),
-        ("constant", 10, ("classify", "spectrum")),
-        ("journe", 5, ("classify",)),
-    ],
-    "fine_grid": [
-        ("haar", 16, ("verify",)),
-        ("shannon", 14, ("verify",)),
-        ("journe", 9, ("verify",)),
-    ],
-    "defaults": [
-        (gen, None, ("verify", "classify", "spectrum"))
-        for gen in ("haar", "shannon", "constant", "journe_step", "journe")
-    ],
-}
+BENCH = Path(__file__).resolve().parent.parent / "clibench" / "run.py"
+SEED = 1
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _benchmark():
+    """``clibench/run.py`` imported by path, writing no bytecode beside it."""
+    spec = importlib.util.spec_from_file_location("clibench_run", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module
+
+
 def operations(work: Path) -> list[tuple[str, str, list[str]]]:
-    """(workload, label, argv) of every operation, bundles under ``work``."""
+    """(workload, op key, argv) of every operation, files under ``work``."""
+    bench = _benchmark()
     ops = []
-    for workload, inputs in WORKLOADS.items():
-        for gen, depth, subcommands in inputs:
-            depth_args = [] if depth is None else ["--depth", str(depth)]
-            stem = f"{workload}-{gen}-{'default' if depth is None else f'd{depth}'}"
-            bundle = str(work / f"{stem}.json")
-            label = f"{gen} {'default' if depth is None else depth}"
-            ops.append((workload, f"generate {label}",
-                        ["generate", gen, *depth_args, "--out", bundle]))
-            for sub in subcommands:
-                out = str(work / f"{stem}.{sub}.out")
-                ops.append((workload, f"{sub} {label}", [sub, bundle, "--out", out]))
+    for workload in bench.INPUTS:
+        plan = bench.make_workload(workload, SEED, work / workload)
+        for op in plan.setup + plan.rounds:
+            op.out.parent.mkdir(parents=True, exist_ok=True)
+            ops.append((workload, op.key, op.command()))
     return ops
 
 
@@ -110,8 +106,6 @@ def main(argv: list[str]) -> int:
               "0.35 MB with the directory layout", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         works = [Path(tmp) / "old", Path(tmp) / "new"]
-        for work in works:
-            work.mkdir()
         plans = [operations(work) for work in works]
         runs = [[[] for _ in plans[0]] for _ in trees]  # (KiB, s) per call
         for _ in range(repeat):
@@ -127,7 +121,7 @@ def main(argv: list[str]) -> int:
             row[f"{name}_mb"] = statistics.median(kib) / 1024.0
             row[f"{name}_s"] = statistics.median(wall)
         rows.append(row)
-    for workload in WORKLOADS:
+    for workload in dict.fromkeys(name for name, _, _ in plans[0]):
         mine = [r for r in rows if r["workload"] == workload]
         rows.append({"workload": workload, "op": "all ops",
                      **{f"{name}_mb": max(r[f"{name}_mb"] for r in mine)
@@ -136,10 +130,10 @@ def main(argv: list[str]) -> int:
                         for name in ("old", "new")}})
     print(f"old: {trees[0]}\nnew: {trees[1]}\nmedian of {repeat} per op: peak in MB, "
           "wall time in s (all ops: largest peak, summed time)")
-    print(f"{'workload':<10}{'op':<28}{'old MB':>8}{'new MB':>8}{'new-old':>9}"
+    print(f"{'workload':<10}{'op':<38}{'old MB':>8}{'new MB':>8}{'new-old':>9}"
           f"{'old s':>9}{'new s':>9}{'new-old':>9}")
     for r in rows:
-        print(f"{r['workload']:<10}{r['op']:<28}{r['old_mb']:8.2f}{r['new_mb']:8.2f}"
+        print(f"{r['workload']:<10}{r['op']:<38}{r['old_mb']:8.2f}{r['new_mb']:8.2f}"
               f"{r['new_mb'] - r['old_mb']:+9.2f}{r['old_s']:9.4f}{r['new_s']:9.4f}"
               f"{r['new_s'] - r['old_s']:+9.4f}")
     print(json.dumps({"old": str(trees[0]), "new": str(trees[1]), "repeat": repeat,
